@@ -49,6 +49,7 @@ from .errors import (
     DivergentNegativityError,
     NegativeRadicandError,
     NonPositiveFError,
+    NonFiniteResultError,
     NonPositiveLambdaError,
     NotHurwitzError,
     TwoModeError,
@@ -92,6 +93,7 @@ __all__ = [
     "DivergentNegativityError",
     "NegativeRadicandError",
     "NonPositiveFError",
+    "NonFiniteResultError",
     "NonPositiveLambdaError",
     "NotHurwitzError",
     "TwoModeError",

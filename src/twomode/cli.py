@@ -13,35 +13,35 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
-from .dynamics import propagate, steady_state_closed_form, steady_state_lyapunov
+from .dynamics import (
+    _closed_form_sigma,
+    propagate,
+    steady_state_closed_form,
+    steady_state_lyapunov,
+)
 from .entanglement import (
+    _DIVERGENCE_TOLERANCE,
+    _closed_form_negativity,
+    _in_matched_class,
+    _invariants,
+    _s_special,
+    _scaled_coordinates,
     analyze,
-    block_decompose,
-    log_negativity,
-    log_negativity_closed_form,
-    simon_s,
-    simon_s_special,
 )
-from .errors import (
-    ClassViolationError,
-    DivergentNegativityError,
-    NegativeRadicandError,
-    NonPositiveFError,
-    NonPositiveLambdaError,
-    NotHurwitzError,
-    TwoModeError,
-)
+from .errors import NotHurwitzError, TwoModeError
 from .model import (
     EnvironmentParams,
     OscillatorParams,
     SymmetricEnvironmentParams,
+    _require_positive_lambda,
+    _validity,
     build_diffusion_matrix,
     build_drift_matrix,
     check_state_covariance,
@@ -78,36 +78,27 @@ _DEFAULT_AXIS1 = ("D_xx", 0.5, 1.5, 11)
 _DEFAULT_AXIS2 = ("D_xpy", 0.0, 2.0, 21)
 
 _SIGMA_COLUMNS = (
-    "sigma_xx",
-    "sigma_xpx",
-    "sigma_xy",
-    "sigma_xpy",
-    "sigma_pxpx",
-    "sigma_ypx",
-    "sigma_pxpy",
-    "sigma_yy",
-    "sigma_ypy",
-    "sigma_pypy",
+    "sigma_xx", "sigma_xpx", "sigma_xy", "sigma_xpy", "sigma_pxpx",
+    "sigma_ypx", "sigma_pxpy", "sigma_yy", "sigma_ypy", "sigma_pypy",
 )
-_UPPER_INDICES = (
-    (0, 0), (0, 1), (0, 2), (0, 3),
-    (1, 1), (1, 2), (1, 3),
-    (2, 2), (2, 3),
-    (3, 3),
-)
+# Row and column indices of the upper triangle, in _SIGMA_COLUMNS order.
+_UPPER_ROWS = (0, 0, 0, 0, 1, 1, 1, 2, 2, 3)
+_UPPER_COLS = (0, 1, 2, 3, 1, 2, 3, 2, 3, 3)
 
 _SWEEP_COLUMNS = (
-    "axis1",
-    "axis2",
-    "D_xx",
-    "D_xpy",
-    "valid_strict",
-    "valid_lenient",
-    "S_general",
-    "S_special",
-    "E_general",
-    "E_closed",
-    "verdict",
+    "axis1", "axis2", "D_xx", "D_xpy", "valid_strict", "valid_lenient",
+    "S_general", "S_special", "E_general", "E_closed", "verdict",
+)
+
+# EntanglementReport fields in JSON order, and the report columns of the CSV
+# row; each column names a field case-insensitively.
+_REPORT_FIELDS = (
+    "det_a", "det_b", "det_c", "s_general", "s_special", "f_sigma", "e_general",
+    "e_closed", "window", "verdict", "valid_strict", "valid_lenient", "notes",
+)
+_REPORT_COLUMNS = (
+    "det_a", "det_b", "det_c", "S_general", "S_special", "f_sigma", "E_general",
+    "E_closed", "verdict", "valid_strict", "valid_lenient",
 )
 
 
@@ -155,6 +146,13 @@ def _reject_unknown(obj: dict, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
 
 
+def _to_float(value, where: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: integer too large for a float") from None
+
+
 def _get_number(obj: dict, key: str, where: str, default=None) -> float:
     if key not in obj:
         if default is None:
@@ -163,7 +161,7 @@ def _get_number(obj: dict, key: str, where: str, default=None) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
-    return float(value)
+    return _to_float(value, f"{where}.{key}")
 
 
 def _get_int(obj: dict, key: str, where: str, default=None) -> int:
@@ -217,7 +215,7 @@ def _parse_initial_state(value) -> str | tuple[tuple[float, ...], ...]:
                     raise ConfigError(
                         f"initial_state: expected numeric entries, got {entry!r}"
                     )
-            rows.append(tuple(float(entry) for entry in row))
+            rows.append(tuple(_to_float(entry, "initial_state") for entry in row))
         return tuple(rows)
     raise ConfigError("initial_state: expected \"vacuum\" or a 4x4 array")
 
@@ -274,7 +272,10 @@ def parse_config(data: dict) -> RunConfig:
         ("oscillator", "environment", "initial_state", "validation", "time_grid", "sweep"),
         "config",
     )
-    osc_obj = _require_mapping(data.get("oscillator"), "oscillator")
+    for key in ("oscillator", "environment"):
+        if key not in data:
+            raise ConfigError(f"config: missing required key '{key}'")
+    osc_obj = _require_mapping(data["oscillator"], "oscillator")
     _reject_unknown(osc_obj, ("m", "omega"), "oscillator")
     try:
         osc = OscillatorParams(
@@ -283,8 +284,6 @@ def parse_config(data: dict) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"oscillator: {exc}") from exc
-    if "environment" not in data:
-        raise ConfigError("config: missing required key 'environment'")
     try:
         env = _parse_environment(data["environment"])
     except ValueError as exc:
@@ -320,6 +319,8 @@ def load_config(path: str) -> RunConfig:
             f"invalid JSON in {path!r} at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except ValueError as exc:  # e.g. an integer literal beyond the digit limit
+        raise ConfigError(f"invalid JSON in {path!r}: {exc}") from exc
     return parse_config(data)
 
 
@@ -371,6 +372,8 @@ def _fmt(value) -> str:
     """Format one CSV field; 17 significant digits keep doubles round-trip safe."""
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -381,68 +384,57 @@ def _fmt(value) -> str:
     return format(number, ".17g")
 
 
-def _metadata_lines(command: str, cfg: RunConfig) -> list[str]:
-    echo = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
-    return [
-        f"# twomode {command}",
-        f"# version: {__version__}",
-        f"# config: {echo}",
-        f"# validation: {cfg.validation}",
-    ]
+def _write(command: str, cfg: RunConfig, args, payload, csv_lines) -> None:
+    """Write `payload()` as JSON or `csv_lines()` under the `#` header, per --format.
 
-
-def _write_output(text: str, path: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
+    Both are callables, so only the requested format is built.
+    """
+    if args.format == "json":
+        document = {"command": command, "version": __version__, "config": config_to_dict(cfg)}
+        text = json.dumps({**document, **payload()}, indent=2)
     else:
-        Path(path).write_text(text)
+        echo = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+        header = [f"# twomode {command}", f"# version: {__version__}", f"# config: {echo}"]
+        text = "\n".join([*header, f"# validation: {cfg.validation}", *csv_lines()])
+    if args.output == "-":
+        sys.stdout.write(text + "\n")
+    else:
+        Path(args.output).write_text(text + "\n")
 
 
-def _upper_entries(sigma: np.ndarray) -> list[float]:
-    return [float(sigma[i, j]) for i, j in _UPPER_INDICES]
+def _write_table(command: str, cfg: RunConfig, args, columns, rows) -> None:
+    def csv_lines() -> list[str]:
+        return [",".join(columns), *(",".join(map(_fmt, row)) for row in rows)]
+
+    _write(command, cfg, args, lambda: {"columns": list(columns), "rows": rows}, csv_lines)
 
 
-def _report_payload(report) -> dict:
-    return {
-        "det_a": report.det_a,
-        "det_b": report.det_b,
-        "det_c": report.det_c,
-        "s_general": report.s_general,
-        "s_special": report.s_special,
-        "f_sigma": report.f_sigma,
-        "e_general": report.e_general,
-        "e_closed": report.e_closed,
-        "window": list(report.window) if report.window is not None else None,
-        "verdict": report.verdict,
-        "valid_strict": report.valid_strict,
-        "valid_lenient": report.valid_lenient,
-        "notes": list(report.notes),
-    }
+def _upper_entries(sigma: np.ndarray) -> list:
+    """The ten independent entries of a 4x4 sigma, in _SIGMA_COLUMNS order."""
+    return sigma[_UPPER_ROWS, _UPPER_COLS].tolist()
+
+
+def _cells(values: np.ndarray) -> list:
+    """Values as a list, with NaN (an undefined or suppressed value) as None."""
+    return [None if v != v else v for v in values.tolist()]
 
 
 def cmd_validate(cfg: RunConfig, args) -> int:
     report = validate_environment(cfg.environment, cfg.validation)
-    if args.format == "json":
-        payload = {
-            "command": "validate",
-            "version": __version__,
-            "config": config_to_dict(cfg),
-            "report": {
-                "mode": report.mode,
-                "passed": report.passed,
-                "failed": list(report.failed),
-                "min_gram_eigenvalue": report.min_gram_eigenvalue,
-            },
-        }
-        _write_output(json.dumps(payload, indent=2) + "\n", args.output)
-    else:
-        lines = _metadata_lines("validate", cfg)
-        lines.append(f"mode: {report.mode}")
-        lines.append(f"passed: {'true' if report.passed else 'false'}")
-        lines.append(f"failed: {','.join(report.failed)}")
-        if report.min_gram_eigenvalue is not None:
-            lines.append(f"min_gram_eigenvalue: {_fmt(report.min_gram_eigenvalue)}")
-        _write_output("\n".join(lines) + "\n", args.output)
+    lines = [
+        f"mode: {report.mode}",
+        f"passed: {_fmt(report.passed)}",
+        f"failed: {','.join(report.failed)}",
+    ]
+    if report.min_gram_eigenvalue is not None:
+        lines.append(f"min_gram_eigenvalue: {_fmt(report.min_gram_eigenvalue)}")
+    payload = {
+        "mode": report.mode,
+        "passed": report.passed,
+        "failed": list(report.failed),
+        "min_gram_eigenvalue": report.min_gram_eigenvalue,
+    }
+    _write("validate", cfg, args, lambda: {"report": payload}, lambda: lines)
     return 0 if report.passed else 2
 
 
@@ -457,59 +449,27 @@ def cmd_steady_state(cfg: RunConfig, args) -> int:
         sigma_closed = steady_state_closed_form(osc, env)
         max_diff = float(np.abs(sigma - sigma_closed).max())
     report = analyze(sigma, osc, env)
-    if args.format == "json":
-        payload = {
-            "command": "steady-state",
-            "version": __version__,
-            "config": config_to_dict(cfg),
+
+    def payload() -> dict:
+        return {
             "sigma_infinity": sigma.tolist(),
             "sigma_infinity_closed_form": (
                 sigma_closed.tolist() if sigma_closed is not None else None
             ),
             "closed_form_max_diff": max_diff,
-            "report": _report_payload(report),
+            "report": {name: getattr(report, name) for name in _REPORT_FIELDS},
         }
-        _write_output(json.dumps(payload, indent=2) + "\n", args.output)
-    else:
-        columns = (
-            list(_SIGMA_COLUMNS)
-            + [f"cf_{name}" for name in _SIGMA_COLUMNS]
-            + [
-                "closed_form_max_diff",
-                "det_a",
-                "det_b",
-                "det_c",
-                "S_general",
-                "S_special",
-                "f_sigma",
-                "E_general",
-                "E_closed",
-                "verdict",
-                "valid_strict",
-                "valid_lenient",
-            ]
-        )
-        closed_entries = (
-            _upper_entries(sigma_closed) if sigma_closed is not None else [None] * 10
-        )
-        row = _upper_entries(sigma) + closed_entries + [
-            max_diff,
-            report.det_a,
-            report.det_b,
-            report.det_c,
-            report.s_general,
-            report.s_special,
-            report.f_sigma,
-            report.e_general,
-            report.e_closed,
-            report.verdict,
-            report.valid_strict,
-            report.valid_lenient,
-        ]
-        lines = _metadata_lines("steady-state", cfg)
-        lines.append(",".join(columns))
-        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
-        _write_output("\n".join(lines) + "\n", args.output)
+
+    columns = (
+        list(_SIGMA_COLUMNS)
+        + [f"cf_{name}" for name in _SIGMA_COLUMNS]
+        + ["closed_form_max_diff", *_REPORT_COLUMNS]
+    )
+    closed_entries = _upper_entries(sigma_closed) if sigma_closed is not None else [None] * 10
+    row = _upper_entries(sigma) + closed_entries + [max_diff]
+    row += [getattr(report, name.lower()) for name in _REPORT_COLUMNS]
+    csv_lines = [",".join(columns), ",".join(map(_fmt, row))]
+    _write("steady-state", cfg, args, payload, lambda: csv_lines)
     return 0
 
 
@@ -532,120 +492,81 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
         raise NotHurwitzError(
             "drift matrix is not Hurwitz (lambda <= 0); no asymptotic state"
         )
-    sigma_inf = steady_state_lyapunov(y, d)
-    sigma0 = _initial_covariance(cfg)
-    grid = np.linspace(cfg.time_grid.t_start, cfg.time_grid.t_end, cfg.time_grid.n_points)
-    rows = []
-    for t in grid:
-        sig = propagate(sigma0, sigma_inf, y, float(t))
-        s_value = simon_s(block_decompose(sig))
-        try:
-            e_value = log_negativity(sig)
-        except (NonPositiveFError, NegativeRadicandError):
-            e_value = None
-        deviation = float(np.abs(sig - sigma_inf).max())
-        rows.append([float(t)] + _upper_entries(sig) + [s_value, e_value, deviation])
-    columns = ["t"] + list(_SIGMA_COLUMNS) + ["S_general", "E_general", "max_abs_dev"]
-    if args.format == "json":
-        payload = {
-            "command": "evolve",
-            "version": __version__,
-            "config": config_to_dict(cfg),
-            "columns": columns,
-            "rows": rows,
-        }
-        _write_output(json.dumps(payload, indent=2) + "\n", args.output)
-    else:
-        lines = _metadata_lines("evolve", cfg)
-        lines.append(",".join(columns))
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        _write_output("\n".join(lines) + "\n", args.output)
+    rows = _evolve_rows(cfg, y, steady_state_lyapunov(y, d))
+    columns = ["t", *_SIGMA_COLUMNS, "S_general", "E_general", "max_abs_dev"]
+    _write_table("evolve", cfg, args, columns, rows)
     return 0
 
 
-def _evaluate_sweep_point(task) -> tuple:
-    osc, env, a1, a2 = task
-    valid_strict = validate_environment(env, "strict").passed
-    valid_lenient = validate_environment(env, "lenient").passed
-    sigma_inf = steady_state_closed_form(osc, env)
-    s_general = simon_s(block_decompose(sigma_inf))
-    try:
-        s_special = simon_s_special(osc, env)
-    except ClassViolationError:
-        s_special = None
-    # Below the single-mode uncertainty bound the asymptotic state is
-    # unphysical, so the negativity columns are left empty.
-    u = osc.m * osc.omega * env.d_xx / env.lam
-    gated = s_special is not None and abs(env.d_xy) <= 1e-12 and u < 0.5
-    e_general = None
-    e_closed = None
-    if not gated:
-        try:
-            e_general = log_negativity(sigma_inf)
-        except (NonPositiveFError, NegativeRadicandError):
-            pass
-        try:
-            e_closed = log_negativity_closed_form(osc, env)
-        except (ClassViolationError, DivergentNegativityError):
-            pass
-    verdict = "entangled" if s_general < 0.0 else "separable"
-    return (
-        a1,
-        a2,
-        env.d_xx,
-        env.d_xpy,
-        valid_strict,
-        valid_lenient,
-        s_general,
-        s_special,
-        e_general,
-        e_closed,
-        verdict,
-    )
+def _evolve_rows(cfg: RunConfig, y: np.ndarray, sigma_inf: np.ndarray) -> list[list]:
+    # A function of its own so the stacked arrays are freed before formatting.
+    sigma0 = _initial_covariance(cfg)
+    grid = np.linspace(cfg.time_grid.t_start, cfg.time_grid.t_end, cfg.time_grid.n_points)
+    sigmas = propagate(sigma0, sigma_inf, y, grid)
+    inv = _invariants(sigmas)
+    deviation = np.abs(sigmas - sigma_inf).max(axis=(-2, -1))
+    upper = sigmas[:, _UPPER_ROWS, _UPPER_COLS]
+    rows = np.column_stack([grid, upper, inv.s, inv.e, deviation]).tolist()
+    e_index = 2 + len(_SIGMA_COLUMNS)  # after t, the sigma entries and S
+    for row in rows:
+        if row[e_index] != row[e_index]:  # NaN: E is undefined there
+            row[e_index] = None
+    return rows
 
 
-def _reduced_values(env: EnvironmentParams) -> dict:
-    return {
-        "d_xx": env.d_xx,
-        "d_xpx": env.d_xpx,
-        "d_pxpx": env.d_pxpx,
-        "d_xy": env.d_xy,
-        "d_xpy": env.d_xpy,
-        "d_pxpy": env.d_pxpy,
-    }
-
-
-def _sweep_tasks(cfg: RunConfig) -> list[tuple]:
+def _sweep_environments(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, SimpleNamespace]:
+    """Grid coordinates, row-major, and an environment whose coefficients are arrays."""
     osc, env, sweep = cfg.oscillator, cfg.environment, cfg.sweep
     m, w, lam = osc.m, osc.omega, env.lam
     axis1 = np.linspace(sweep.axis1.start, sweep.axis1.stop, sweep.axis1.count)
     axis2 = np.linspace(sweep.axis2.start, sweep.axis2.stop, sweep.axis2.count)
-    tasks = []
+    a1 = np.repeat(axis1, axis2.size)
+    a2 = np.tile(axis2, axis1.size)
+    zeros = np.zeros(a1.size)
+    values = {_ENV_KEYS[k]: zeros + getattr(env, _ENV_KEYS[k]) for k in _REDUCED_KEYS}
     if sweep.scaling == "scaled":
-        scale2 = math.sqrt(lam * lam + w * w)
-        for a1 in axis1:
-            d_xx = float(a1) * lam / (m * w)
-            for a2 in axis2:
-                d_xpy = float(a2) * scale2
-                env_point = SymmetricEnvironmentParams(
-                    lam=lam,
-                    d_xx=d_xx,
-                    d_pxpx=(m * w) ** 2 * d_xx,
-                    d_xpy=d_xpy,
-                )
-                tasks.append((osc, env_point, float(a1), float(a2)))
+        # The base's d_xpx, d_xy and d_pxpy are zero to 1e-12; the grid uses 0.
+        d_xx = a1 * lam / (m * w)
+        d_xpy = a2 * math.sqrt(lam * lam + w * w)
+        values.update(d_xx=d_xx, d_xpx=zeros, d_pxpx=(m * w) ** 2 * d_xx, d_xy=zeros)
+        values.update(d_xpy=d_xpy, d_pxpy=zeros)
     else:
-        base = _reduced_values(env)
-        field1 = _ENV_KEYS[sweep.axis1.coefficient]
-        field2 = _ENV_KEYS[sweep.axis2.coefficient]
-        for a1 in axis1:
-            for a2 in axis2:
-                values = dict(base)
-                values[field1] = float(a1)
-                values[field2] = float(a2)
-                env_point = SymmetricEnvironmentParams(lam=lam, **values)
-                tasks.append((osc, env_point, float(a1), float(a2)))
-    return tasks
+        values[_ENV_KEYS[sweep.axis1.coefficient]] = a1
+        values[_ENV_KEYS[sweep.axis2.coefficient]] = a2
+    mirrored = dict(d_yy=values["d_xx"], d_ypy=values["d_xpx"], d_pypy=values["d_pxpx"])
+    grid = SimpleNamespace(lam=zeros + lam, d_ypx=values["d_xpy"], **mirrored, **values)
+    return a1, a2, grid
+
+
+def _sweep_rows(cfg: RunConfig) -> list[tuple]:
+    """Every sweep row: validity, S, the negativities and the verdict.
+
+    Below the single-mode uncertainty bound the asymptotic state is
+    unphysical, so the negativity cells of those points are left empty.
+    """
+    osc = cfg.oscillator
+    a1, a2, env = _sweep_environments(cfg)
+    valid_strict, valid_lenient = _validity(env)
+    inv = _invariants(_closed_form_sigma(osc, env))
+    matched = _in_matched_class(osc, env)
+    u, v, _ = _scaled_coordinates(osc, env)
+    gap = abs(u - v)
+    shown = ~(matched & (abs(env.d_xy) <= 1e-12) & (u < 0.5))
+    closed = shown & _in_matched_class(osc, env, True) & (gap >= _DIVERGENCE_TOLERANCE)
+    columns = (
+        a1.tolist(),
+        a2.tolist(),
+        env.d_xx.tolist(),
+        env.d_xpy.tolist(),
+        valid_strict.tolist(),
+        valid_lenient.tolist(),
+        inv.s.tolist(),
+        _cells(np.where(matched, _s_special(osc, env), np.nan)),
+        _cells(np.where(shown, inv.e, np.nan)),
+        _cells(_closed_form_negativity(np.where(closed, gap, np.nan))),
+        np.where(inv.s < 0.0, "entangled", "separable").tolist(),
+    )
+    return list(zip(*columns))
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
@@ -677,36 +598,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                     f"raw sweeps accept coefficients {sorted(_SWEEPABLE_KEYS)}, "
                     f"got {axis.coefficient!r}"
                 )
-    if not env.lam > 0.0:
-        raise NonPositiveLambdaError(
-            f"sweep requires a positive dissipation constant, got {env.lam!r}"
-        )
-
-    tasks = _sweep_tasks(cfg)
-    jobs = max(1, args.jobs)
-    if jobs > 1:
-        chunk = max(1, len(tasks) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_evaluate_sweep_point, tasks, chunksize=chunk))
-    else:
-        rows = [_evaluate_sweep_point(task) for task in tasks]
-
-    if args.format == "json":
-        payload = {
-            "command": "sweep",
-            "version": __version__,
-            "config": config_to_dict(cfg),
-            "columns": list(_SWEEP_COLUMNS),
-            "rows": [list(row) for row in rows],
-        }
-        _write_output(json.dumps(payload, indent=2) + "\n", args.output)
-    else:
-        lines = _metadata_lines("sweep", cfg)
-        lines.append(",".join(_SWEEP_COLUMNS))
-        lines.extend(
-            ",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows
-        )
-        _write_output("\n".join(lines) + "\n", args.output)
+    _require_positive_lambda(env.lam, "sweep requires a positive dissipation constant, got")
+    _write_table("sweep", cfg, args, _SWEEP_COLUMNS, _sweep_rows(cfg))
     return 0
 
 
@@ -735,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("csv", "json"), default="csv", help="output format"
         )
         cmd.add_argument(
-            "--jobs", type=int, default=1, help="parallel workers for sweep grids"
+            "--jobs", type=int, default=1, help="accepted and ignored"
         )
     return parser
 

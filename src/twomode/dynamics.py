@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConditioningWarning, NonPositiveLambdaError, NotHurwitzError
+from .errors import ConditioningWarning, NonFiniteResultError, NotHurwitzError
 from .model import (
     EnvironmentParams,
     OscillatorParams,
-    is_hurwitz,
+    _require_positive_lambda,
+    _stack,
     is_symmetric_environment,
 )
 
@@ -61,23 +62,29 @@ def _drift_parameters(y: NDArray[np.float64]) -> tuple[float, float, float]:
     return m, omega, lam
 
 
+def _check_times(t) -> None:
+    if not np.all(np.isfinite(t) & (np.asarray(t) >= 0.0)):
+        raise ValueError(f"t must be finite and non-negative, got {t!r}")
+
+
+def _damped_rotations(m: float, omega: float, lam: float, t) -> NDArray[np.float64]:
+    """exp(Y t) as [..., 4, 4] for a time or an array of times."""
+    decay = np.exp(-lam * t)
+    c = np.cos(omega * t)
+    s = np.sin(omega * t)
+    z = np.zeros_like(decay)
+    qq, qp, pq = decay * c, decay * (s / (m * omega)), decay * (-m * omega * s)
+    return _stack([[qq, qp, z, z], [pq, qq, z, z], [z, z, qq, qp], [z, z, pq, qq]])
+
+
 def matrix_exponential(y: NDArray[np.float64], t: float) -> Propagator:
     """exp(Y t) via the analytic damped-rotation block form.
 
     Each 2x2 block equals
     exp(-lam t) [[cos(w t), sin(w t)/(m w)], [-m w sin(w t), cos(w t)]].
     """
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite and non-negative, got {t!r}")
-    m, omega, lam = _drift_parameters(y)
-    decay = math.exp(-lam * t)
-    c = math.cos(omega * t)
-    s = math.sin(omega * t)
-    blk = decay * np.array([[c, s / (m * omega)], [-m * omega * s, c]])
-    out = np.zeros((4, 4))
-    out[:2, :2] = blk
-    out[2:, 2:] = blk
-    return Propagator(t=float(t), matrix=out)
+    _check_times(t)
+    return Propagator(t=float(t), matrix=_damped_rotations(*_drift_parameters(y), t))
 
 
 def _warn_if_ill_conditioned(decay: float, oscillation: float) -> None:
@@ -107,10 +114,15 @@ def steady_state_lyapunov(
             "drift matrix has an eigenvalue with non-negative real part; "
             "no steady state exists"
         )
-    _warn_if_ill_conditioned(-float(np.max(eigs.real)), float(np.max(np.abs(eigs.imag))))
     eye = np.eye(4)
     coefficient = np.kron(eye, y) + np.kron(y, eye)
     sigma = np.linalg.solve(coefficient, -2.0 * d.reshape(-1)).reshape(4, 4)
+    if not np.isfinite(sigma).all():
+        raise NonFiniteResultError(
+            "steady-state covariance overflows double precision; "
+            "lambda is too small for these diffusion coefficients"
+        )
+    _warn_if_ill_conditioned(-float(np.max(eigs.real)), float(np.max(np.abs(eigs.imag))))
     return 0.5 * (sigma + sigma.T)
 
 
@@ -137,15 +149,20 @@ def steady_state_closed_form(
             "closed-form steady state requires a symmetric environment "
             "(d_yy = d_xx, d_ypy = d_xpx, d_pypy = d_pxpx, d_ypx = d_xpy)"
         )
-    if not env.lam > 0.0:
-        raise NonPositiveLambdaError(
-            f"dissipation constant must be positive, got lam = {env.lam!r}"
-        )
+    _require_positive_lambda(env.lam)
+    _warn_if_ill_conditioned(env.lam, osc.omega)
+    return _closed_form_sigma(osc, env)
+
+
+def _closed_form_sigma(osc: OscillatorParams, env: EnvironmentParams) -> NDArray[np.float64]:
+    """The closed-form sigma_inf of `steady_state_closed_form`, unchecked.
+
+    Gives a stack [..., 4, 4] when the coefficients are arrays of one shape.
+    """
     m, w, lam = osc.m, osc.omega, env.lam
-    _warn_if_ill_conditioned(lam, w)
     s2 = lam * lam + w * w
 
-    def entries(dq: float, dqp: float, dp: float) -> tuple[float, float, float]:
+    def entries(dq, dqp, dp):
         qq = (m * m * (2 * lam * lam + w * w) * dq + 2 * m * lam * dqp + dp) / (
             2 * m * m * lam * s2
         )
@@ -157,7 +174,7 @@ def steady_state_closed_form(
 
     sxx, sxpx, spxpx = entries(env.d_xx, env.d_xpx, env.d_pxpx)
     sxy, sxpy, spxpy = entries(env.d_xy, env.d_xpy, env.d_pxpy)
-    return np.array(
+    return _stack(
         [
             [sxx, sxpx, sxy, sxpy],
             [sxpx, spxpx, sxpy, spxpy],
@@ -171,18 +188,20 @@ def propagate(
     sigma0: NDArray[np.float64],
     sigma_inf: NDArray[np.float64],
     y: NDArray[np.float64],
-    t: float,
+    t,
 ) -> NDArray[np.float64]:
     """Covariance at time t: M(t) (sigma0 - sigma_inf) M(t)^T + sigma_inf.
 
     sigma_inf is taken as an argument so one steady-state solve can be
-    reused across a whole time grid.
+    reused across a whole time grid; an array of times gives the stack
+    [..., 4, 4] of covariances.  At t = 0 the result is the symmetrized
+    sigma0 itself, untouched by the propagator's rounding.
     """
     sigma0 = np.asarray(sigma0, dtype=float)
     sigma_inf = np.asarray(sigma_inf, dtype=float)
-    if t == 0.0:
-        _drift_parameters(y)
-        return 0.5 * (sigma0 + sigma0.T)
-    mt = matrix_exponential(y, t).matrix
-    out = mt @ (sigma0 - sigma_inf) @ mt.T + sigma_inf
-    return 0.5 * (out + out.T)
+    params = _drift_parameters(y)
+    _check_times(t)
+    mt = _damped_rotations(*params, t)
+    out = mt @ (sigma0 - sigma_inf) @ np.swapaxes(mt, -1, -2) + sigma_inf
+    out = np.where(np.equal(t, 0.0)[..., None, None], sigma0, out)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))

@@ -4,11 +4,16 @@ Simon's PPT criterion decides separability (S >= 0 iff separable), and the
 logarithmic negativity E = -1/2 log2[4 f(sigma)] quantifies entanglement for
 E > 0.  Closed forms are provided for the matched-noise coefficient class
 m^2 w^2 D_xx = D_pxpx, D_xpx = 0, m^2 w^2 D_xy = D_pxpy.
+
+One kernel, `_invariants`, evaluates S, f and E on a stack of covariance
+matrices; the public functions are its one-matrix views.  The closed forms
+are likewise written once, as expressions that work elementwise on
+environments whose coefficients are arrays.
 """
 
 from __future__ import annotations
 
-import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +24,7 @@ from .errors import (
     DivergentNegativityError,
     NegativeRadicandError,
     NonPositiveFError,
-    NonPositiveLambdaError,
+    TwoModeError,
     UncertaintyViolationError,
 )
 from .model import (
@@ -27,16 +32,18 @@ from .model import (
     BlockDecomposition,
     EnvironmentParams,
     OscillatorParams,
+    _nearly_equal,
+    _require_positive_lambda,
+    _validity,
     is_symmetric_environment,
-    validate_environment,
 )
 
 #: Radicand values in [-RADICAND_TOLERANCE, 0) are treated as round-off and
 #: clamped to zero; anything lower is a hard error.
 RADICAND_TOLERANCE = 1e-12
 
-_CLASS_RTOL = 1e-12
 _DIVERGENCE_TOLERANCE = 1e-12
+_MIRRORED = "environment must have mirrored y-mode coefficients"
 
 
 @dataclass(frozen=True)
@@ -63,11 +70,57 @@ class EntanglementReport:
     notes: tuple[str, ...] = ()
 
 
-def block_decompose(sigma: NDArray[np.float64]) -> BlockDecomposition:
-    """Split a 4x4 covariance matrix into its one-mode and cross blocks."""
+_Invariants = namedtuple("_Invariants", "det_a det_b det_c s radicand f e")
+# Indices gathering the blocks A, B and C of sigma[..., 4, 4] into [..., 3, 2, 2].
+_BLOCK_ROWS = np.array([[[0], [1]], [[2], [3]], [[0], [1]]])
+_BLOCK_COLS = np.array([[[0, 1]], [[2, 3]], [[2, 3]]])
+
+
+def _invariants(sigma: NDArray[np.float64], det_sigma=None) -> _Invariants:
+    """The separability kernel for sigma[..., 4, 4]; every field has shape [...].
+
+    S = det A det B + (1/4 - |det C|)^2 - Tr[A J C J B J C^T J]
+        - (det A + det B)/4,
+    f = h - sqrt(h^2 - det sigma) with h = (det A + det B)/2 - det C, and
+    E = -1/2 log2(4 f).  The radicand h^2 - det sigma is returned as
+    computed and f clamps it at zero; E is NaN where the radicand is
+    negative beyond RADICAND_TOLERANCE or f <= 0.
+    """
+    blocks = sigma[..., _BLOCK_ROWS, _BLOCK_COLS]
+    a, b, c = blocks[..., 0, :, :], blocks[..., 1, :, :], blocks[..., 2, :, :]
+    dets = np.linalg.det(blocks)
+    det_a, det_b, det_c = dets[..., 0], dets[..., 1], dets[..., 2]
+    if det_sigma is None:
+        det_sigma = np.linalg.det(sigma)
+    chain = a @ J @ c @ J @ b @ J @ np.swapaxes(c, -1, -2) @ J
+    cross = chain[..., 0, 0] + chain[..., 1, 1]
+    s = det_a * det_b + (0.25 - abs(det_c)) ** 2 - cross - 0.25 * (det_a + det_b)
+    head = 0.5 * (det_a + det_b) - det_c
+    radicand = head * head - det_sigma
+    f = head - np.sqrt(np.maximum(radicand, 0.0))
+    defined = (radicand >= -RADICAND_TOLERANCE) & (f > 0.0)
+    e = -0.5 * np.log2(4.0 * np.where(defined, f, np.nan))
+    return _Invariants(det_a, det_b, det_c, s, radicand, f, e)
+
+
+def _require_radicand(inv: _Invariants) -> None:
+    if inv.radicand < -RADICAND_TOLERANCE:
+        raise NegativeRadicandError(
+            f"radicand {float(inv.radicand)!r} is negative beyond tolerance; "
+            "input is not a physical covariance matrix"
+        )
+
+
+def _as_covariance(sigma) -> NDArray[np.float64]:
     sig = np.asarray(sigma, dtype=float)
     if sig.shape != (4, 4):
         raise ValueError(f"covariance matrix must be 4x4, got shape {sig.shape}")
+    return sig
+
+
+def block_decompose(sigma: NDArray[np.float64]) -> BlockDecomposition:
+    """Split a 4x4 covariance matrix into its one-mode and cross blocks."""
+    sig = _as_covariance(sigma)
     return BlockDecomposition(
         a=sig[:2, :2].copy(), b=sig[2:, 2:].copy(), c=sig[:2, 2:].copy()
     )
@@ -79,54 +132,101 @@ def simon_s(blocks: BlockDecomposition) -> float:
     S = det A det B + (1/4 - |det C|)^2 - Tr[A J C J B J C^T J]
         - (det A + det B)/4.
     """
-    a, b, c = blocks.a, blocks.b, blocks.c
-    det_a = float(np.linalg.det(a))
-    det_b = float(np.linalg.det(b))
-    det_c = float(np.linalg.det(c))
-    cross = float(np.trace(a @ J @ c @ J @ b @ J @ c.T @ J))
-    return det_a * det_b + (0.25 - abs(det_c)) ** 2 - cross - 0.25 * (det_a + det_b)
+    return float(_invariants(blocks.reassemble()).s)
 
 
-def _nearly_equal(a: float, b: float, rtol: float = _CLASS_RTOL) -> bool:
-    return abs(a - b) <= rtol * max(abs(a), abs(b), 1.0)
+def f_sigma(blocks: BlockDecomposition, det_sigma: float) -> float:
+    """Square of the smaller symplectic eigenvalue of the partial transpose.
+
+    f = (det A + det B)/2 - det C
+        - sqrt{[(det A + det B)/2 - det C]^2 - det sigma}.
+    """
+    inv = _invariants(blocks.reassemble(), det_sigma)
+    _require_radicand(inv)
+    return float(inv.f)
 
 
-def _require_matched_class(
-    osc: OscillatorParams,
-    env: EnvironmentParams,
-    *,
-    zero_position_cross: bool = False,
-) -> None:
-    """Check the matched-noise coefficient class the closed forms assume.
+def log_negativity(sigma: NDArray[np.float64]) -> float:
+    """Logarithmic negativity E = -1/2 log2[4 f(sigma)]; E > 0 iff entangled."""
+    inv = _invariants(_as_covariance(sigma))
+    _require_radicand(inv)
+    if inv.f <= 0.0:
+        raise NonPositiveFError(f"f(sigma) = {float(inv.f)!r} must be positive")
+    return float(inv.e)
+
+
+def _matched_class_checks(osc, env, zero_position_cross: bool = False):
+    """Yield (holds, message) for each condition of the matched-noise class.
 
     Momentum noise locked to position noise: m^2 w^2 d_xx = d_pxpx with
     d_xpx = 0, and likewise m^2 w^2 d_xy = d_pxpy for the cross noise.
-    With zero_position_cross, d_xy must vanish as well.
+    With zero_position_cross, d_xy must vanish as well.  `holds` is
+    elementwise for arrays; `message` is called only on a violation, and a
+    caller that stops at the first violation skips the later conditions.
     """
-    if not is_symmetric_environment(env):
-        raise ClassViolationError("environment must have mirrored y-mode coefficients")
     mw2 = (osc.m * osc.omega) ** 2
-    if not _nearly_equal(mw2 * env.d_xx, env.d_pxpx):
-        raise ClassViolationError(
-            f"d_pxpx must equal (m omega)^2 d_xx, got {env.d_pxpx!r} "
-            f"vs {mw2 * env.d_xx!r}"
-        )
-    if not _nearly_equal(env.d_xpx, 0.0):
-        raise ClassViolationError(f"d_xpx must vanish, got {env.d_xpx!r}")
-    if not _nearly_equal(mw2 * env.d_xy, env.d_pxpy):
-        raise ClassViolationError(
-            f"d_pxpy must equal (m omega)^2 d_xy, got {env.d_pxpy!r} "
-            f"vs {mw2 * env.d_xy!r}"
-        )
-    if zero_position_cross and not _nearly_equal(env.d_xy, 0.0):
-        raise ClassViolationError(f"d_xy must vanish, got {env.d_xy!r}")
+    yield is_symmetric_environment(env), lambda: _MIRRORED
+    yield (
+        _nearly_equal(mw2 * env.d_xx, env.d_pxpx),
+        lambda: f"d_pxpx must equal (m omega)^2 d_xx, got {env.d_pxpx!r} "
+        f"vs {mw2 * env.d_xx!r}",
+    )
+    yield _nearly_equal(env.d_xpx, 0.0), lambda: f"d_xpx must vanish, got {env.d_xpx!r}"
+    yield (
+        _nearly_equal(mw2 * env.d_xy, env.d_pxpy),
+        lambda: f"d_pxpy must equal (m omega)^2 d_xy, got {env.d_pxpy!r} "
+        f"vs {mw2 * env.d_xy!r}",
+    )
+    if zero_position_cross:
+        yield _nearly_equal(env.d_xy, 0.0), lambda: f"d_xy must vanish, got {env.d_xy!r}"
 
 
-def _require_positive_lambda(env: EnvironmentParams) -> None:
-    if not env.lam > 0.0:
-        raise NonPositiveLambdaError(
-            f"dissipation constant must be positive, got lam = {env.lam!r}"
-        )
+def _in_matched_class(osc, env, zero_position_cross: bool = False):
+    checks = _matched_class_checks(osc, env, zero_position_cross)
+    return np.logical_and.reduce([holds for holds, _ in checks])
+
+
+def _require_matched_class(osc, env, zero_position_cross: bool = False) -> None:
+    for holds, message in _matched_class_checks(osc, env, zero_position_cross):
+        if not holds:
+            raise ClassViolationError(message())
+
+
+def _det_c(osc: OscillatorParams, env: EnvironmentParams):
+    m, w, lam = osc.m, osc.omega, env.lam
+    return (
+        (m * w * w * env.d_xy + env.d_pxpy / m) ** 2
+        + 4 * lam * lam * (env.d_xy * env.d_pxpy - env.d_xpy**2)
+    ) / (4 * lam * lam * (lam * lam + w * w))
+
+
+def _s_special(osc: OscillatorParams, env: EnvironmentParams):
+    m, w, lam = osc.m, osc.omega, env.lam
+    s2 = lam * lam + w * w
+    head = (
+        m * m * w * w * (env.d_xx**2 - env.d_xy**2) / (lam * lam)
+        + env.d_xpy**2 / s2
+        - 0.25
+    )
+    det_c = _det_c(osc, env)
+    # max(det C, 0), written so it stays exact and cheap for floats and arrays
+    positive_det_c = 0.5 * (det_c + abs(det_c))
+    return (
+        head * head
+        - 4 * m * m * w * w * env.d_xx**2 * env.d_xpy**2 / (lam * lam * s2)
+        - positive_det_c
+    )
+
+
+def _scaled_coordinates(osc: OscillatorParams, env: EnvironmentParams) -> tuple:
+    """(u, v, sqrt(lam^2 + w^2)) with u = m w D_xx / lam, v = D_xpy / sqrt(lam^2 + w^2)."""
+    root = np.sqrt(env.lam**2 + osc.omega**2)
+    return osc.m * osc.omega * env.d_xx / env.lam, env.d_xpy / root, root
+
+
+def _closed_form_negativity(gap):
+    """E = -log2(2 gap) with gap = |u - v|; it diverges as the gap closes."""
+    return -np.log2(2.0 * gap)
 
 
 def det_c_closed_form(osc: OscillatorParams, env: EnvironmentParams) -> float:
@@ -138,31 +238,23 @@ def det_c_closed_form(osc: OscillatorParams, env: EnvironmentParams) -> float:
     det C >= 0 guarantees a separable asymptotic state.
     """
     if not is_symmetric_environment(env):
-        raise ClassViolationError("environment must have mirrored y-mode coefficients")
-    _require_positive_lambda(env)
-    m, w, lam = osc.m, osc.omega, env.lam
-    return (
-        (m * w * w * env.d_xy + env.d_pxpy / m) ** 2
-        + 4 * lam * lam * (env.d_xy * env.d_pxpy - env.d_xpy**2)
-    ) / (4 * lam * lam * (lam * lam + w * w))
+        raise ClassViolationError(_MIRRORED)
+    _require_positive_lambda(env.lam)
+    return _det_c(osc, env)
 
 
 def simon_s_special(osc: OscillatorParams, env: EnvironmentParams) -> float:
     """Simon indicator evaluated in closed form for the matched-noise class.
 
     S = [m^2 w^2 (D_xx^2 - D_xy^2)/lam^2 + D_xpy^2/(lam^2 + w^2) - 1/4]^2
-        - 4 m^2 w^2 D_xx^2 D_xpy^2 / [lam^2 (lam^2 + w^2)].
+        - 4 m^2 w^2 D_xx^2 D_xpy^2 / [lam^2 (lam^2 + w^2)] - max(det C, 0).
+
+    The square carries (1/4 + det C)^2 where Simon's S has (1/4 - |det C|)^2;
+    the last term corrects that for det C > 0, which needs D_xy != 0.
     """
     _require_matched_class(osc, env)
-    _require_positive_lambda(env)
-    m, w, lam = osc.m, osc.omega, env.lam
-    s2 = lam * lam + w * w
-    head = (
-        m * m * w * w * (env.d_xx**2 - env.d_xy**2) / (lam * lam)
-        + env.d_xpy**2 / s2
-        - 0.25
-    )
-    return head * head - 4 * m * m * w * w * env.d_xx**2 * env.d_xpy**2 / (lam * lam * s2)
+    _require_positive_lambda(env.lam)
+    return float(_s_special(osc, env))
 
 
 def entanglement_window(
@@ -178,42 +270,13 @@ def entanglement_window(
     on the boundary and outside it is separable.
     """
     _require_matched_class(osc, env, zero_position_cross=True)
-    _require_positive_lambda(env)
-    u = osc.m * osc.omega * env.d_xx / env.lam
+    _require_positive_lambda(env.lam)
+    u, _, root = _scaled_coordinates(osc, env)
     if u < 0.5:
         raise UncertaintyViolationError(
             f"m omega D_xx / lambda = {u!r} violates the uncertainty bound 1/2"
         )
-    scale = math.sqrt(env.lam**2 + osc.omega**2)
-    return (scale * (u - 0.5), scale * (u + 0.5))
-
-
-def f_sigma(blocks: BlockDecomposition, det_sigma: float) -> float:
-    """Square of the smaller symplectic eigenvalue of the partial transpose.
-
-    f = (det A + det B)/2 - det C
-        - sqrt{[(det A + det B)/2 - det C]^2 - det sigma}.
-    """
-    det_a = float(np.linalg.det(blocks.a))
-    det_b = float(np.linalg.det(blocks.b))
-    det_c = float(np.linalg.det(blocks.c))
-    head = 0.5 * (det_a + det_b) - det_c
-    radicand = head * head - det_sigma
-    if radicand < -RADICAND_TOLERANCE:
-        raise NegativeRadicandError(
-            f"radicand {radicand!r} is negative beyond tolerance; "
-            "input is not a physical covariance matrix"
-        )
-    return head - math.sqrt(max(radicand, 0.0))
-
-
-def log_negativity(sigma: NDArray[np.float64]) -> float:
-    """Logarithmic negativity E = -1/2 log2[4 f(sigma)]; E > 0 iff entangled."""
-    sig = np.asarray(sigma, dtype=float)
-    f = f_sigma(block_decompose(sig), float(np.linalg.det(sig)))
-    if f <= 0.0:
-        raise NonPositiveFError(f"f(sigma) = {f!r} must be positive")
-    return -0.5 * math.log2(4.0 * f)
+    return (float(root * (u - 0.5)), float(root * (u + 0.5)))
 
 
 def log_negativity_closed_form(osc: OscillatorParams, env: EnvironmentParams) -> float:
@@ -223,17 +286,15 @@ def log_negativity_closed_form(osc: OscillatorParams, env: EnvironmentParams) ->
     only on the environment coefficients, not on the initial Gaussian state.
     """
     _require_matched_class(osc, env, zero_position_cross=True)
-    _require_positive_lambda(env)
-    gap = abs(
-        osc.m * osc.omega * env.d_xx / env.lam
-        - env.d_xpy / math.sqrt(env.lam**2 + osc.omega**2)
-    )
+    _require_positive_lambda(env.lam)
+    u, v, _ = _scaled_coordinates(osc, env)
+    gap = abs(u - v)
     if gap < _DIVERGENCE_TOLERANCE:
         raise DivergentNegativityError(
             "negativity diverges at this coefficient combination; "
             "such environments fail strict validation"
         )
-    return -math.log2(2.0 * gap)
+    return float(_closed_form_negativity(gap))
 
 
 def analyze(
@@ -247,75 +308,55 @@ def analyze(
     where the coefficient class admits them.  Individual failures never abort
     the report; the affected fields stay None and a note explains why.
     """
-    sig = np.asarray(sigma, dtype=float)
-    if sig.shape != (4, 4):
-        raise ValueError(f"covariance matrix must be 4x4, got shape {sig.shape}")
+    sig = _as_covariance(sigma)
     scale = max(1.0, float(np.abs(sig).max()))
     if float(np.abs(sig - sig.T).max()) > 1e-10 * scale:
         raise ValueError("covariance matrix must be symmetric")
     if (osc is None) != (env is None):
         raise ValueError("osc and env must be provided together")
 
-    blocks = block_decompose(sig)
-    det_a = float(np.linalg.det(blocks.a))
-    det_b = float(np.linalg.det(blocks.b))
-    det_c = float(np.linalg.det(blocks.c))
-    s_general = simon_s(blocks)
+    inv = _invariants(sig)
+    s_general = float(inv.s)
     verdict = "entangled" if s_general < 0.0 else "separable"
 
     notes: list[str] = []
     f_value: float | None = None
     e_general: float | None = None
     try:
-        f_value = f_sigma(blocks, float(np.linalg.det(sig)))
+        _require_radicand(inv)
+        f_value = float(inv.f)
         if f_value > 0.0:
-            e_general = -0.5 * math.log2(4.0 * f_value)
+            e_general = float(inv.e)
         else:
             notes.append("e_general: f(sigma) <= 0")
     except NegativeRadicandError as exc:
         notes.append(f"f_sigma: {exc}")
 
-    s_special: float | None = None
-    e_closed: float | None = None
-    window: tuple[float, float] | None = None
+    closed: dict = {}
     valid_strict: bool | None = None
     valid_lenient: bool | None = None
     if env is not None and osc is not None:
-        valid_strict = validate_environment(env, "strict").passed
-        valid_lenient = validate_environment(env, "lenient").passed
-        try:
-            s_special = simon_s_special(osc, env)
-        except (ClassViolationError, NonPositiveLambdaError) as exc:
-            notes.append(f"s_special: {exc}")
-        try:
-            e_closed = log_negativity_closed_form(osc, env)
-        except (
-            ClassViolationError,
-            NonPositiveLambdaError,
-            DivergentNegativityError,
-        ) as exc:
-            notes.append(f"e_closed: {exc}")
-        try:
-            window = entanglement_window(osc, env)
-        except (
-            ClassViolationError,
-            NonPositiveLambdaError,
-            UncertaintyViolationError,
-        ) as exc:
-            notes.append(f"window: {exc}")
+        valid_strict, valid_lenient = (bool(v) for v in _validity(env))
+        for name, closed_form in (
+            ("s_special", simon_s_special),
+            ("e_closed", log_negativity_closed_form),
+            ("window", entanglement_window),
+        ):
+            try:
+                closed[name] = closed_form(osc, env)
+            except TwoModeError as exc:
+                notes.append(f"{name}: {exc}")
 
     return EntanglementReport(
-        det_a=det_a,
-        det_b=det_b,
-        det_c=det_c,
+        det_a=float(inv.det_a),
+        det_b=float(inv.det_b),
+        det_c=float(inv.det_c),
         s_general=s_general,
         verdict=verdict,
         f_sigma=f_value,
         e_general=e_general,
-        s_special=s_special,
-        e_closed=e_closed,
-        window=window,
         valid_strict=valid_strict,
         valid_lenient=valid_lenient,
         notes=tuple(notes),
+        **closed,
     )

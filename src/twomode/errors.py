@@ -37,6 +37,11 @@ class DivergentNegativityError(TwoModeError):
     strict environment validation."""
 
 
+class NonFiniteResultError(TwoModeError):
+    """A result overflows double precision: the coefficients are too extreme
+    for the computation."""
+
+
 class ConditioningWarning(UserWarning):
     """Steady-state entries scale like 1/lambda; the solve is ill-conditioned
     because the dissipation is tiny compared to the oscillator frequency."""

@@ -7,11 +7,15 @@ function, so everything here is safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.typing import NDArray
+
+from .errors import NonPositiveLambdaError
 
 #: 2x2 symplectic matrix.
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -20,6 +24,8 @@ J.flags.writeable = False
 #: Absolute eigenvalue floor for the positive-semidefiniteness check, chosen
 #: so boundary environments (equalities in the coefficient inequalities) pass.
 PSD_TOLERANCE = 1e-10
+
+_LAMBDA_MESSAGE = "dissipation constant must be positive, got lam ="
 
 
 @dataclass(frozen=True)
@@ -135,17 +141,30 @@ class ValidationReport:
     min_gram_eigenvalue: float | None
 
 
-def _nearly_equal(a: float, b: float, rtol: float = 1e-12) -> bool:
-    return abs(a - b) <= rtol * max(abs(a), abs(b), 1.0)
+def _nearly_equal(a, b, rtol: float = 1e-12):
+    """|a - b| <= rtol max(|a|, |b|, 1), elementwise for arrays."""
+    gap = abs(a - b)
+    return (gap <= rtol) | (gap <= rtol * abs(a)) | (gap <= rtol * abs(b))
+
+
+def _stack(rows, dtype=float) -> NDArray:
+    """Square matrices [..., n, n] from n x n nested rows of scalars or same-shape arrays."""
+    out = np.array(rows, dtype=dtype)
+    return out if out.ndim == 2 else np.moveaxis(out, (0, 1), (-2, -1))
+
+
+def _require_positive_lambda(lam: float, message: str = _LAMBDA_MESSAGE) -> None:
+    if not lam > 0.0:
+        raise NonPositiveLambdaError(f"{message} {lam!r}")
 
 
 def is_symmetric_environment(env: EnvironmentParams, rtol: float = 1e-12) -> bool:
-    """True when the y-mode coefficients mirror the x-mode ones."""
+    """True when the y-mode coefficients mirror the x-mode ones (elementwise for arrays)."""
     return (
         _nearly_equal(env.d_yy, env.d_xx, rtol)
-        and _nearly_equal(env.d_ypy, env.d_xpx, rtol)
-        and _nearly_equal(env.d_pypy, env.d_pxpx, rtol)
-        and _nearly_equal(env.d_ypx, env.d_xpy, rtol)
+        & _nearly_equal(env.d_ypy, env.d_xpx, rtol)
+        & _nearly_equal(env.d_pypy, env.d_pxpx, rtol)
+        & _nearly_equal(env.d_ypx, env.d_xpy, rtol)
     )
 
 
@@ -182,30 +201,59 @@ def build_gram_matrix(env: EnvironmentParams) -> NDArray[np.complex128]:
     """Hermitian Gram matrix of the environment coupling vectors (hbar = 1).
 
     Complete positivity of the dynamical semigroup is equivalent to this
-    matrix being positive semidefinite.
+    matrix being positive semidefinite.  An environment whose coefficients
+    are arrays of one shape gives a stack of matrices.
     """
     half = 0.5j * env.lam
-    return np.array(
+    return _stack(
         [
             [env.d_xx, -env.d_xpx - half, env.d_xy, -env.d_xpy],
             [-env.d_xpx + half, env.d_pxpx, -env.d_ypx, env.d_pxpy],
             [env.d_xy, -env.d_ypx, env.d_yy, -env.d_ypy - half],
             [-env.d_xpy, env.d_pxpy, -env.d_ypy + half, env.d_pypy],
         ],
-        dtype=complex,
+        complex,
     )
 
 
 # Cauchy-Schwarz constraints on the diffusion coefficients; each entry maps a
-# constraint name to its slack (non-negative iff satisfied).
+# constraint name to its slack (non-negative iff satisfied).  The slacks are
+# elementwise for arrays of coefficients, and squares are written as products
+# so extreme coefficients give inf rather than raise.
 _COEFFICIENT_CONSTRAINTS = (
-    ("cs_xx_yy", lambda e: e.d_xx * e.d_yy - e.d_xy**2),
-    ("cs_xx_pxpx", lambda e: e.d_xx * e.d_pxpx - e.d_xpx**2 - e.lam**2 / 4.0),
-    ("cs_xx_pypy", lambda e: e.d_xx * e.d_pypy - e.d_xpy**2),
-    ("cs_yy_pxpx", lambda e: e.d_yy * e.d_pxpx - e.d_ypx**2),
-    ("cs_yy_pypy", lambda e: e.d_yy * e.d_pypy - e.d_ypy**2 - e.lam**2 / 4.0),
-    ("cs_pxpx_pypy", lambda e: e.d_pxpx * e.d_pypy - e.d_pxpy**2),
+    ("cs_xx_yy", lambda e: e.d_xx * e.d_yy - e.d_xy * e.d_xy),
+    ("cs_xx_pxpx", lambda e: e.d_xx * e.d_pxpx - e.d_xpx * e.d_xpx - e.lam * e.lam / 4.0),
+    ("cs_xx_pypy", lambda e: e.d_xx * e.d_pypy - e.d_xpy * e.d_xpy),
+    ("cs_yy_pxpx", lambda e: e.d_yy * e.d_pxpx - e.d_ypx * e.d_ypx),
+    ("cs_yy_pypy", lambda e: e.d_yy * e.d_pypy - e.d_ypy * e.d_ypy - e.lam * e.lam / 4.0),
+    ("cs_pxpx_pypy", lambda e: e.d_pxpx * e.d_pypy - e.d_pxpy * e.d_pxpy),
 )
+
+
+_CHECK_NAMES = ("lambda_positive", *(name for name, _ in _COEFFICIENT_CONSTRAINTS), "gram_psd")
+
+
+def _violations(env: EnvironmentParams, strict: bool) -> tuple[list, object]:
+    """Whether each check in _CHECK_NAMES fails, and the minimum Gram eigenvalue.
+
+    Elementwise for coefficient arrays of one shape.  The Gram check comes
+    last, only when strict; the eigenvalue is None otherwise.
+    """
+    violated = [env.lam <= 0.0] + [slack(env) < 0.0 for _, slack in _COEFFICIENT_CONSTRAINTS]
+    min_eig = None
+    if strict:
+        # [()] turns the 0-d result for one environment into a scalar
+        min_eig = np.linalg.eigvalsh(build_gram_matrix(env))[..., 0][()]
+        violated.append(min_eig < -PSD_TOLERANCE)
+    return violated, min_eig
+
+
+def _validity(env: EnvironmentParams) -> tuple:
+    """(passes strict, passes lenient), elementwise for array coefficients."""
+    violated, _ = _violations(env, strict=True)
+    lenient_violated = functools.reduce(operator.or_, violated[:-1])
+    # `^ True` negates Python bools, numpy bools and bool arrays alike
+    return (lenient_violated | violated[-1]) ^ True, lenient_violated ^ True
 
 
 def validate_environment(
@@ -221,20 +269,10 @@ def validate_environment(
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"mode must be 'strict' or 'lenient', got {mode!r}")
-    failed: list[str] = []
-    if not env.lam > 0.0:
-        failed.append("lambda_positive")
-    for name, slack in _COEFFICIENT_CONSTRAINTS:
-        if slack(env) < 0.0:
-            failed.append(name)
-    min_eig: float | None = None
-    if mode == "strict":
-        min_eig = float(np.linalg.eigvalsh(build_gram_matrix(env))[0])
-        if min_eig < -PSD_TOLERANCE:
-            failed.append("gram_psd")
-    return ValidationReport(
-        mode=mode, passed=not failed, failed=tuple(failed), min_gram_eigenvalue=min_eig
-    )
+    violated, min_eig = _violations(env, mode == "strict")
+    failed = tuple([name for name, bad in zip(_CHECK_NAMES, violated) if bad])
+    min_eig = None if min_eig is None else float(min_eig)
+    return ValidationReport(mode, not failed, failed, min_eig)
 
 
 def is_hurwitz(y: NDArray[np.float64]) -> bool:

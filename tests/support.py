@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import scipy.linalg
 
 from twomode import OscillatorParams, SymmetricEnvironmentParams
 
@@ -87,3 +88,22 @@ def scaled_frobenius(delta, m, omega):
     root = math.sqrt(m * omega)
     weights = np.diag([root, 1.0 / root, root, 1.0 / root])
     return float(np.linalg.norm(weights @ np.asarray(delta, dtype=float) @ weights))
+
+
+def random_physical_covariance(rng, max_noise=2.0, spread=0.8):
+    """Thermal two-mode state under a random symplectic map exp(Omega H).
+
+    The symplectic eigenvalues are drawn from [1/2, max_noise], so the state
+    is physical; H is a random symmetric generator of size `spread`, which
+    makes a good share of the states entangled.
+    """
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    omega4 = np.zeros((4, 4))
+    omega4[:2, :2] = j
+    omega4[2:, 2:] = j
+    h = rng.normal(scale=spread, size=(4, 4))
+    symplectic = scipy.linalg.expm(omega4 @ (h + h.T) / 2.0)
+    nu = rng.uniform(0.5, max_noise, size=2)
+    thermal = np.diag([nu[0], nu[0], nu[1], nu[1]])
+    sigma = symplectic @ thermal @ symplectic.T
+    return 0.5 * (sigma + sigma.T)

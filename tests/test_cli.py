@@ -418,3 +418,55 @@ class TestUsageErrors:
 
     def test_unreadable_config(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
+
+
+class TestErrorContract:
+    """Inputs that used to escape as a raw exception: one `error:` line, no traceback."""
+
+    @staticmethod
+    def run(tmp_path, capsys, command, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code = main([command, "--config", str(path)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        return code, err
+
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys):
+        text = '{"oscillator": {"m": 1, "omega": 1}, "environment": {"lambda": 1%s}}'
+        code, err = self.run(tmp_path, capsys, "validate", text % ("0" * 400))
+        assert code == 1 and "environment.lambda" in err
+
+    def test_integer_beyond_the_digit_limit(self, tmp_path, capsys):
+        text = '{"oscillator": {"m": 1, "omega": 1}, "environment": {"lambda": 1%s}}'
+        code, _ = self.run(tmp_path, capsys, "validate", text % ("0" * 5000))
+        assert code == 1
+
+    def test_initial_state_entry_too_large(self, tmp_path, capsys):
+        payload = dict(
+            REFERENCE_CONFIG,
+            initial_state=[[10**400, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            time_grid={"t_start": 0.0, "t_end": 1.0, "n_points": 3},
+        )
+        code, err = self.run(tmp_path, capsys, "evolve", json.dumps(payload))
+        assert code == 1 and "initial_state" in err
+
+    def test_steady_state_overflow(self, tmp_path, capsys):
+        payload = dict(
+            REFERENCE_CONFIG,
+            environment={"lambda": 1e-300, "D_xx": 1e300, "D_pxpx": 1e300},
+        )
+        code, err = self.run(tmp_path, capsys, "steady-state", json.dumps(payload))
+        assert code == 2 and "overflows" in err
+
+    def test_validate_huge_lambda(self, tmp_path, capsys):
+        payload = dict(REFERENCE_CONFIG, environment={"lambda": 1e300, "D_xx": 0.6})
+        assert main(["validate", "--config", write_config(tmp_path, payload)]) == 2
+        out = capsys.readouterr().out
+        assert "cs_xx_pxpx" in out
+
+    def test_missing_oscillator_section(self, tmp_path, capsys):
+        payload = {"environment": REFERENCE_CONFIG["environment"]}
+        code, err = self.run(tmp_path, capsys, "validate", json.dumps(payload))
+        assert code == 1 and "missing required key 'oscillator'" in err

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twomode import (
     ClassViolationError,
@@ -26,9 +28,12 @@ from twomode import (
     steady_state_closed_form,
 )
 
+from twomode.entanglement import _invariants
+
 from support import (
     matched_env,
     pt_log_negativity,
+    random_physical_covariance,
     random_spd,
     random_valid_symmetric_env,
 )
@@ -143,6 +148,40 @@ class TestSimonSSpecial:
             special = simon_s_special(osc, env)
             general = simon_s(block_decompose(steady_state_closed_form(osc, env)))
             assert abs(special - general) <= 1e-9 * max(1.0, abs(special))
+
+
+    @pytest.mark.parametrize(
+        "d_xy, d_xpy, det_c_sign",
+        [(0.3, 0.05, 1.0), (0.1, 0.4, -1.0)],
+        ids=["det_c_positive", "det_c_negative"],
+    )
+    def test_position_cross_noise(self, osc, d_xy, d_xpy, det_c_sign):
+        # matched class with D_xy != 0; (1/4 - |det C|)^2 differs from the
+        # closed form's (1/4 + det C)^2 when det C > 0
+        env = SymmetricEnvironmentParams(
+            lam=1.0, d_xx=0.8, d_pxpx=0.8, d_xy=d_xy, d_xpy=d_xpy, d_pxpy=d_xy
+        )
+        assert np.sign(det_c_closed_form(osc, env)) == det_c_sign
+        general = simon_s(block_decompose(steady_state_closed_form(osc, env)))
+        assert abs(simon_s_special(osc, env) - general) <= 1e-12
+
+    def test_agrees_with_general_route_for_cross_noise(self):
+        rng = np.random.default_rng(27)
+        signs = set()
+        for _ in range(300):
+            m, omega, lam = (float(v) for v in rng.uniform(0.5, 2.0, size=3))
+            osc = OscillatorParams(m, omega)
+            d_xx, d_xy, d_xpy = (float(v) for v in rng.uniform(-1.0, 1.0, size=3))
+            mw2 = (m * omega) ** 2
+            env = SymmetricEnvironmentParams(
+                lam=lam, d_xx=abs(d_xx), d_pxpx=mw2 * abs(d_xx), d_xy=d_xy,
+                d_xpy=d_xpy, d_pxpy=mw2 * d_xy,
+            )
+            signs.add(det_c_closed_form(osc, env) > 0.0)
+            special = simon_s_special(osc, env)
+            general = simon_s(block_decompose(steady_state_closed_form(osc, env)))
+            assert abs(special - general) <= 1e-9 * max(1.0, abs(general))
+        assert signs == {True, False}
 
 
 class TestEntanglementWindow:
@@ -388,3 +427,32 @@ class TestAnalyze:
     def test_rejects_partial_context(self, osc):
         with pytest.raises(ValueError):
             analyze(VACUUM, osc, None)
+
+
+class TestStackedKernel:
+    """The stacked kernel against its one-matrix views and the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+    def test_stack_matches_single_matrices(self, seed, n):
+        rng = np.random.default_rng(seed)
+        stack = np.array([random_physical_covariance(rng) for _ in range(n)])
+        inv = _invariants(stack)
+        assert inv.s.shape == (n,)
+        for i, sigma in enumerate(stack):
+            # S is quartic and f quadratic in the entries
+            tol = 1e-13 * max(1.0, float(np.abs(sigma).max())) ** 4
+            single = _invariants(sigma)
+            for field in ("det_a", "det_b", "det_c", "s", "radicand", "f", "e"):
+                assert abs(getattr(inv, field)[i] - getattr(single, field)) <= tol, field
+            assert abs(simon_s(block_decompose(sigma)) - inv.s[i]) <= tol
+            assert abs(log_negativity(sigma) - inv.e[i]) <= 1e-9
+            assert abs(inv.e[i] - pt_log_negativity(sigma)) <= 1e-9
+
+    def test_leading_axes_are_kept(self):
+        rng = np.random.default_rng(28)
+        stack = np.array([random_physical_covariance(rng) for _ in range(6)])
+        flat = _invariants(stack)
+        grid = _invariants(stack.reshape(2, 3, 4, 4))
+        for field in flat._fields:
+            np.testing.assert_array_equal(getattr(grid, field).reshape(6), getattr(flat, field))
