@@ -35,7 +35,7 @@ from .entanglement import (
     _scaled_coordinates,
     analyze,
 )
-from .errors import NotHurwitzError, TwoModeError
+from .errors import NonFiniteResultError, NotHurwitzError, TwoModeError
 from .model import (
     EnvironmentParams,
     OscillatorParams,
@@ -73,6 +73,9 @@ _ENV_KEYS = {
 _Y_DUPLICATE_KEYS = ("D_ypx", "D_yy", "D_ypy", "D_pypy")
 _REDUCED_KEYS = ("D_xx", "D_xpx", "D_pxpx", "D_xy", "D_xpy", "D_pxpy")
 _SWEEPABLE_KEYS = frozenset(_REDUCED_KEYS)
+
+#: Most points a time grid or a sweep grid (axis1.n * axis2.n) may have.
+MAX_GRID_POINTS = 10**6
 
 _DEFAULT_AXIS1 = ("D_xx", 0.5, 1.5, 11)
 _DEFAULT_AXIS2 = ("D_xpy", 0.0, 2.0, 21)
@@ -230,8 +233,10 @@ def _parse_time_grid(obj: dict) -> TimeGrid:
         raise ConfigError(f"time_grid.t_start: must be >= 0, got {t_start!r}")
     if not (math.isfinite(t_end) and t_end > t_start):
         raise ConfigError(f"time_grid.t_end: must exceed t_start, got {t_end!r}")
-    if n_points < 2:
-        raise ConfigError(f"time_grid.n_points: must be >= 2, got {n_points!r}")
+    if not 2 <= n_points <= MAX_GRID_POINTS:
+        raise ConfigError(
+            f"time_grid.n_points: must be between 2 and {MAX_GRID_POINTS}, got {n_points!r}"
+        )
     return TimeGrid(t_start=t_start, t_end=t_end, n_points=n_points)
 
 
@@ -261,6 +266,11 @@ def _parse_sweep(obj: dict) -> SweepSpec:
         raise ConfigError(f"sweep.scaling: expected 'raw' or 'scaled', got {scaling!r}")
     axis1 = _parse_axis(obj.get("axis1"), _DEFAULT_AXIS1, "sweep.axis1")
     axis2 = _parse_axis(obj.get("axis2"), _DEFAULT_AXIS2, "sweep.axis2")
+    if axis1.count * axis2.count > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"sweep: axis1.n * axis2.n must be at most {MAX_GRID_POINTS}, "
+            f"got {axis1.count * axis2.count!r}"
+        )
     return SweepSpec(axis1=axis1, axis2=axis2, scaling=scaling)
 
 
@@ -391,7 +401,10 @@ def _write(command: str, cfg: RunConfig, args, payload, csv_lines) -> None:
     """
     if args.format == "json":
         document = {"command": command, "version": __version__, "config": config_to_dict(cfg)}
-        text = json.dumps({**document, **payload()}, indent=2)
+        try:
+            text = json.dumps({**document, **payload()}, indent=2, allow_nan=False)
+        except ValueError as exc:  # a non-finite number: strict JSON has no encoding for it
+            raise NonFiniteResultError(f"cannot write strict JSON: {exc}") from None
     else:
         echo = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
         header = [f"# twomode {command}", f"# version: {__version__}", f"# config: {echo}"]
@@ -415,8 +428,8 @@ def _upper_entries(sigma: np.ndarray) -> list:
 
 
 def _cells(values: np.ndarray) -> list:
-    """Values as a list, with NaN (an undefined or suppressed value) as None."""
-    return [None if v != v else v for v in values.tolist()]
+    """Values as a list, with a non-finite (undefined, suppressed or overflowed) value as None."""
+    return [v if math.isfinite(v) else None for v in values.tolist()]
 
 
 def cmd_validate(cfg: RunConfig, args) -> int:
@@ -468,6 +481,12 @@ def cmd_steady_state(cfg: RunConfig, args) -> int:
     closed_entries = _upper_entries(sigma_closed) if sigma_closed is not None else [None] * 10
     row = _upper_entries(sigma) + closed_entries + [max_diff]
     row += [getattr(report, name.lower()) for name in _REPORT_COLUMNS]
+    numbers = [v for v in (*row, *(report.window or ())) if isinstance(v, float)]
+    if not all(map(math.isfinite, numbers)):
+        raise NonFiniteResultError(
+            "steady-state report overflows double precision; "
+            "the coefficients are too extreme"
+        )
     csv_lines = [",".join(columns), ",".join(map(_fmt, row))]
     _write("steady-state", cfg, args, payload, lambda: csv_lines)
     return 0
@@ -507,10 +526,11 @@ def _evolve_rows(cfg: RunConfig, y: np.ndarray, sigma_inf: np.ndarray) -> list[l
     deviation = np.abs(sigmas - sigma_inf).max(axis=(-2, -1))
     upper = sigmas[:, _UPPER_ROWS, _UPPER_COLS]
     rows = np.column_stack([grid, upper, inv.s, inv.e, deviation]).tolist()
-    e_index = 2 + len(_SIGMA_COLUMNS)  # after t, the sigma entries and S
+    s_index = 1 + len(_SIGMA_COLUMNS)  # after t and the sigma entries; E follows S
     for row in rows:
-        if row[e_index] != row[e_index]:  # NaN: E is undefined there
-            row[e_index] = None
+        for k in (s_index, s_index + 1):
+            if not math.isfinite(row[k]):  # E undefined there, or S or E overflowed
+                row[k] = None
     return rows
 
 
@@ -528,7 +548,7 @@ def _sweep_environments(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, SimpleN
         # The base's d_xpx, d_xy and d_pxpy are zero to 1e-12; the grid uses 0.
         d_xx = a1 * lam / (m * w)
         d_xpy = a2 * math.sqrt(lam * lam + w * w)
-        values.update(d_xx=d_xx, d_xpx=zeros, d_pxpx=(m * w) ** 2 * d_xx, d_xy=zeros)
+        values.update(d_xx=d_xx, d_xpx=zeros, d_pxpx=(m * w) * (m * w) * d_xx, d_xy=zeros)
         values.update(d_xpy=d_xpy, d_pxpy=zeros)
     else:
         values[_ENV_KEYS[sweep.axis1.coefficient]] = a1
@@ -543,16 +563,22 @@ def _sweep_rows(cfg: RunConfig) -> list[tuple]:
 
     Below the single-mode uncertainty bound the asymptotic state is
     unphysical, so the negativity cells of those points are left empty.
+    Non-finite numbers are left empty too, and so is the verdict of a row
+    whose S_general is not finite.
     """
     osc = cfg.oscillator
     a1, a2, env = _sweep_environments(cfg)
+    if not all(np.isfinite(x).all() for x in (a1, a2, *vars(env).values())):
+        raise NonFiniteResultError("sweep grid overflows double precision")
     valid_strict, valid_lenient = _validity(env)
     inv = _invariants(_closed_form_sigma(osc, env))
     matched = _in_matched_class(osc, env)
+    zero_cross = matched & (abs(env.d_xy) <= 1e-12)
     u, v, _ = _scaled_coordinates(osc, env)
     gap = abs(u - v)
-    shown = ~(matched & (abs(env.d_xy) <= 1e-12) & (u < 0.5))
-    closed = shown & _in_matched_class(osc, env, True) & (gap >= _DIVERGENCE_TOLERANCE)
+    shown = ~(zero_cross & (u < 0.5))
+    closed = shown & zero_cross & (gap >= _DIVERGENCE_TOLERANCE)
+    s_general = _cells(inv.s)
     columns = (
         a1.tolist(),
         a2.tolist(),
@@ -560,11 +586,11 @@ def _sweep_rows(cfg: RunConfig) -> list[tuple]:
         env.d_xpy.tolist(),
         valid_strict.tolist(),
         valid_lenient.tolist(),
-        inv.s.tolist(),
+        s_general,
         _cells(np.where(matched, _s_special(osc, env), np.nan)),
         _cells(np.where(shown, inv.e, np.nan)),
         _cells(_closed_form_negativity(np.where(closed, gap, np.nan))),
-        np.where(inv.s < 0.0, "entangled", "separable").tolist(),
+        [None if s is None else "entangled" if s < 0.0 else "separable" for s in s_general],
     )
     return list(zip(*columns))
 
@@ -655,7 +681,9 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 1
     try:
         cfg = load_config(args.config)
-        return _HANDLERS[args.command](cfg, args)
+        # Overflow is reported as empty cells or a NonFiniteResultError, not as numpy warnings.
+        with np.errstate(all="ignore"):
+            return _HANDLERS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

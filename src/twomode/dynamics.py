@@ -26,6 +26,9 @@ from .model import (
 # sigma_inf entries scale like 1/lambda, so warn well before that blows up.
 _CONDITIONING_RATIO = 1e-6
 
+_EYE4 = np.eye(4)
+_EYE4.flags.writeable = False
+
 
 @dataclass(frozen=True, eq=False)
 class Propagator:
@@ -104,7 +107,10 @@ def steady_state_lyapunov(
 
     The equation is vectorized into a dense 16x16 linear system and solved
     directly; the result is symmetrized.  The fixed tiny dimension makes a
-    Bartels-Stewart style solver unnecessary.
+    Bartels-Stewart style solver unnecessary.  The operator I (x) Y + Y (x) I
+    is built as one broadcast product over [4, 4, 4, 4] reshaped to 16x16;
+    it makes the same products and sums as two `np.kron` calls, so it is
+    bit for bit the Kronecker-built operator, for any 4x4 Y.
     """
     y = np.asarray(y, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -114,9 +120,17 @@ def steady_state_lyapunov(
             "drift matrix has an eigenvalue with non-negative real part; "
             "no steady state exists"
         )
-    eye = np.eye(4)
-    coefficient = np.kron(eye, y) + np.kron(y, eye)
-    sigma = np.linalg.solve(coefficient, -2.0 * d.reshape(-1)).reshape(4, 4)
+    coefficient = (
+        _EYE4[:, None, :, None] * y[None, :, None, :]
+        + y[:, None, :, None] * _EYE4[None, :, None, :]
+    ).reshape(16, 16)
+    try:
+        sigma = np.linalg.solve(coefficient, -2.0 * d.reshape(-1)).reshape(4, 4)
+    except np.linalg.LinAlgError:
+        raise NonFiniteResultError(
+            "Lyapunov operator is singular in double precision; "
+            "the coefficients span too many orders of magnitude"
+        ) from None
     if not np.isfinite(sigma).all():
         raise NonFiniteResultError(
             "steady-state covariance overflows double precision; "
@@ -151,7 +165,12 @@ def steady_state_closed_form(
         )
     _require_positive_lambda(env.lam)
     _warn_if_ill_conditioned(env.lam, osc.omega)
-    return _closed_form_sigma(osc, env)
+    try:
+        return _closed_form_sigma(osc, env)
+    except ZeroDivisionError:  # a denominator underflows to zero
+        raise NonFiniteResultError(
+            "closed-form steady state is out of double-precision range"
+        ) from None
 
 
 def _closed_form_sigma(osc: OscillatorParams, env: EnvironmentParams) -> NDArray[np.float64]:
@@ -167,9 +186,11 @@ def _closed_form_sigma(osc: OscillatorParams, env: EnvironmentParams) -> NDArray
             2 * m * m * lam * s2
         )
         qp = (-(m * m * w * w) * dq + 2 * m * lam * dqp + dp) / (2 * m * s2)
-        pp = (m * m * w**4 * dq - 2 * m * w * w * lam * dqp + (2 * lam * lam + w * w) * dp) / (
-            2 * lam * s2
-        )
+        pp = (
+            m * m * (w * w) * (w * w) * dq
+            - 2 * m * w * w * lam * dqp
+            + (2 * lam * lam + w * w) * dp
+        ) / (2 * lam * s2)
         return qq, qp, pp
 
     sxx, sxpx, spxpx = entries(env.d_xx, env.d_xpx, env.d_pxpx)

@@ -23,7 +23,9 @@ from .errors import (
     ClassViolationError,
     DivergentNegativityError,
     NegativeRadicandError,
+    NonFiniteResultError,
     NonPositiveFError,
+    NonPositiveLambdaError,
     TwoModeError,
     UncertaintyViolationError,
 )
@@ -44,6 +46,7 @@ RADICAND_TOLERANCE = 1e-12
 
 _DIVERGENCE_TOLERANCE = 1e-12
 _MIRRORED = "environment must have mirrored y-mode coefficients"
+_TINY_LAMBDA = "lambda is too small for double precision"
 
 
 @dataclass(frozen=True)
@@ -155,16 +158,17 @@ def log_negativity(sigma: NDArray[np.float64]) -> float:
     return float(inv.e)
 
 
-def _matched_class_checks(osc, env, zero_position_cross: bool = False):
+def _matched_class_checks(osc, env):
     """Yield (holds, message) for each condition of the matched-noise class.
 
     Momentum noise locked to position noise: m^2 w^2 d_xx = d_pxpx with
     d_xpx = 0, and likewise m^2 w^2 d_xy = d_pxpy for the cross noise.
-    With zero_position_cross, d_xy must vanish as well.  `holds` is
-    elementwise for arrays; `message` is called only on a violation, and a
-    caller that stops at the first violation skips the later conditions.
+    `holds` is elementwise for arrays; `message` is called only on a
+    violation, and a caller that stops at the first violation skips the
+    later conditions.
     """
-    mw2 = (osc.m * osc.omega) ** 2
+    mw = osc.m * osc.omega
+    mw2 = mw * mw
     yield is_symmetric_environment(env), lambda: _MIRRORED
     yield (
         _nearly_equal(mw2 * env.d_xx, env.d_pxpx),
@@ -177,56 +181,95 @@ def _matched_class_checks(osc, env, zero_position_cross: bool = False):
         lambda: f"d_pxpy must equal (m omega)^2 d_xy, got {env.d_pxpy!r} "
         f"vs {mw2 * env.d_xy!r}",
     )
-    if zero_position_cross:
-        yield _nearly_equal(env.d_xy, 0.0), lambda: f"d_xy must vanish, got {env.d_xy!r}"
 
 
-def _in_matched_class(osc, env, zero_position_cross: bool = False):
-    checks = _matched_class_checks(osc, env, zero_position_cross)
-    return np.logical_and.reduce([holds for holds, _ in checks])
-
-
-def _require_matched_class(osc, env, zero_position_cross: bool = False) -> None:
-    for holds, message in _matched_class_checks(osc, env, zero_position_cross):
-        if not holds:
-            raise ClassViolationError(message())
+def _in_matched_class(osc, env):
+    return np.logical_and.reduce([holds for holds, _ in _matched_class_checks(osc, env)])
 
 
 def _det_c(osc: OscillatorParams, env: EnvironmentParams):
     m, w, lam = osc.m, osc.omega, env.lam
+    cross = m * w * w * env.d_xy + env.d_pxpy / m
     return (
-        (m * w * w * env.d_xy + env.d_pxpy / m) ** 2
-        + 4 * lam * lam * (env.d_xy * env.d_pxpy - env.d_xpy**2)
+        cross * cross + 4 * lam * lam * (env.d_xy * env.d_pxpy - env.d_xpy * env.d_xpy)
     ) / (4 * lam * lam * (lam * lam + w * w))
 
 
 def _s_special(osc: OscillatorParams, env: EnvironmentParams):
     m, w, lam = osc.m, osc.omega, env.lam
     s2 = lam * lam + w * w
-    head = (
-        m * m * w * w * (env.d_xx**2 - env.d_xy**2) / (lam * lam)
-        + env.d_xpy**2 / s2
-        - 0.25
-    )
+    d_xx2, d_xpy2 = env.d_xx * env.d_xx, env.d_xpy * env.d_xpy
+    head = m * m * w * w * (d_xx2 - env.d_xy * env.d_xy) / (lam * lam) + d_xpy2 / s2 - 0.25
     det_c = _det_c(osc, env)
     # max(det C, 0), written so it stays exact and cheap for floats and arrays
     positive_det_c = 0.5 * (det_c + abs(det_c))
-    return (
-        head * head
-        - 4 * m * m * w * w * env.d_xx**2 * env.d_xpy**2 / (lam * lam * s2)
-        - positive_det_c
-    )
+    return head * head - 4 * m * m * w * w * d_xx2 * d_xpy2 / (lam * lam * s2) - positive_det_c
 
 
 def _scaled_coordinates(osc: OscillatorParams, env: EnvironmentParams) -> tuple:
     """(u, v, sqrt(lam^2 + w^2)) with u = m w D_xx / lam, v = D_xpy / sqrt(lam^2 + w^2)."""
-    root = np.sqrt(env.lam**2 + osc.omega**2)
+    root = np.sqrt(env.lam * env.lam + osc.omega * osc.omega)
     return osc.m * osc.omega * env.d_xx / env.lam, env.d_xpy / root, root
 
 
 def _closed_form_negativity(gap):
     """E = -log2(2 gap) with gap = |u - v|; it diverges as the gap closes."""
     return -np.log2(2.0 * gap)
+
+
+_CLOSED_FORMS = ("s_special", "e_closed", "window")
+
+
+def _closed_forms(osc: OscillatorParams, env: EnvironmentParams) -> dict:
+    """The closed-form fields of `analyze`, in _CLOSED_FORMS order.
+
+    Each maps to its value or to the error that its public function raises.
+    The checks run once, in the order every public function makes them: the
+    matched class, then D_xy = 0 (not for s_special), then lambda > 0, then
+    the divergence of E_closed or the uncertainty bound of the window.
+    S_special is a NonFiniteResultError where its denominators underflow.
+    """
+    for holds, message in _matched_class_checks(osc, env):
+        if not holds:
+            return dict.fromkeys(_CLOSED_FORMS, ClassViolationError(message()))
+    try:
+        _require_positive_lambda(env.lam)
+    except NonPositiveLambdaError as exc:
+        lambda_error = exc
+    else:
+        lambda_error = None
+    try:
+        fields = {"s_special": lambda_error or float(_s_special(osc, env))}
+    except ZeroDivisionError:  # lam^2 or lam^2 + w^2 underflows to zero
+        fields = {"s_special": NonFiniteResultError(_TINY_LAMBDA)}
+    error = lambda_error
+    if not _nearly_equal(env.d_xy, 0.0):
+        error = ClassViolationError(f"d_xy must vanish, got {env.d_xy!r}")
+    if error is not None:
+        return {**fields, "e_closed": error, "window": error}
+    u, v, root = _scaled_coordinates(osc, env)
+    gap = abs(u - v)
+    if gap < _DIVERGENCE_TOLERANCE:
+        fields["e_closed"] = DivergentNegativityError(
+            "negativity diverges at this coefficient combination; "
+            "such environments fail strict validation"
+        )
+    else:
+        fields["e_closed"] = float(_closed_form_negativity(gap))
+    if u < 0.5:
+        fields["window"] = UncertaintyViolationError(
+            f"m omega D_xx / lambda = {u!r} violates the uncertainty bound 1/2"
+        )
+    else:
+        fields["window"] = (float(root * (u - 0.5)), float(root * (u + 0.5)))
+    return fields
+
+
+def _closed_form_value(name: str, osc: OscillatorParams, env: EnvironmentParams):
+    value = _closed_forms(osc, env)[name]
+    if isinstance(value, TwoModeError):
+        raise value
+    return value
 
 
 def det_c_closed_form(osc: OscillatorParams, env: EnvironmentParams) -> float:
@@ -240,7 +283,10 @@ def det_c_closed_form(osc: OscillatorParams, env: EnvironmentParams) -> float:
     if not is_symmetric_environment(env):
         raise ClassViolationError(_MIRRORED)
     _require_positive_lambda(env.lam)
-    return _det_c(osc, env)
+    try:
+        return _det_c(osc, env)
+    except ZeroDivisionError:  # lam^2 underflows to zero
+        raise NonFiniteResultError(_TINY_LAMBDA) from None
 
 
 def simon_s_special(osc: OscillatorParams, env: EnvironmentParams) -> float:
@@ -252,9 +298,7 @@ def simon_s_special(osc: OscillatorParams, env: EnvironmentParams) -> float:
     The square carries (1/4 + det C)^2 where Simon's S has (1/4 - |det C|)^2;
     the last term corrects that for det C > 0, which needs D_xy != 0.
     """
-    _require_matched_class(osc, env)
-    _require_positive_lambda(env.lam)
-    return float(_s_special(osc, env))
+    return _closed_form_value("s_special", osc, env)
 
 
 def entanglement_window(
@@ -269,14 +313,7 @@ def entanglement_window(
 
     on the boundary and outside it is separable.
     """
-    _require_matched_class(osc, env, zero_position_cross=True)
-    _require_positive_lambda(env.lam)
-    u, _, root = _scaled_coordinates(osc, env)
-    if u < 0.5:
-        raise UncertaintyViolationError(
-            f"m omega D_xx / lambda = {u!r} violates the uncertainty bound 1/2"
-        )
-    return (float(root * (u - 0.5)), float(root * (u + 0.5)))
+    return _closed_form_value("window", osc, env)
 
 
 def log_negativity_closed_form(osc: OscillatorParams, env: EnvironmentParams) -> float:
@@ -285,16 +322,7 @@ def log_negativity_closed_form(osc: OscillatorParams, env: EnvironmentParams) ->
     E = -log2[2 |m w D_xx / lam - D_xpy / sqrt(lam^2 + w^2)|]; it depends
     only on the environment coefficients, not on the initial Gaussian state.
     """
-    _require_matched_class(osc, env, zero_position_cross=True)
-    _require_positive_lambda(env.lam)
-    u, v, _ = _scaled_coordinates(osc, env)
-    gap = abs(u - v)
-    if gap < _DIVERGENCE_TOLERANCE:
-        raise DivergentNegativityError(
-            "negativity diverges at this coefficient combination; "
-            "such environments fail strict validation"
-        )
-    return float(_closed_form_negativity(gap))
+    return _closed_form_value("e_closed", osc, env)
 
 
 def analyze(
@@ -337,15 +365,11 @@ def analyze(
     valid_lenient: bool | None = None
     if env is not None and osc is not None:
         valid_strict, valid_lenient = (bool(v) for v in _validity(env))
-        for name, closed_form in (
-            ("s_special", simon_s_special),
-            ("e_closed", log_negativity_closed_form),
-            ("window", entanglement_window),
-        ):
-            try:
-                closed[name] = closed_form(osc, env)
-            except TwoModeError as exc:
-                notes.append(f"{name}: {exc}")
+        for name, value in _closed_forms(osc, env).items():
+            if isinstance(value, TwoModeError):
+                notes.append(f"{name}: {value}")
+            else:
+                closed[name] = value
 
     return EntanglementReport(
         det_a=float(inv.det_a),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NonPositiveLambdaError
+from .errors import NonFiniteResultError, NonPositiveLambdaError
 
 #: 2x2 symplectic matrix.
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -175,10 +175,17 @@ def build_drift_matrix(
 
     Block-diagonal with two identical damped-oscillator blocks
     [[-lam, 1/m], [-m omega^2, -lam]]; only lam is used from the environment.
+    Raises NonFiniteResultError when 1/m overflows or m omega^2 overflows or
+    underflows to zero.
     """
-    blk = np.array(
-        [[-env.lam, 1.0 / osc.m], [-osc.m * osc.omega**2, -env.lam]]
-    )
+    inverse_mass = 1.0 / osc.m
+    spring = -osc.m * (osc.omega * osc.omega)
+    if not (math.isfinite(inverse_mass) and -math.inf < spring < 0.0):
+        raise NonFiniteResultError(
+            f"drift matrix is out of double-precision range for m = {osc.m!r}, "
+            f"omega = {osc.omega!r}"
+        )
+    blk = np.array([[-env.lam, inverse_mass], [spring, -env.lam]])
     out = np.zeros((4, 4))
     out[:2, :2] = blk
     out[2:, 2:] = blk

@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twomode.cli import config_to_dict, load_config, main, parse_config
+from twomode import ConditioningWarning
+from twomode.cli import MAX_GRID_POINTS, config_to_dict, load_config, main, parse_config
 
 REFERENCE_CONFIG = {
     "oscillator": {"m": 1.0, "omega": 1.0},
@@ -23,6 +31,15 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def strict_json(text):
+    """Parse JSON, rejecting the NaN and Infinity literals strict JSON lacks."""
+
+    def reject(literal):
+        raise ValueError(f"non-standard JSON literal {literal}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def data_lines(text):
@@ -470,3 +487,138 @@ class TestErrorContract:
         payload = {"environment": REFERENCE_CONFIG["environment"]}
         code, err = self.run(tmp_path, capsys, "validate", json.dumps(payload))
         assert code == 1 and "missing required key 'oscillator'" in err
+
+    @pytest.mark.parametrize(
+        "oscillator, environment",
+        [
+            (
+                {"m": 1.0, "omega": 1.0},
+                {"lambda": 1.0, "D_xx": 1e160, "D_pxpx": 1e160, "D_xpy": 1e150},
+            ),
+            ({"m": 1.0, "omega": 1e200}, REFERENCE_CONFIG["environment"]),
+            ({"m": 1.0, "omega": 1.0}, {**REFERENCE_CONFIG["environment"], "lambda": 1e300}),
+        ],
+        ids=["huge_diffusion", "omega_squared_overflows", "huge_lambda"],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_steady_state_non_finite_report(
+        self, tmp_path, capsys, oscillator, environment, fmt
+    ):
+        payload = dict(REFERENCE_CONFIG, oscillator=oscillator, environment=environment)
+        path = write_config(tmp_path, payload)
+        code = main(["steady-state", "--config", path, "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        assert "double" in captured.err and "precision" in captured.err
+
+    def test_steady_state_tiny_lambda(self, tmp_path, capsys):
+        # lambda^2 underflows to zero inside the closed forms
+        environment = {"lambda": 1e-170, "D_xx": 0.6, "D_pxpx": 0.6, "D_xpy": 0.3}
+        path = write_config(tmp_path, dict(REFERENCE_CONFIG, environment=environment))
+        with pytest.warns(ConditioningWarning):
+            code = main(["steady-state", "--config", path])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err and err.startswith("error: ")
+
+    def test_sweep_overflowing_s_is_strict_json(self, tmp_path, capsys):
+        cfg = sweep_config(
+            axis1={"coefficient": "D_xx", "min": 1e160, "max": 2e160, "n": 3},
+            axis2={"coefficient": "D_xpy", "min": 0.0, "max": 1e150, "n": 3},
+            scaling="raw",
+            environment={"lambda": 1.0, "D_pxpx": 1e160},
+        )
+        path = write_config(tmp_path, cfg)
+        assert main(["sweep", "--config", path, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = strict_json(captured.out)
+        columns = payload["columns"]
+        rows = [dict(zip(columns, row)) for row in payload["rows"]]
+        assert all(row["S_general"] is None and row["verdict"] is None for row in rows)
+        assert main(["sweep", "--config", path]) == 0
+        for row in parse_csv(capsys.readouterr().out):
+            assert row["S_general"] == "" and row["verdict"] == ""
+
+    @pytest.mark.parametrize("n_points", [10**30, MAX_GRID_POINTS + 1])
+    def test_time_grid_size_limit(self, tmp_path, capsys, n_points):
+        payload = dict(
+            REFERENCE_CONFIG, time_grid={"t_start": 0.0, "t_end": 1.0, "n_points": n_points}
+        )
+        code, err = self.run(tmp_path, capsys, "evolve", json.dumps(payload))
+        assert code == 1 and "time_grid.n_points" in err
+
+    @pytest.mark.parametrize(
+        "counts", [(10**30, 21), (101, 9901)], ids=["huge", "limit_plus_one"]
+    )
+    def test_sweep_grid_size_limit(self, tmp_path, capsys, counts):
+        assert counts[0] * counts[1] > MAX_GRID_POINTS
+        cfg = sweep_config(
+            axis1={"coefficient": "D_xx", "min": 0.5, "max": 1.5, "n": counts[0]},
+            axis2={"coefficient": "D_xpy", "min": 0.0, "max": 2.0, "n": counts[1]},
+        )
+        code, err = self.run(tmp_path, capsys, "sweep", json.dumps(cfg))
+        assert code == 1 and "axis1.n * axis2.n" in err
+
+    def test_grid_size_limit_is_inclusive(self):
+        cfg = parse_config(
+            dict(
+                sweep_config(
+                    axis1={"coefficient": "D_xx", "min": 0.5, "max": 1.5, "n": 1000},
+                    axis2={"coefficient": "D_xpy", "min": 0.0, "max": 2.0, "n": 1000},
+                ),
+                time_grid={"t_start": 0.0, "t_end": 1.0, "n_points": MAX_GRID_POINTS},
+            )
+        )
+        assert cfg.time_grid.n_points == MAX_GRID_POINTS
+        assert cfg.sweep.axis1.count * cfg.sweep.axis2.count == MAX_GRID_POINTS
+
+
+def extreme_numbers():
+    """Finite doubles across the whole exponent range, plus a few plain values."""
+    magnitudes = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
+    signed = st.tuples(st.sampled_from([1.0, -1.0]), magnitudes).map(lambda t: t[0] * t[1])
+    return st.one_of(st.sampled_from([0.0, 0.3, 1.0]), signed)
+
+
+@st.composite
+def extreme_configs(draw):
+    positive = extreme_numbers().map(abs).filter(lambda x: x > 0.0)
+    environment = {"lambda": draw(st.one_of(positive, extreme_numbers()))}
+    for key in ("D_xx", "D_xpx", "D_pxpx", "D_xy", "D_xpy", "D_pxpy"):
+        if draw(st.booleans()):
+            environment[key] = draw(extreme_numbers())
+    axes = [
+        {"coefficient": name, "min": -draw(positive), "max": draw(positive), "n": 3}
+        for name in ("D_xx", "D_xpy")
+    ]
+    return {
+        "oscillator": {"m": draw(positive), "omega": draw(positive)},
+        "environment": environment,
+        "time_grid": {"t_start": 0.0, "t_end": draw(positive), "n_points": 3},
+        "sweep": {
+            "axis1": axes[0],
+            "axis2": axes[1],
+            "scaling": draw(st.sampled_from(["raw", "scaled"])),
+        },
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=extreme_configs())
+def test_extreme_coefficients_keep_the_error_contract(config):
+    # Every subcommand exits 0, 1 or 2 without an exception, and its JSON
+    # output is strict, for any finite coefficients.
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "config.json"
+        path.write_text(json.dumps(config))
+        for command in ("validate", "steady-state", "evolve", "sweep"):
+            for fmt in ("csv", "json"):
+                out = io.StringIO()
+                with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+                    warnings.simplefilter("ignore", ConditioningWarning)
+                    with contextlib.redirect_stderr(io.StringIO()):
+                        code = main([command, "--config", str(path), "--format", fmt])
+                assert code in (0, 1, 2)
+                if fmt == "json" and out.getvalue():
+                    strict_json(out.getvalue())

@@ -130,6 +130,30 @@ class TestSteadyStateLyapunov:
         with pytest.warns(ConditioningWarning):
             steady_state_lyapunov(y, np.eye(4))
 
+    @pytest.mark.parametrize("structured", [True, False])
+    def test_equals_kronecker_solve(self, structured):
+        # The broadcast-built operator must be the np.kron-built one bit for
+        # bit, for the model's drift matrices and for any dense Hurwitz Y.
+        rng = np.random.default_rng(11 if structured else 12)
+        eye = np.eye(4)
+        for _ in range(100):
+            if structured:
+                y = build_drift_matrix(random_oscillator(rng), EnvironmentParams(lam=1.0))
+                y[[0, 1, 2, 3], [0, 1, 2, 3]] = -rng.uniform(0.05, 3.0)
+            else:
+                y = rng.normal(size=(4, 4))
+                y -= (np.linalg.eigvals(y).real.max() + rng.uniform(0.1, 2.0)) * eye
+            d = rng.normal(size=(4, 4))
+            d = d @ d.T
+            expected = np.linalg.solve(
+                np.kron(eye, y) + np.kron(y, eye), -2.0 * d.reshape(-1)
+            ).reshape(4, 4)
+            expected = 0.5 * (expected + expected.T)
+            ours = steady_state_lyapunov(y, d)
+            assert ours.tobytes() == expected.tobytes()
+            reference = scipy.linalg.solve_continuous_lyapunov(y, -2.0 * d)
+            np.testing.assert_allclose(ours, reference, rtol=1e-8, atol=1e-10)
+
 
 class TestSteadyStateClosedForm:
     def test_reference_environment(self, osc, reference_env, reference_sigma_inf):

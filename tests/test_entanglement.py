@@ -10,10 +10,12 @@ from twomode import (
     DivergentNegativityError,
     EnvironmentParams,
     NegativeRadicandError,
+    NonFiniteResultError,
     NonPositiveFError,
     NonPositiveLambdaError,
     OscillatorParams,
     SymmetricEnvironmentParams,
+    TwoModeError,
     UncertaintyViolationError,
     analyze,
     block_decompose,
@@ -86,6 +88,12 @@ class TestDetCClosedForm:
     def test_rejects_nonpositive_lambda(self, osc):
         with pytest.raises(NonPositiveLambdaError):
             det_c_closed_form(osc, SymmetricEnvironmentParams(lam=-0.5))
+
+    @pytest.mark.parametrize("closed_form", [det_c_closed_form, simon_s_special])
+    def test_lambda_squared_underflow(self, osc, closed_form):
+        env = SymmetricEnvironmentParams(lam=1e-170, d_xx=0.6, d_pxpx=0.6, d_xpy=0.3)
+        with pytest.raises(NonFiniteResultError, match="lambda is too small"):
+            closed_form(osc, env)
 
     def test_separability_gate(self):
         # for completely positive dynamics (strictly valid environment),
@@ -361,6 +369,59 @@ class TestCriterionConsistency:
             assert abs(log_negativity(transformed) - e0) <= 1e-9
 
 
+# Ways to take an environment out of the matched class with D_xy = 0.
+_CLASS_BREAKS = ("mirror", "pxpx", "xpx", "pxpy")
+_BREAKS = (*_CLASS_BREAKS, "xy", "lam", "uncertainty", "divergent")
+
+
+@st.composite
+def closed_form_cases(draw):
+    """(osc, env, broken): a matched-class environment with D_xy = 0 and the
+    set of conditions then broken, so each closed-form branch is reached."""
+    m, omega, lam = (draw(st.floats(0.3, 3.0)) for _ in range(3))
+    broken = draw(st.sets(st.sampled_from(_BREAKS), max_size=3))
+    mw = m * omega
+    mw2 = mw * mw
+    root = math.sqrt(lam * lam + omega * omega)
+    u = draw(st.floats(0.01, 0.49) if "uncertainty" in broken else st.floats(0.51, 3.0))
+    d = {"d_xx": u * lam / mw, "d_xpx": 0.0, "d_xy": 0.0, "d_pxpy": 0.0}
+    if "divergent" in broken:
+        d["d_xpy"] = u * root
+    else:
+        d["d_xpy"] = draw(st.floats(0.0, 4.0).filter(lambda v: abs(v - u) > 1e-6)) * root
+    d["d_pxpx"] = mw2 * d["d_xx"]
+    if "pxpx" in broken:
+        d["d_pxpx"] += 0.1
+    if "xpx" in broken:
+        d["d_xpx"] = 0.05
+    if "xy" in broken:
+        d["d_xy"] = draw(st.sampled_from([-0.07, 0.07]))
+        d["d_pxpy"] = mw2 * d["d_xy"]
+    if "pxpy" in broken:
+        d["d_pxpy"] += 0.1
+    mirror = {"d_yy": d["d_xx"], "d_ypy": d["d_xpx"], "d_pypy": d["d_pxpx"], "d_ypx": d["d_xpy"]}
+    if "mirror" in broken:
+        mirror["d_yy"] += 0.1
+    if "lam" in broken:
+        lam = draw(st.sampled_from([0.0, -0.5]))
+    return OscillatorParams(m, omega), EnvironmentParams(lam=lam, **d, **mirror), broken
+
+
+def _expected_closed_form_error(name, broken):
+    """The error type a closed form raises: class, then lambda, then its own bound."""
+    if broken & set(_CLASS_BREAKS):
+        return ClassViolationError
+    if "xy" in broken and name != "s_special":
+        return ClassViolationError
+    if "lam" in broken:
+        return NonPositiveLambdaError
+    if name == "e_closed" and "divergent" in broken:
+        return DivergentNegativityError
+    if name == "window" and "uncertainty" in broken:
+        return UncertaintyViolationError
+    return type(None)
+
+
 class TestAnalyze:
     def test_vacuum_without_context(self):
         report = analyze(VACUUM)
@@ -417,6 +478,26 @@ class TestAnalyze:
                 )
             if report.e_closed is not None and report.e_general is not None:
                 assert abs(report.e_closed - report.e_general) <= 1e-8
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=closed_form_cases())
+    def test_closed_forms_match_public_functions(self, case):
+        osc, env, broken = case
+        report = analyze(VACUUM, osc, env)
+        expected_notes = []
+        for name, public in (
+            ("s_special", simon_s_special),
+            ("e_closed", log_negativity_closed_form),
+            ("window", entanglement_window),
+        ):
+            try:
+                value, error = public(osc, env), None
+            except TwoModeError as exc:
+                value, error = None, exc
+                expected_notes.append(f"{name}: {exc}")
+            assert getattr(report, name) == value
+            assert type(error) is _expected_closed_form_error(name, broken)
+        assert report.notes == tuple(expected_notes)
 
     def test_rejects_asymmetric_sigma(self):
         bad = np.eye(4)
