@@ -527,10 +527,9 @@ def _evolve_rows(cfg: RunConfig, y: np.ndarray, sigma_inf: np.ndarray) -> list[l
     upper = sigmas[:, _UPPER_ROWS, _UPPER_COLS]
     rows = np.column_stack([grid, upper, inv.s, inv.e, deviation]).tolist()
     s_index = 1 + len(_SIGMA_COLUMNS)  # after t and the sigma entries; E follows S
-    for row in rows:
-        for k in (s_index, s_index + 1):
-            if not math.isfinite(row[k]):  # E undefined there, or S or E overflowed
-                row[k] = None
+    # Empty cells where E is undefined, or where S or E overflowed
+    for i, k in zip(*np.nonzero(~np.isfinite(np.column_stack([inv.s, inv.e])))):
+        rows[i][s_index + k] = None
     return rows
 
 
