@@ -26,16 +26,8 @@ from .dynamics import (
     steady_state_closed_form,
     steady_state_lyapunov,
 )
-from .entanglement import (
-    _DIVERGENCE_TOLERANCE,
-    _closed_form_negativity,
-    _in_matched_class,
-    _invariants,
-    _s_special,
-    _scaled_coordinates,
-    analyze,
-)
-from .errors import NonFiniteResultError, NotHurwitzError, TwoModeError
+from .entanglement import _UNCERTAINTY, _closed_forms, _invariants, _verdict, analyze
+from .errors import NonFiniteResultError, TwoModeError
 from .model import (
     EnvironmentParams,
     OscillatorParams,
@@ -45,7 +37,6 @@ from .model import (
     build_diffusion_matrix,
     build_drift_matrix,
     check_state_covariance,
-    is_hurwitz,
     is_symmetric_environment,
     make_vacuum_covariance,
     validate_environment,
@@ -481,8 +472,8 @@ def cmd_steady_state(cfg: RunConfig, args) -> int:
     closed_entries = _upper_entries(sigma_closed) if sigma_closed is not None else [None] * 10
     row = _upper_entries(sigma) + closed_entries + [max_diff]
     row += [getattr(report, name.lower()) for name in _REPORT_COLUMNS]
-    numbers = [v for v in (*row, *(report.window or ())) if isinstance(v, float)]
-    if not all(map(math.isfinite, numbers)):
+    # analyze leaves no closed-form field non-finite; the rest of the row may overflow
+    if not all(math.isfinite(v) for v in row if isinstance(v, float)):
         raise NonFiniteResultError(
             "steady-state report overflows double precision; "
             "the coefficients are too extreme"
@@ -507,10 +498,6 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
     osc, env = cfg.oscillator, cfg.environment
     y = build_drift_matrix(osc, env)
     d = build_diffusion_matrix(env)
-    if not is_hurwitz(y):
-        raise NotHurwitzError(
-            "drift matrix is not Hurwitz (lambda <= 0); no asymptotic state"
-        )
     rows = _evolve_rows(cfg, y, steady_state_lyapunov(y, d))
     columns = ["t", *_SIGMA_COLUMNS, "S_general", "E_general", "max_abs_dev"]
     _write_table("evolve", cfg, args, columns, rows)
@@ -534,7 +521,7 @@ def _evolve_rows(cfg: RunConfig, y: np.ndarray, sigma_inf: np.ndarray) -> list[l
 
 
 def _sweep_environments(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, SimpleNamespace]:
-    """Grid coordinates, row-major, and an environment whose coefficients are arrays."""
+    """Grid coordinates, row-major, and an environment whose diffusion coefficients are arrays."""
     osc, env, sweep = cfg.oscillator, cfg.environment, cfg.sweep
     m, w, lam = osc.m, osc.omega, env.lam
     axis1 = np.linspace(sweep.axis1.start, sweep.axis1.stop, sweep.axis1.count)
@@ -553,12 +540,12 @@ def _sweep_environments(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, SimpleN
         values[_ENV_KEYS[sweep.axis1.coefficient]] = a1
         values[_ENV_KEYS[sweep.axis2.coefficient]] = a2
     mirrored = dict(d_yy=values["d_xx"], d_ypy=values["d_xpx"], d_pypy=values["d_pxpx"])
-    grid = SimpleNamespace(lam=zeros + lam, d_ypx=values["d_xpy"], **mirrored, **values)
+    grid = SimpleNamespace(lam=lam, d_ypx=values["d_xpy"], **mirrored, **values)
     return a1, a2, grid
 
 
 def _sweep_rows(cfg: RunConfig) -> list[tuple]:
-    """Every sweep row: validity, S, the negativities and the verdict.
+    """Every sweep row: analyze's fields on the closed-form sigma_inf at each point.
 
     Below the single-mode uncertainty bound the asymptotic state is
     unphysical, so the negativity cells of those points are left empty.
@@ -571,12 +558,8 @@ def _sweep_rows(cfg: RunConfig) -> list[tuple]:
         raise NonFiniteResultError("sweep grid overflows double precision")
     valid_strict, valid_lenient = _validity(env)
     inv = _invariants(_closed_form_sigma(osc, env))
-    matched = _in_matched_class(osc, env)
-    zero_cross = matched & (abs(env.d_xy) <= 1e-12)
-    u, v, _ = _scaled_coordinates(osc, env)
-    gap = abs(u - v)
-    shown = ~(zero_cross & (u < 0.5))
-    closed = shown & zero_cross & (gap >= _DIVERGENCE_TOLERANCE)
+    forms = _closed_forms(osc, env)
+    unphysical = forms.window_code == _UNCERTAINTY
     s_general = _cells(inv.s)
     columns = (
         a1.tolist(),
@@ -586,10 +569,10 @@ def _sweep_rows(cfg: RunConfig) -> list[tuple]:
         valid_strict.tolist(),
         valid_lenient.tolist(),
         s_general,
-        _cells(np.where(matched, _s_special(osc, env), np.nan)),
-        _cells(np.where(shown, inv.e, np.nan)),
-        _cells(_closed_form_negativity(np.where(closed, gap, np.nan))),
-        [None if s is None else "entangled" if s < 0.0 else "separable" for s in s_general],
+        _cells(forms.s_special),
+        _cells(np.where(unphysical, np.nan, inv.e)),
+        _cells(np.where(unphysical, np.nan, forms.e_closed)),
+        [None if s is None else _verdict(s) for s in s_general],
     )
     return list(zip(*columns))
 

@@ -6,13 +6,15 @@ E > 0.  Closed forms are provided for the matched-noise coefficient class
 m^2 w^2 D_xx = D_pxpx, D_xpx = 0, m^2 w^2 D_xy = D_pxpy.
 
 One kernel, `_invariants`, evaluates S, f and E on a stack of covariance
-matrices; the public functions are its one-matrix views.  The closed forms
-are likewise written once, as expressions that work elementwise on
-environments whose coefficients are arrays.
+matrices; the public functions are its one-matrix views.  One decision,
+`_closed_forms`, gives S_special, E_closed and the window elementwise, with a
+code per field naming the first condition that fails: analyze's notes, the
+closed forms' errors and the sweep's empty cells all read these codes.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -34,6 +36,8 @@ from .model import (
     BlockDecomposition,
     EnvironmentParams,
     OscillatorParams,
+    _LAMBDA_MESSAGE,
+    _as_covariance,
     _nearly_equal,
     _require_positive_lambda,
     _validity,
@@ -45,8 +49,6 @@ from .model import (
 RADICAND_TOLERANCE = 1e-12
 
 _DIVERGENCE_TOLERANCE = 1e-12
-_MIRRORED = "environment must have mirrored y-mode coefficients"
-_TINY_LAMBDA = "lambda is too small for double precision"
 
 
 @dataclass(frozen=True)
@@ -114,16 +116,9 @@ def _require_radicand(inv: _Invariants) -> None:
         )
 
 
-def _as_covariance(sigma) -> NDArray[np.float64]:
-    sig = np.asarray(sigma, dtype=float)
-    if sig.shape != (4, 4):
-        raise ValueError(f"covariance matrix must be 4x4, got shape {sig.shape}")
-    return sig
-
-
 def block_decompose(sigma: NDArray[np.float64]) -> BlockDecomposition:
     """Split a 4x4 covariance matrix into its one-mode and cross blocks."""
-    sig = _as_covariance(sigma)
+    sig, _ = _as_covariance(sigma)
     return BlockDecomposition(
         a=sig[:2, :2].copy(), b=sig[2:, 2:].copy(), c=sig[:2, 2:].copy()
     )
@@ -151,40 +146,11 @@ def f_sigma(blocks: BlockDecomposition, det_sigma: float) -> float:
 
 def log_negativity(sigma: NDArray[np.float64]) -> float:
     """Logarithmic negativity E = -1/2 log2[4 f(sigma)]; E > 0 iff entangled."""
-    inv = _invariants(_as_covariance(sigma))
+    inv = _invariants(_as_covariance(sigma)[0])
     _require_radicand(inv)
     if inv.f <= 0.0:
         raise NonPositiveFError(f"f(sigma) = {float(inv.f)!r} must be positive")
     return float(inv.e)
-
-
-def _matched_class_checks(osc, env):
-    """Yield (holds, message) for each condition of the matched-noise class.
-
-    Momentum noise locked to position noise: m^2 w^2 d_xx = d_pxpx with
-    d_xpx = 0, and likewise m^2 w^2 d_xy = d_pxpy for the cross noise.
-    `holds` is elementwise for arrays; `message` is called only on a
-    violation, and a caller that stops at the first violation skips the
-    later conditions.
-    """
-    mw = osc.m * osc.omega
-    mw2 = mw * mw
-    yield is_symmetric_environment(env), lambda: _MIRRORED
-    yield (
-        _nearly_equal(mw2 * env.d_xx, env.d_pxpx),
-        lambda: f"d_pxpx must equal (m omega)^2 d_xx, got {env.d_pxpx!r} "
-        f"vs {mw2 * env.d_xx!r}",
-    )
-    yield _nearly_equal(env.d_xpx, 0.0), lambda: f"d_xpx must vanish, got {env.d_xpx!r}"
-    yield (
-        _nearly_equal(mw2 * env.d_xy, env.d_pxpy),
-        lambda: f"d_pxpy must equal (m omega)^2 d_xy, got {env.d_pxpy!r} "
-        f"vs {mw2 * env.d_xy!r}",
-    )
-
-
-def _in_matched_class(osc, env):
-    return np.logical_and.reduce([holds for holds, _ in _matched_class_checks(osc, env)])
 
 
 def _det_c(osc: OscillatorParams, env: EnvironmentParams):
@@ -206,70 +172,131 @@ def _s_special(osc: OscillatorParams, env: EnvironmentParams):
     return head * head - 4 * m * m * w * w * d_xx2 * d_xpy2 / (lam * lam * s2) - positive_det_c
 
 
+def _divide(x, scalar: float):
+    """x / scalar, giving numpy's inf or NaN for a zero scalar on Python floats too."""
+    return x / scalar if scalar else x * math.inf
+
+
 def _scaled_coordinates(osc: OscillatorParams, env: EnvironmentParams) -> tuple:
     """(u, v, sqrt(lam^2 + w^2)) with u = m w D_xx / lam, v = D_xpy / sqrt(lam^2 + w^2)."""
-    root = np.sqrt(env.lam * env.lam + osc.omega * osc.omega)
-    return osc.m * osc.omega * env.d_xx / env.lam, env.d_xpy / root, root
+    lam = env.lam  # one float, so math.sqrt serves floats and arrays alike
+    root = math.sqrt(lam * lam + osc.omega * osc.omega)
+    return _divide(osc.m * osc.omega * env.d_xx, lam), _divide(env.d_xpy, root), root
 
 
-def _closed_form_negativity(gap):
-    """E = -log2(2 gap) with gap = |u - v|; it diverges as the gap closes."""
-    return -np.log2(2.0 * gap)
+def _mw2(osc: OscillatorParams) -> float:
+    mw = osc.m * osc.omega
+    return mw * mw
 
 
-_CLOSED_FORMS = ("s_special", "e_closed", "window")
+def _nonfinite(x):
+    """Elementwise ~isfinite that keeps a Python float's result a Python bool."""
+    return (x != x) | (abs(x) == math.inf)
 
 
-def _closed_forms(osc: OscillatorParams, env: EnvironmentParams) -> dict:
-    """The closed-form fields of `analyze`, in _CLOSED_FORMS order.
+# Why a closed-form field is absent, one code per condition in the order they
+# are checked; 0 means the field is present.
+_MIRRORED, _PXPX, _XPX, _PXPY, _CROSS, _LAMBDA, _DIVERGENT, _UNCERTAINTY, _NONFINITE = range(1, 10)
+# value * _SHOWN[code] is the value where the code is 0 and NaN elsewhere.
+_SHOWN = np.array([1.0] + [np.nan] * _NONFINITE)
+# The error that each code stands for, as the public closed forms raise it.
+_ABSENCE_ERRORS = {
+    _MIRRORED: lambda osc, env: ClassViolationError(
+        "environment must have mirrored y-mode coefficients"
+    ),
+    _PXPX: lambda osc, env: ClassViolationError(
+        f"d_pxpx must equal (m omega)^2 d_xx, got {env.d_pxpx!r} vs {_mw2(osc) * env.d_xx!r}"
+    ),
+    _XPX: lambda osc, env: ClassViolationError(f"d_xpx must vanish, got {env.d_xpx!r}"),
+    _PXPY: lambda osc, env: ClassViolationError(
+        f"d_pxpy must equal (m omega)^2 d_xy, got {env.d_pxpy!r} vs {_mw2(osc) * env.d_xy!r}"
+    ),
+    _CROSS: lambda osc, env: ClassViolationError(f"d_xy must vanish, got {env.d_xy!r}"),
+    _LAMBDA: lambda osc, env: NonPositiveLambdaError(f"{_LAMBDA_MESSAGE} {env.lam!r}"),
+    _DIVERGENT: lambda osc, env: DivergentNegativityError(
+        "negativity diverges at this coefficient combination; "
+        "such environments fail strict validation"
+    ),
+    _UNCERTAINTY: lambda osc, env: UncertaintyViolationError(
+        f"m omega D_xx / lambda = {_scaled_coordinates(osc, env)[0]!r} "
+        "violates the uncertainty bound 1/2"
+    ),
+    _NONFINITE: lambda osc, env: NonFiniteResultError(
+        "closed form is not finite in double precision: "
+        "lambda is too small or a coefficient too large"
+    ),
+}
 
-    Each maps to its value or to the error that its public function raises.
-    The checks run once, in the order every public function makes them: the
-    matched class, then D_xy = 0 (not for s_special), then lambda > 0, then
-    the divergence of E_closed or the uncertainty bound of the window.
-    S_special is a NonFiniteResultError where its denominators underflow.
+
+def _first_failure(code, *checks):
+    """Elementwise: `code` where nonzero, else the first failing (code, fails) check's code."""
+    for failure, fails in checks:
+        code = code + failure * fails * (code == 0)
+    return code
+
+
+_ClosedForms = namedtuple("_ClosedForms", "s_special e_closed window s_code e_code window_code")
+
+
+def _closed_forms(osc: OscillatorParams, env: EnvironmentParams) -> _ClosedForms:
+    """The closed-form decision: S_special, E_closed and the window at every point.
+
+    lambda is one float, the diffusion coefficients floats or arrays of one
+    shape.  A value is NaN where its field is absent; its code names the first
+    condition that fails there: the matched class, then D_xy = 0 (not for
+    S_special), lambda > 0, the divergence or the uncertainty bound, a finite value.
     """
-    for holds, message in _matched_class_checks(osc, env):
-        if not holds:
-            return dict.fromkeys(_CLOSED_FORMS, ClassViolationError(message()))
-    try:
-        _require_positive_lambda(env.lam)
-    except NonPositiveLambdaError as exc:
-        lambda_error = exc
-    else:
-        lambda_error = None
-    try:
-        fields = {"s_special": lambda_error or float(_s_special(osc, env))}
-    except ZeroDivisionError:  # lam^2 or lam^2 + w^2 underflows to zero
-        fields = {"s_special": NonFiniteResultError(_TINY_LAMBDA)}
-    error = lambda_error
-    if not _nearly_equal(env.d_xy, 0.0):
-        error = ClassViolationError(f"d_xy must vanish, got {env.d_xy!r}")
-    if error is not None:
-        return {**fields, "e_closed": error, "window": error}
+    mw2 = _mw2(osc)
+    matched = _first_failure(
+        0,
+        (_MIRRORED, is_symmetric_environment(env) ^ True),
+        (_PXPX, _nearly_equal(mw2 * env.d_xx, env.d_pxpx) ^ True),
+        (_XPX, _nearly_equal(env.d_xpx, 0.0) ^ True),
+        (_PXPY, _nearly_equal(mw2 * env.d_xy, env.d_pxpy) ^ True),
+    )
+    positive = (_LAMBDA, (env.lam > 0.0) ^ True)
+    zero_cross = _first_failure(matched, (_CROSS, _nearly_equal(env.d_xy, 0.0) ^ True), positive)
+    lam2 = env.lam * env.lam  # S_special divides by lam^2 (lam^2 + w^2): NaN where that is 0
+    s_special = _s_special(osc, env) if lam2 * (lam2 + osc.omega * osc.omega) > 0.0 else math.nan
     u, v, root = _scaled_coordinates(osc, env)
     gap = abs(u - v)
-    if gap < _DIVERGENCE_TOLERANCE:
-        fields["e_closed"] = DivergentNegativityError(
-            "negativity diverges at this coefficient combination; "
-            "such environments fail strict validation"
-        )
-    else:
-        fields["e_closed"] = float(_closed_form_negativity(gap))
-    if u < 0.5:
-        fields["window"] = UncertaintyViolationError(
-            f"m omega D_xx / lambda = {u!r} violates the uncertainty bound 1/2"
-        )
-    else:
-        fields["window"] = (float(root * (u - 0.5)), float(root * (u + 0.5)))
-    return fields
+    diverges = gap < _DIVERGENCE_TOLERANCE
+    # E = -log2(2 gap), kept off log2(0); past the divergence E is finite where 2 gap is
+    twice_gap = 2.0 * (gap + diverges)
+    # for u >= 1/2 the low end of the window is finite where the high end is
+    low, high = root * (u - 0.5), root * (u + 0.5)
+    s_code = _first_failure(matched, positive, (_NONFINITE, _nonfinite(s_special)))
+    e_code = _first_failure(zero_cross, (_DIVERGENT, diverges), (_NONFINITE, _nonfinite(twice_gap)))
+    window_code = _first_failure(
+        zero_cross, (_UNCERTAINTY, u < 0.5), (_NONFINITE, _nonfinite(high))
+    )
+    shown = _SHOWN[window_code]
+    window = low * shown, high * shown
+    e_closed = -np.log2(twice_gap) * _SHOWN[e_code]
+    return _ClosedForms(s_special * _SHOWN[s_code], e_closed, window, s_code, e_code, window_code)
+
+
+def _closed_form_fields(osc: OscillatorParams, env: EnvironmentParams) -> dict:
+    """analyze's closed-form fields for one environment: each value, or its function's error."""
+    s_special, e_closed, (low, high), s_code, e_code, window_code = _closed_forms(osc, env)
+    error = {c: _ABSENCE_ERRORS[c](osc, env) for c in {s_code, e_code, window_code} if c}
+    return {
+        "s_special": error[s_code] if s_code else float(s_special),
+        "e_closed": error[e_code] if e_code else float(e_closed),
+        "window": error[window_code] if window_code else (float(low), float(high)),
+    }
 
 
 def _closed_form_value(name: str, osc: OscillatorParams, env: EnvironmentParams):
-    value = _closed_forms(osc, env)[name]
+    value = _closed_form_fields(osc, env)[name]
     if isinstance(value, TwoModeError):
         raise value
     return value
+
+
+def _verdict(s: float) -> str:
+    """Simon's test: the state is entangled iff S < 0."""
+    return "entangled" if s < 0.0 else "separable"
 
 
 def det_c_closed_form(osc: OscillatorParams, env: EnvironmentParams) -> float:
@@ -281,12 +308,12 @@ def det_c_closed_form(osc: OscillatorParams, env: EnvironmentParams) -> float:
     det C >= 0 guarantees a separable asymptotic state.
     """
     if not is_symmetric_environment(env):
-        raise ClassViolationError(_MIRRORED)
+        raise _ABSENCE_ERRORS[_MIRRORED](osc, env)
     _require_positive_lambda(env.lam)
     try:
         return _det_c(osc, env)
     except ZeroDivisionError:  # lam^2 underflows to zero
-        raise NonFiniteResultError(_TINY_LAMBDA) from None
+        raise _ABSENCE_ERRORS[_NONFINITE](osc, env) from None
 
 
 def simon_s_special(osc: OscillatorParams, env: EnvironmentParams) -> float:
@@ -336,16 +363,15 @@ def analyze(
     where the coefficient class admits them.  Individual failures never abort
     the report; the affected fields stay None and a note explains why.
     """
-    sig = _as_covariance(sigma)
-    scale = max(1.0, float(np.abs(sig).max()))
-    if float(np.abs(sig - sig.T).max()) > 1e-10 * scale:
+    sig, peak = _as_covariance(sigma)
+    if float(np.abs(sig - sig.T).max()) > 1e-10 * max(1.0, peak):
         raise ValueError("covariance matrix must be symmetric")
     if (osc is None) != (env is None):
         raise ValueError("osc and env must be provided together")
 
     inv = _invariants(sig)
     s_general = float(inv.s)
-    verdict = "entangled" if s_general < 0.0 else "separable"
+    verdict = _verdict(s_general)
 
     notes: list[str] = []
     f_value: float | None = None
@@ -365,7 +391,7 @@ def analyze(
     valid_lenient: bool | None = None
     if env is not None and osc is not None:
         valid_strict, valid_lenient = (bool(v) for v in _validity(env))
-        for name, value in _closed_forms(osc, env).items():
+        for name, value in _closed_form_fields(osc, env).items():
             if isinstance(value, TwoModeError):
                 notes.append(f"{name}: {value}")
             else:

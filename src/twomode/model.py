@@ -147,6 +147,17 @@ def _nearly_equal(a, b, rtol: float = 1e-12):
     return (gap <= rtol) | (gap <= rtol * abs(a)) | (gap <= rtol * abs(b))
 
 
+def _as_covariance(sigma) -> tuple[NDArray[np.float64], float]:
+    """sigma as a finite 4x4 float array, and its largest absolute entry."""
+    sig = np.asarray(sigma, dtype=float)
+    if sig.shape != (4, 4):
+        raise ValueError(f"covariance matrix must be 4x4, got shape {sig.shape}")
+    peak = float(np.abs(sig).max())
+    if not math.isfinite(peak):
+        raise ValueError("covariance matrix entries must be finite")
+    return sig, peak
+
+
 def _stack(rows, dtype=float) -> NDArray:
     """Square matrices [..., n, n] from n x n nested rows of scalars or same-shape arrays."""
     out = np.array(rows, dtype=dtype)
@@ -246,7 +257,8 @@ def _violations(env: EnvironmentParams, strict: bool) -> tuple[list, object]:
     Elementwise for coefficient arrays of one shape.  The Gram check comes
     last, only when strict; the eigenvalue is None otherwise.
     """
-    violated = [env.lam <= 0.0] + [slack(env) < 0.0 for _, slack in _COEFFICIENT_CONSTRAINTS]
+    # a NaN slack (inf - inf for extreme coefficients) counts as violated
+    violated = [env.lam <= 0.0] + [(c(env) >= 0.0) ^ True for _, c in _COEFFICIENT_CONSTRAINTS]
     min_eig = None
     if strict:
         # [()] turns the 0-d result for one environment into a scalar
@@ -301,13 +313,8 @@ def check_state_covariance(sigma, atol: float = 1e-12) -> NDArray[np.float64]:
     Returns the (exactly symmetrized) matrix; raises ValueError otherwise.
     Intermediate results of the dynamics are not funnelled through this check.
     """
-    sig = np.asarray(sigma, dtype=float)
-    if sig.shape != (4, 4):
-        raise ValueError(f"covariance matrix must be 4x4, got shape {sig.shape}")
-    if not np.all(np.isfinite(sig)):
-        raise ValueError("covariance matrix entries must be finite")
-    scale = max(1.0, float(np.abs(sig).max()))
-    if float(np.abs(sig - sig.T).max()) > atol * scale:
+    sig, peak = _as_covariance(sigma)
+    if float(np.abs(sig - sig.T).max()) > atol * max(1.0, peak):
         raise ValueError("covariance matrix must be symmetric")
     sig = 0.5 * (sig + sig.T)
     if float(np.linalg.eigvalsh(sig)[0]) <= 0.0:

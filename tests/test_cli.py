@@ -329,6 +329,19 @@ class TestSweepCommand:
         assert all(r["S_special"] != "" for r in matched)
         assert all(r["S_special"] == "" for r in unmatched)
 
+    def test_nan_slack_fails_validity(self, tmp_path, capsys):
+        # D_xx D_pypy - D_xpy^2 is inf - inf at every point of this grid
+        cfg = sweep_config(
+            axis1={"coefficient": "D_xx", "min": 1e160, "max": 2e160, "n": 2},
+            axis2={"coefficient": "D_xpy", "min": 1e170, "max": 2e170, "n": 2},
+            scaling="raw",
+            environment={"lambda": 1.0, "D_pxpx": 1e160},
+        )
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == 4
+        assert all(r["valid_lenient"] == r["valid_strict"] == "false" for r in rows)
+
     def test_rejects_asymmetric_base(self, tmp_path, capsys):
         cfg = sweep_config()
         cfg["environment"] = {
@@ -476,6 +489,15 @@ class TestErrorContract:
         )
         code, err = self.run(tmp_path, capsys, "steady-state", json.dumps(payload))
         assert code == 2 and "overflows" in err
+
+    def test_evolve_without_damping(self, tmp_path, capsys):
+        payload = dict(
+            REFERENCE_CONFIG,
+            environment={**REFERENCE_CONFIG["environment"], "lambda": 0.0},
+            time_grid={"t_start": 0.0, "t_end": 1.0, "n_points": 3},
+        )
+        code, err = self.run(tmp_path, capsys, "evolve", json.dumps(payload))
+        assert code == 2 and "no steady state" in err
 
     def test_validate_huge_lambda(self, tmp_path, capsys):
         payload = dict(REFERENCE_CONFIG, environment={"lambda": 1e300, "D_xx": 0.6})

@@ -499,6 +499,27 @@ class TestAnalyze:
             assert type(error) is _expected_closed_form_error(name, broken)
         assert report.notes == tuple(expected_notes)
 
+    def test_non_finite_closed_forms_become_notes(self, osc):
+        # u = m omega D_xx / lambda overflows and lambda^2 underflows
+        env = SymmetricEnvironmentParams(lam=1e-300, d_xx=1e10, d_pxpx=1e10, d_xpy=0.3)
+        report = analyze(VACUUM, osc, env)
+        assert (report.s_special, report.e_closed, report.window) == (None, None, None)
+        assert [note.split(": ")[0] for note in report.notes] == ["s_special", "e_closed", "window"]
+        assert all("not finite in double precision" in note for note in report.notes)
+        for public in (simon_s_special, log_negativity_closed_form, entanglement_window):
+            with pytest.raises(NonFiniteResultError):
+                public(osc, env)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("function", [analyze, log_negativity, block_decompose])
+    def test_rejects_non_finite_sigma(self, function, bad):
+        sigma = VACUUM.copy()
+        sigma[0, 2] = sigma[2, 0] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            function(sigma)
+        with pytest.raises(ValueError, match="entries must be finite"):
+            function(np.full((4, 4), bad))
+
     def test_rejects_asymmetric_sigma(self):
         bad = np.eye(4)
         bad[0, 1] = 0.5

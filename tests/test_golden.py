@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from twomode import OscillatorParams, SymmetricEnvironmentParams, analyze, steady_state_closed_form
 from twomode.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -223,6 +224,56 @@ def test_matches_golden_output(tmp_path, name, fmt):
     else:
         problems = _compare_json(json.loads(text), json.loads(expected))
     assert not problems, "\n".join(problems[:20])
+
+
+def _point_environment(config: dict, row: dict) -> SymmetricEnvironmentParams:
+    """The environment at one sweep row, built from the config as the sweep builds it."""
+    osc, base = config["oscillator"], config["environment"]
+    mw = osc["m"] * osc["omega"]
+    if config["sweep"]["scaling"] == "scaled":
+        coefficients = {"D_xx": row["D_xx"], "D_pxpx": mw * mw * row["D_xx"], "D_xpy": row["D_xpy"]}
+    else:
+        coefficients = {k: v for k, v in base.items() if k != "lambda"}
+        for axis in ("axis1", "axis2"):
+            coefficients[config["sweep"][axis]["coefficient"]] = row[axis]
+    reduced = {key.lower(): value for key, value in coefficients.items()}
+    return SymmetricEnvironmentParams(lam=base["lambda"], **reduced)
+
+
+@pytest.mark.parametrize("name", [name for name, case in CASES.items() if case[0] == "sweep"])
+def test_sweep_rows_are_analyze_at_each_point(tmp_path, name):
+    """Each sweep row holds analyze's fields on the closed-form sigma_inf at its point.
+
+    The one rule of the sweep's own: below the uncertainty bound (the window is
+    absent for that reason) the negativity cells E_general and E_closed are empty.
+    """
+    _, config, _ = CASES[name]
+    code, text = _run(tmp_path, name, "json")
+    assert code == 0
+    document = json.loads(text)
+    osc = OscillatorParams(**config["oscillator"])
+    for values in document["rows"]:
+        row = dict(zip(document["columns"], values))
+        env = _point_environment(config, row)
+        report = analyze(steady_state_closed_form(osc, env), osc, env)
+        below_bound = any(
+            note.startswith("window: ") and "uncertainty bound" in note for note in report.notes
+        )
+        expected = {
+            "valid_strict": report.valid_strict,
+            "valid_lenient": report.valid_lenient,
+            "S_general": report.s_general,
+            "S_special": report.s_special,
+            "E_general": None if below_bound else report.e_general,
+            "E_closed": None if below_bound else report.e_closed,
+            "verdict": report.verdict,
+        }
+        for column, want in expected.items():
+            got = row[column]
+            if isinstance(want, float) and isinstance(got, float):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (column, row)
+            else:
+                assert got == want and type(got) is type(want), (column, row)
 
 
 def test_sweep_jobs_starts_no_worker(tmp_path, monkeypatch):

@@ -174,6 +174,14 @@ class TestValidation:
         assert "cs_xx_pxpx" in report.failed
         assert "cs_yy_pypy" in report.failed
 
+    @pytest.mark.parametrize("mode", ["lenient", "strict"])
+    def test_nan_slack_is_violated(self, mode):
+        # D_xx D_pypy - D_xpy^2 is inf - inf here: a slack of unknown sign fails
+        env = SymmetricEnvironmentParams(lam=1.0, d_xx=1e160, d_pxpx=1e160, d_xpy=1e170)
+        report = validate_environment(env, mode)
+        assert not report.passed
+        assert report.failed[:2] == ("cs_xx_pypy", "cs_yy_pxpx")
+
     def test_nonpositive_lambda_reported(self):
         report = validate_environment(
             SymmetricEnvironmentParams(lam=0.0, d_xx=1.0, d_pxpx=1.0), "lenient"
