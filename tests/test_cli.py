@@ -596,6 +596,301 @@ class TestErrorContract:
         assert cfg.sweep.axis1.count * cfg.sweep.axis2.count == MAX_GRID_POINTS
 
 
+def malformed(**sections):
+    """REFERENCE_CONFIG with whole sections replaced; a None value drops the section."""
+    payload = dict(REFERENCE_CONFIG, **sections)
+    return {key: value for key, value in payload.items() if value is not None}
+
+
+GRID = {"t_start": 0.0, "t_end": 1.0, "n_points": 3}
+OSC = REFERENCE_CONFIG["oscillator"]
+ENV = REFERENCE_CONFIG["environment"]
+
+# (subcommand, config, the exact stderr line): one row for each ConfigError
+# raise site of the config reader and the subcommands.
+CONFIG_ERRORS = [
+    pytest.param(
+        "validate", [1], "error: config: expected an object", id="config-not-object"
+    ),
+    pytest.param(
+        "validate", malformed(extra=1), "error: config: unknown key(s) extra", id="config-unknown"
+    ),
+    pytest.param(
+        "validate",
+        malformed(environment=None),
+        "error: config: missing required key 'environment'",
+        id="config-missing-environment",
+    ),
+    pytest.param(
+        "validate",
+        malformed(oscillator=[1.0, 1.0]),
+        "error: oscillator: expected an object",
+        id="oscillator-not-object",
+    ),
+    pytest.param(
+        "validate",
+        malformed(oscillator={"m": 1.0, "omega": 1.0, "k": 2.0}),
+        "error: oscillator: unknown key(s) k",
+        id="oscillator-unknown",
+    ),
+    pytest.param(
+        "validate",
+        malformed(oscillator={"m": 1.0}),
+        "error: oscillator: missing required key 'omega'",
+        id="oscillator-missing-omega",
+    ),
+    pytest.param(
+        "validate",
+        malformed(oscillator={"m": "1", "omega": 1.0}),
+        "error: oscillator.m: expected a number, got '1'",
+        id="oscillator-string-m",
+    ),
+    pytest.param(
+        "validate",
+        malformed(oscillator={"m": 1.0, "omega": True}),
+        "error: oscillator.omega: expected a number, got True",
+        id="oscillator-bool-omega",
+    ),
+    pytest.param(
+        "validate",
+        malformed(oscillator={"m": 0, "omega": 1.0}),
+        "error: oscillator: m must be positive and finite, got 0.0",
+        id="oscillator-zero-m",
+    ),
+    pytest.param(
+        "validate",
+        malformed(environment={"D_xx": 0.6}),
+        "error: environment: missing required key 'lambda'",
+        id="environment-missing-lambda",
+    ),
+    pytest.param(
+        "validate",
+        malformed(environment={**ENV, "D_xx": None}),
+        "error: environment.D_xx: expected a number, got None",
+        id="environment-null-coefficient",
+    ),
+    pytest.param(
+        "validate",
+        malformed(environment={**ENV, "lambda": 10**400}),
+        "error: environment.lambda: integer too large for a float",
+        id="environment-integer-too-large",
+    ),
+    pytest.param(
+        "validate",
+        malformed(environment={**ENV, "lambda": math.inf}),
+        "error: environment: lam must be finite, got inf",
+        id="environment-infinite-lambda",
+    ),
+    pytest.param(
+        "validate",
+        malformed(environment={**ENV, "D_yy": 0.6, "D_ypx": 0.3}),
+        "error: environment: provide all of D_ypx, D_yy, D_ypy, D_pypy or none "
+        "(missing D_pypy, D_ypy)",
+        id="environment-mixed-y-keys",
+    ),
+    pytest.param(
+        "validate",
+        malformed(initial_state="thermal"),
+        'error: initial_state: expected "vacuum" or a 4x4 array',
+        id="initial-state-name",
+    ),
+    pytest.param(
+        "validate",
+        malformed(initial_state=[[1.0, 0.0], [0.0, 1.0]]),
+        "error: initial_state: matrix must be 4x4 (row-major)",
+        id="initial-state-shape",
+    ),
+    pytest.param(
+        "validate",
+        malformed(initial_state=[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, "1"]]),
+        "error: initial_state: expected numeric entries, got '1'",
+        id="initial-state-entry",
+    ),
+    pytest.param(
+        "validate",
+        malformed(validation="loose"),
+        "error: validation: expected 'strict' or 'lenient', got 'loose'",
+        id="validation-mode",
+    ),
+    pytest.param(
+        "validate",
+        malformed(time_grid={**GRID, "dt": 0.1}),
+        "error: time_grid: unknown key(s) dt",
+        id="time-grid-unknown",
+    ),
+    pytest.param(
+        "validate",
+        malformed(time_grid={"t_start": 0.0, "t_end": 1.0}),
+        "error: time_grid: missing required key 'n_points'",
+        id="time-grid-missing-n-points",
+    ),
+    pytest.param(
+        "validate",
+        malformed(time_grid={**GRID, "n_points": 3.0}),
+        "error: time_grid.n_points: expected an integer, got 3.0",
+        id="time-grid-float-n-points",
+    ),
+    pytest.param(
+        "validate",
+        malformed(time_grid={**GRID, "n_points": False}),
+        "error: time_grid.n_points: expected an integer, got False",
+        id="time-grid-bool-n-points",
+    ),
+    pytest.param(
+        "validate",
+        malformed(time_grid={**GRID, "t_start": -1}),
+        "error: time_grid.t_start: must be >= 0, got -1.0",
+        id="time-grid-negative-start",
+    ),
+    pytest.param(
+        "validate",
+        malformed(time_grid={**GRID, "t_end": 0.0}),
+        "error: time_grid.t_end: must exceed t_start, got 0.0",
+        id="time-grid-empty",
+    ),
+    pytest.param(
+        "validate",
+        malformed(time_grid={**GRID, "n_points": 1}),
+        f"error: time_grid.n_points: must be between 2 and {MAX_GRID_POINTS}, got 1",
+        id="time-grid-one-point",
+    ),
+    pytest.param(
+        "validate",
+        malformed(sweep={"scaling": "log"}),
+        "error: sweep.scaling: expected 'raw' or 'scaled', got 'log'",
+        id="sweep-scaling",
+    ),
+    pytest.param(
+        "validate",
+        malformed(sweep={"axis3": {}}),
+        "error: sweep: unknown key(s) axis3",
+        id="sweep-unknown",
+    ),
+    pytest.param(
+        "validate",
+        malformed(sweep={"axis1": "D_xx"}),
+        "error: sweep.axis1: expected an object",
+        id="axis-not-object",
+    ),
+    pytest.param(
+        "validate",
+        malformed(sweep={"axis2": {"step": 0.1}}),
+        "error: sweep.axis2: unknown key(s) step",
+        id="axis-unknown",
+    ),
+    pytest.param(
+        "validate",
+        malformed(sweep={"axis1": {"coefficient": "lambda"}}),
+        "error: sweep.axis1.coefficient: unknown coefficient 'lambda'",
+        id="axis-lambda-coefficient",
+    ),
+    pytest.param(
+        "validate",
+        malformed(sweep={"axis2": {"coefficient": "D_zz"}}),
+        "error: sweep.axis2.coefficient: unknown coefficient 'D_zz'",
+        id="axis-unknown-coefficient",
+    ),
+    pytest.param(
+        "validate",
+        malformed(sweep={"axis1": {"min": "0"}}),
+        "error: sweep.axis1.min: expected a number, got '0'",
+        id="axis-string-min",
+    ),
+    pytest.param(
+        "validate",
+        malformed(sweep={"axis2": {"n": 2.5}}),
+        "error: sweep.axis2.n: expected an integer, got 2.5",
+        id="axis-float-n",
+    ),
+    pytest.param(
+        "validate",
+        malformed(sweep={"axis1": {"min": 2.0, "max": 1.0}}),
+        "error: sweep.axis1: need finite min < max, got [2.0, 1.0]",
+        id="axis-reversed-bounds",
+    ),
+    pytest.param(
+        "validate",
+        malformed(sweep={"axis2": {"max": -(10**400)}}),
+        "error: sweep.axis2.max: integer too large for a float",
+        id="axis-integer-too-large",
+    ),
+    pytest.param(
+        "validate",
+        malformed(sweep={"axis1": {"n": 1}}),
+        "error: sweep.axis1.n: must be >= 2, got 1",
+        id="axis-one-point",
+    ),
+    pytest.param(
+        "validate",
+        malformed(sweep={"axis1": {"n": 1001}, "axis2": {"n": 1000}}),
+        f"error: sweep: axis1.n * axis2.n must be at most {MAX_GRID_POINTS}, got 1001000",
+        id="sweep-too-large",
+    ),
+    pytest.param(
+        "evolve",
+        malformed(),
+        "error: evolve requires a time_grid section in the config",
+        id="evolve-without-grid",
+    ),
+    pytest.param(
+        "sweep",
+        malformed(),
+        "error: sweep requires a sweep section in the config",
+        id="sweep-without-section",
+    ),
+    pytest.param(
+        "sweep",
+        malformed(
+            environment={**ENV, "D_ypx": 0.3, "D_yy": 0.5, "D_ypy": 0.0, "D_pypy": 0.6},
+            sweep={},
+        ),
+        "error: sweep requires a symmetric base environment (mirrored y-mode coefficients)",
+        id="sweep-asymmetric-base",
+    ),
+    pytest.param(
+        "sweep",
+        malformed(environment={**ENV, "D_xy": 0.1}, sweep={}),
+        "error: sweep requires D_xy = 0 in the base environment",
+        id="sweep-position-cross",
+    ),
+    pytest.param(
+        "sweep",
+        malformed(sweep={"axis2": {"coefficient": "D_pxpx"}}),
+        "error: scaled sweeps run over axis1=D_xx and axis2=D_xpy (got 'D_xx', 'D_pxpx')",
+        id="sweep-scaled-axes",
+    ),
+    pytest.param(
+        "sweep",
+        malformed(environment={**ENV, "D_xpx": 0.1}, sweep={}),
+        "error: scaled sweeps require D_xpx = 0 and D_pxpy = 0 in the base environment",
+        id="sweep-scaled-base",
+    ),
+    pytest.param(
+        "sweep",
+        malformed(sweep={"axis1": {"coefficient": "D_yy"}, "scaling": "raw"}),
+        "error: raw sweeps accept coefficients "
+        "['D_pxpx', 'D_pxpy', 'D_xpx', 'D_xpy', 'D_xx', 'D_xy'], got 'D_yy'",
+        id="sweep-raw-coefficient",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, payload, line", CONFIG_ERRORS)
+def test_config_error_contract(tmp_path, capsys, command, payload, line):
+    code = main([command, "--config", write_config(tmp_path, payload)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", line + "\n")
+
+
+def test_invalid_json_names_the_position(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"oscillator": }')
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid JSON in {str(path)!r} at line 1, column 16: Expecting value\n"
+    )
+
+
 def extreme_numbers():
     """Finite doubles across the whole exponent range, plus a few plain values."""
     magnitudes = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
