@@ -3,8 +3,10 @@
 Subcommands: `validate` (environment positivity checks), `steady-state`
 (asymptotic covariance plus entanglement report), `evolve` (covariance
 trace on a time grid) and `sweep` (two-coefficient grid emitting plot
-data).  Configuration is a JSON document; output is CSV with a `#`
-metadata header, or JSON behind --format.
+data).  Configuration is a JSON document; each section is read into the
+dataclass below whose fields are its keys, and a malformed one exits 1 with
+one `error: <json.path>: ...` line.  Output is CSV with a `#` metadata
+header, or JSON behind --format.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -63,13 +65,10 @@ _ENV_KEYS = {
 }
 _Y_DUPLICATE_KEYS = ("D_ypx", "D_yy", "D_ypy", "D_pypy")
 _REDUCED_KEYS = ("D_xx", "D_xpx", "D_pxpx", "D_xy", "D_xpy", "D_pxpy")
-_SWEEPABLE_KEYS = frozenset(_REDUCED_KEYS)
+_FULL_KEYS = tuple(_ENV_KEYS)[1:]
 
 #: Most points a time grid or a sweep grid (axis1.n * axis2.n) may have.
 MAX_GRID_POINTS = 10**6
-
-_DEFAULT_AXIS1 = ("D_xx", 0.5, 1.5, 11)
-_DEFAULT_AXIS2 = ("D_xpy", 0.0, 2.0, 21)
 
 _SIGMA_COLUMNS = (
     "sigma_xx", "sigma_xpx", "sigma_xy", "sigma_xpy", "sigma_pxpx",
@@ -106,9 +105,9 @@ class TimeGrid:
 @dataclass(frozen=True)
 class AxisSpec:
     coefficient: str
-    start: float
-    stop: float
-    count: int
+    min: float
+    max: float
+    n: int
 
 
 @dataclass(frozen=True)
@@ -128,70 +127,75 @@ class RunConfig:
     sweep: SweepSpec | None
 
 
-def _require_mapping(obj, where: str) -> dict:
+# The values of an omitted sweep axis or axis key.
+_AXIS_DEFAULTS = {
+    "axis1": {"coefficient": "D_xx", "min": 0.5, "max": 1.5, "n": 11},
+    "axis2": {"coefficient": "D_xpy", "min": 0.0, "max": 2.0, "n": 21},
+}
+
+# Field annotation -> the JSON values it accepts and their name in the error.
+_KINDS = {"float": ((int, float), "a number"), "int": (int, "an integer"), "str": (str, "a string")}
+
+
+def _section(obj, allowed, where: str) -> dict:
+    """`obj` if it is a JSON object with no key outside `allowed`."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
-    return obj
-
-
-def _reject_unknown(obj: dict, allowed, where: str) -> None:
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
+    return obj
 
 
-def _to_float(value, where: str) -> float:
+def _checked(value, kind: str, where: str):
+    """`value` if it is of the annotated `kind`; a "float" value is returned as a float."""
+    types, noun = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{where}: expected {noun}, got {value!r}")
+    if kind != "float":
+        return value
     try:
         return float(value)
     except OverflowError:
         raise ConfigError(f"{where}: integer too large for a float") from None
 
 
-def _get_number(obj: dict, key: str, where: str, default=None) -> float:
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"{where}: missing required key '{key}'")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
-    return _to_float(value, f"{where}.{key}")
+def _read(cls, obj, where: str, defaults: dict | None = None):
+    """The config section `obj` as dataclass `cls`.
+
+    The fields of `cls` are the section's keys and their annotations the
+    value types; a key missing from `obj` takes its value from `defaults`.
+    """
+    obj = _section(obj, [f.name for f in fields(cls)], where)
+    values = {}
+    for f in fields(cls):
+        if f.name in obj:
+            values[f.name] = _checked(obj[f.name], f.type, f"{where}.{f.name}")
+        elif defaults is not None and f.name in defaults:
+            values[f.name] = defaults[f.name]
+        else:
+            raise ConfigError(f"{where}: missing required key '{f.name}'")
+    return cls(**values)
 
 
-def _get_int(obj: dict, key: str, where: str, default=None) -> int:
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"{where}: missing required key '{key}'")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
-    return value
-
-
-def _parse_environment(obj: dict) -> EnvironmentParams:
-    obj = _require_mapping(obj, "environment")
-    _reject_unknown(obj, _ENV_KEYS, "environment")
-    lam = _get_number(obj, "lambda", "environment")
+def _parse_environment(obj) -> EnvironmentParams:
+    obj = _section(obj, _ENV_KEYS, "environment")
+    if "lambda" not in obj:
+        raise ConfigError("environment: missing required key 'lambda'")
+    lam = _checked(obj["lambda"], "float", "environment.lambda")
     present_dup = [k for k in _Y_DUPLICATE_KEYS if k in obj]
-    if not present_dup:
-        values = {
-            _ENV_KEYS[k]: _get_number(obj, k, "environment", default=0.0)
-            for k in _REDUCED_KEYS
-        }
-        return SymmetricEnvironmentParams(lam=lam, **values)
-    if len(present_dup) != len(_Y_DUPLICATE_KEYS):
+    if present_dup and len(present_dup) != len(_Y_DUPLICATE_KEYS):
         missing = sorted(set(_Y_DUPLICATE_KEYS) - set(present_dup))
         raise ConfigError(
             "environment: provide all of "
             f"{', '.join(_Y_DUPLICATE_KEYS)} or none (missing {', '.join(missing)})"
         )
+    cls = EnvironmentParams if present_dup else SymmetricEnvironmentParams
     values = {
-        field: _get_number(obj, key, "environment", default=0.0)
-        for key, field in _ENV_KEYS.items()
-        if key != "lambda"
+        _ENV_KEYS[key]: _checked(obj.get(key, 0.0), "float", f"environment.{key}")
+        for key in (_FULL_KEYS if present_dup else _REDUCED_KEYS)
     }
-    return EnvironmentParams(lam=lam, **values)
+    return cls(lam=lam, **values)
 
 
 def _parse_initial_state(value) -> str | tuple[tuple[float, ...], ...]:
@@ -209,80 +213,61 @@ def _parse_initial_state(value) -> str | tuple[tuple[float, ...], ...]:
                     raise ConfigError(
                         f"initial_state: expected numeric entries, got {entry!r}"
                     )
-            rows.append(tuple(_to_float(entry, "initial_state") for entry in row))
+            rows.append(tuple(_checked(entry, "float", "initial_state") for entry in row))
         return tuple(rows)
     raise ConfigError("initial_state: expected \"vacuum\" or a 4x4 array")
 
 
-def _parse_time_grid(obj: dict) -> TimeGrid:
-    obj = _require_mapping(obj, "time_grid")
-    _reject_unknown(obj, ("t_start", "t_end", "n_points"), "time_grid")
-    t_start = _get_number(obj, "t_start", "time_grid")
-    t_end = _get_number(obj, "t_end", "time_grid")
-    n_points = _get_int(obj, "n_points", "time_grid")
-    if not (math.isfinite(t_start) and t_start >= 0.0):
-        raise ConfigError(f"time_grid.t_start: must be >= 0, got {t_start!r}")
-    if not (math.isfinite(t_end) and t_end > t_start):
-        raise ConfigError(f"time_grid.t_end: must exceed t_start, got {t_end!r}")
-    if not 2 <= n_points <= MAX_GRID_POINTS:
+def _parse_time_grid(obj) -> TimeGrid:
+    grid = _read(TimeGrid, obj, "time_grid")
+    if not (math.isfinite(grid.t_start) and grid.t_start >= 0.0):
+        raise ConfigError(f"time_grid.t_start: must be >= 0, got {grid.t_start!r}")
+    if not (math.isfinite(grid.t_end) and grid.t_end > grid.t_start):
+        raise ConfigError(f"time_grid.t_end: must exceed t_start, got {grid.t_end!r}")
+    if not 2 <= grid.n_points <= MAX_GRID_POINTS:
         raise ConfigError(
-            f"time_grid.n_points: must be between 2 and {MAX_GRID_POINTS}, got {n_points!r}"
+            f"time_grid.n_points: must be between 2 and {MAX_GRID_POINTS}, "
+            f"got {grid.n_points!r}"
         )
-    return TimeGrid(t_start=t_start, t_end=t_end, n_points=n_points)
+    return grid
 
 
-def _parse_axis(obj, default: tuple, where: str) -> AxisSpec:
-    if obj is None:
-        return AxisSpec(*default)
-    obj = _require_mapping(obj, where)
-    _reject_unknown(obj, ("coefficient", "min", "max", "n"), where)
-    coefficient = obj.get("coefficient", default[0])
-    if coefficient not in _ENV_KEYS or coefficient == "lambda":
-        raise ConfigError(f"{where}.coefficient: unknown coefficient {coefficient!r}")
-    start = _get_number(obj, "min", where, default=default[1])
-    stop = _get_number(obj, "max", where, default=default[2])
-    count = _get_int(obj, "n", where, default=default[3])
-    if not (math.isfinite(start) and math.isfinite(stop) and start < stop):
-        raise ConfigError(f"{where}: need finite min < max, got [{start!r}, {stop!r}]")
-    if count < 2:
-        raise ConfigError(f"{where}.n: must be >= 2, got {count!r}")
-    return AxisSpec(coefficient=coefficient, start=start, stop=stop, count=count)
+def _parse_axis(obj, name: str) -> AxisSpec:
+    where = f"sweep.{name}"
+    # A null axis, like an omitted one, takes every default.
+    axis = _read(AxisSpec, {} if obj is None else obj, where, _AXIS_DEFAULTS[name])
+    if axis.coefficient not in _ENV_KEYS or axis.coefficient == "lambda":
+        raise ConfigError(f"{where}.coefficient: unknown coefficient {axis.coefficient!r}")
+    if not (math.isfinite(axis.min) and math.isfinite(axis.max) and axis.min < axis.max):
+        raise ConfigError(f"{where}: need finite min < max, got [{axis.min!r}, {axis.max!r}]")
+    if axis.n < 2:
+        raise ConfigError(f"{where}.n: must be >= 2, got {axis.n!r}")
+    return axis
 
 
-def _parse_sweep(obj: dict) -> SweepSpec:
-    obj = _require_mapping(obj, "sweep")
-    _reject_unknown(obj, ("axis1", "axis2", "scaling"), "sweep")
+def _parse_sweep(obj) -> SweepSpec:
+    obj = _section(obj, [f.name for f in fields(SweepSpec)], "sweep")
     scaling = obj.get("scaling", "scaled")
     if scaling not in ("raw", "scaled"):
         raise ConfigError(f"sweep.scaling: expected 'raw' or 'scaled', got {scaling!r}")
-    axis1 = _parse_axis(obj.get("axis1"), _DEFAULT_AXIS1, "sweep.axis1")
-    axis2 = _parse_axis(obj.get("axis2"), _DEFAULT_AXIS2, "sweep.axis2")
-    if axis1.count * axis2.count > MAX_GRID_POINTS:
+    axis1 = _parse_axis(obj.get("axis1"), "axis1")
+    axis2 = _parse_axis(obj.get("axis2"), "axis2")
+    if axis1.n * axis2.n > MAX_GRID_POINTS:
         raise ConfigError(
             f"sweep: axis1.n * axis2.n must be at most {MAX_GRID_POINTS}, "
-            f"got {axis1.count * axis2.count!r}"
+            f"got {axis1.n * axis2.n!r}"
         )
     return SweepSpec(axis1=axis1, axis2=axis2, scaling=scaling)
 
 
 def parse_config(data: dict) -> RunConfig:
     """Build a RunConfig from a decoded JSON document."""
-    data = _require_mapping(data, "config")
-    _reject_unknown(
-        data,
-        ("oscillator", "environment", "initial_state", "validation", "time_grid", "sweep"),
-        "config",
-    )
+    data = _section(data, [f.name for f in fields(RunConfig)], "config")
     for key in ("oscillator", "environment"):
         if key not in data:
             raise ConfigError(f"config: missing required key '{key}'")
-    osc_obj = _require_mapping(data["oscillator"], "oscillator")
-    _reject_unknown(osc_obj, ("m", "omega"), "oscillator")
     try:
-        osc = OscillatorParams(
-            m=_get_number(osc_obj, "m", "oscillator"),
-            omega=_get_number(osc_obj, "omega", "oscillator"),
-        )
+        osc = _read(OscillatorParams, data["oscillator"], "oscillator")
     except ValueError as exc:
         raise ConfigError(f"oscillator: {exc}") from exc
     try:
@@ -327,46 +312,13 @@ def load_config(path: str) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Canonical JSON-serializable echo; parse_config inverts it exactly."""
+    out = {key: value for key, value in asdict(cfg).items() if value is not None}
     env = cfg.environment
-    env_obj: dict = {"lambda": env.lam}
-    if isinstance(env, SymmetricEnvironmentParams):
-        keys = _REDUCED_KEYS
-    else:
-        keys = tuple(k for k in _ENV_KEYS if k != "lambda")
-    for key in keys:
-        env_obj[key] = getattr(env, _ENV_KEYS[key])
-    out: dict = {
-        "oscillator": {"m": cfg.oscillator.m, "omega": cfg.oscillator.omega},
-        "environment": env_obj,
-        "initial_state": (
-            cfg.initial_state
-            if cfg.initial_state == "vacuum"
-            else [list(row) for row in cfg.initial_state]
-        ),
-        "validation": cfg.validation,
-    }
-    if cfg.time_grid is not None:
-        out["time_grid"] = {
-            "t_start": cfg.time_grid.t_start,
-            "t_end": cfg.time_grid.t_end,
-            "n_points": cfg.time_grid.n_points,
-        }
-    if cfg.sweep is not None:
-        out["sweep"] = {
-            "axis1": _axis_to_dict(cfg.sweep.axis1),
-            "axis2": _axis_to_dict(cfg.sweep.axis2),
-            "scaling": cfg.sweep.scaling,
-        }
+    keys = _REDUCED_KEYS if isinstance(env, SymmetricEnvironmentParams) else _FULL_KEYS
+    out["environment"] = {"lambda": env.lam, **{k: getattr(env, _ENV_KEYS[k]) for k in keys}}
+    if cfg.initial_state != "vacuum":
+        out["initial_state"] = [list(row) for row in cfg.initial_state]
     return out
-
-
-def _axis_to_dict(axis: AxisSpec) -> dict:
-    return {
-        "coefficient": axis.coefficient,
-        "min": axis.start,
-        "max": axis.stop,
-        "n": axis.count,
-    }
 
 
 def _fmt(value) -> str:
@@ -425,19 +377,12 @@ def _cells(values: np.ndarray) -> list:
 
 def cmd_validate(cfg: RunConfig, args) -> int:
     report = validate_environment(cfg.environment, cfg.validation)
+    payload = asdict(report)
     lines = [
-        f"mode: {report.mode}",
-        f"passed: {_fmt(report.passed)}",
-        f"failed: {','.join(report.failed)}",
+        f"{key}: {','.join(value) if isinstance(value, tuple) else _fmt(value)}"
+        for key, value in payload.items()
+        if value is not None
     ]
-    if report.min_gram_eigenvalue is not None:
-        lines.append(f"min_gram_eigenvalue: {_fmt(report.min_gram_eigenvalue)}")
-    payload = {
-        "mode": report.mode,
-        "passed": report.passed,
-        "failed": list(report.failed),
-        "min_gram_eigenvalue": report.min_gram_eigenvalue,
-    }
     _write("validate", cfg, args, lambda: {"report": payload}, lambda: lines)
     return 0 if report.passed else 2
 
@@ -524,8 +469,8 @@ def _sweep_environments(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, SimpleN
     """Grid coordinates, row-major, and an environment whose diffusion coefficients are arrays."""
     osc, env, sweep = cfg.oscillator, cfg.environment, cfg.sweep
     m, w, lam = osc.m, osc.omega, env.lam
-    axis1 = np.linspace(sweep.axis1.start, sweep.axis1.stop, sweep.axis1.count)
-    axis2 = np.linspace(sweep.axis2.start, sweep.axis2.stop, sweep.axis2.count)
+    axis1 = np.linspace(sweep.axis1.min, sweep.axis1.max, sweep.axis1.n)
+    axis2 = np.linspace(sweep.axis2.min, sweep.axis2.max, sweep.axis2.n)
     a1 = np.repeat(axis1, axis2.size)
     a2 = np.tile(axis2, axis1.size)
     zeros = np.zeros(a1.size)
@@ -601,9 +546,9 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             )
     else:
         for axis in (sweep.axis1, sweep.axis2):
-            if axis.coefficient not in _SWEEPABLE_KEYS:
+            if axis.coefficient not in _REDUCED_KEYS:
                 raise ConfigError(
-                    f"raw sweeps accept coefficients {sorted(_SWEEPABLE_KEYS)}, "
+                    f"raw sweeps accept coefficients {sorted(_REDUCED_KEYS)}, "
                     f"got {axis.coefficient!r}"
                 )
     _require_positive_lambda(env.lam, "sweep requires a positive dissipation constant, got")
@@ -666,10 +611,7 @@ def main(argv=None) -> int:
         # Overflow is reported as empty cells or a NonFiniteResultError, not as numpy warnings.
         with np.errstate(all="ignore"):
             return _HANDLERS[args.command](cfg, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TwoModeError as exc:

@@ -50,6 +50,10 @@ RADICAND_TOLERANCE = 1e-12
 
 _DIVERGENCE_TOLERANCE = 1e-12
 
+# Below this largest absolute entry no invariant of a 4x4 sigma (degree at
+# most four in its entries) can overflow a double.
+_OVERFLOW_PEAK = 1e75
+
 
 @dataclass(frozen=True)
 class EntanglementReport:
@@ -362,6 +366,8 @@ def analyze(
     With oscillator/environment context the closed-form quantities are added
     where the coefficient class admits them.  Individual failures never abort
     the report; the affected fields stay None and a note explains why.
+    Raises NonFiniteResultError when sigma's invariants overflow double
+    precision.
     """
     sig, peak = _as_covariance(sigma)
     if float(np.abs(sig - sig.T).max()) > 1e-10 * max(1.0, peak):
@@ -369,7 +375,13 @@ def analyze(
     if (osc is None) != (env is None):
         raise ValueError("osc and env must be provided together")
 
-    inv = _invariants(sig)
+    if peak < _OVERFLOW_PEAK:
+        inv = _invariants(sig)
+    else:
+        with np.errstate(all="ignore"):
+            inv = _invariants(sig)
+        if not np.isfinite(inv[:-1]).all():  # e is NaN wherever it is undefined
+            raise NonFiniteResultError("covariance invariants overflow double precision")
     s_general = float(inv.s)
     verdict = _verdict(s_general)
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -439,6 +440,15 @@ class TestConfigRoundTrip:
             )
 
 
+def test_readme_config_example():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = json.loads(re.search(r"Config schema:\s*```json\n(.*?)```", readme, re.S)[1])
+    assert parse_config(example).sweep.axis1.coefficient == "D_xx"
+    # the axes README shows are the defaults of an empty sweep section
+    defaults = config_to_dict(parse_config(dict(example, sweep={})))
+    assert defaults["sweep"] == example["sweep"]
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -562,6 +572,17 @@ class TestErrorContract:
         for row in parse_csv(capsys.readouterr().out):
             assert row["S_general"] == "" and row["verdict"] == ""
 
+    @pytest.mark.parametrize("command", ["validate", "steady-state", "evolve", "sweep"])
+    @pytest.mark.parametrize(
+        "axis, coefficient", [("axis1", ["D_xx"]), ("axis2", {"D_xpy": 1}), ("axis1", 5)]
+    )
+    def test_non_string_axis_coefficient(self, tmp_path, capsys, command, axis, coefficient):
+        # a list or object used to escape as "TypeError: unhashable type"
+        payload = dict(REFERENCE_CONFIG, sweep={axis: {"coefficient": coefficient}})
+        code, err = self.run(tmp_path, capsys, command, json.dumps(payload))
+        assert code == 1
+        assert err == f"error: sweep.{axis}.coefficient: expected a string, got {coefficient!r}\n"
+
     @pytest.mark.parametrize("n_points", [10**30, MAX_GRID_POINTS + 1])
     def test_time_grid_size_limit(self, tmp_path, capsys, n_points):
         payload = dict(
@@ -593,7 +614,7 @@ class TestErrorContract:
             )
         )
         assert cfg.time_grid.n_points == MAX_GRID_POINTS
-        assert cfg.sweep.axis1.count * cfg.sweep.axis2.count == MAX_GRID_POINTS
+        assert cfg.sweep.axis1.n * cfg.sweep.axis2.n == MAX_GRID_POINTS
 
 
 def malformed(**sections):
@@ -603,7 +624,6 @@ def malformed(**sections):
 
 
 GRID = {"t_start": 0.0, "t_end": 1.0, "n_points": 3}
-OSC = REFERENCE_CONFIG["oscillator"]
 ENV = REFERENCE_CONFIG["environment"]
 
 # (subcommand, config, the exact stderr line): one row for each ConfigError
@@ -937,5 +957,88 @@ def test_extreme_coefficients_keep_the_error_contract(config):
                     with contextlib.redirect_stderr(io.StringIO()):
                         code = main([command, "--config", str(path), "--format", fmt])
                 assert code in (0, 1, 2)
+                if fmt == "json" and out.getvalue():
+                    strict_json(out.getvalue())
+
+
+FULL_CONFIG = {
+    "oscillator": {"m": 1.3, "omega": 0.7},
+    "environment": {"lambda": 0.9, "D_xx": 0.6, "D_pxpx": 0.6, "D_xpy": 0.3},
+    "initial_state": [
+        [0.9, 0.1, 0.05, 0.0],
+        [0.1, 0.6, 0.0, -0.02],
+        [0.05, 0.0, 0.8, 0.07],
+        [0.0, -0.02, 0.07, 0.5],
+    ],
+    "validation": "strict",
+    "time_grid": {"t_start": 0.0, "t_end": 1.0, "n_points": 3},
+    "sweep": {
+        "axis1": {"coefficient": "D_xx", "min": 0.5, "max": 1.5, "n": 3},
+        "axis2": {"coefficient": "D_xpy", "min": 0.0, "max": 2.0, "n": 3},
+        "scaling": "scaled",
+    },
+}
+
+
+def json_nodes(node, path=()):
+    """(path, node) for every node of a decoded JSON document, the root included."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from json_nodes(child, (*path, key))
+
+
+_NODES = list(json_nodes(FULL_CONFIG))
+_REPLACEMENTS = [None, True, "x", [], {}, [[1]], 10**400]
+
+
+@st.composite
+def mutated_configs(draw):
+    """FULL_CONFIG with one node deleted, given an unknown key, or replaced."""
+    path, node = draw(st.sampled_from(_NODES))
+    actions = ["replace"] + ["delete"] * bool(path) + ["unknown"] * isinstance(node, dict)
+    action = draw(st.sampled_from(actions))
+    doc = json.loads(json.dumps(FULL_CONFIG))
+    if action == "unknown":
+        target = doc
+        for key in path:
+            target = target[key]
+        target["zz_unknown"] = 1
+        return doc
+    value = draw(st.sampled_from(_REPLACEMENTS))
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if action == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=mutated_configs())
+def test_malformed_configs_keep_the_error_contract(config):
+    # Exit 0, 1 or 2 with no exception; a failure is one `error:` line, except
+    # validate's exit 2, which reports the failed checks; JSON output is strict.
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "config.json"
+        path.write_text(json.dumps(config))
+        for command in ("validate", "steady-state", "evolve", "sweep"):
+            for fmt in ("csv", "json"):
+                out, err = io.StringIO(), io.StringIO()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ConditioningWarning)
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = main([command, "--config", str(path), "--format", fmt])
+                assert code in (0, 1, 2)
+                if code == 0 or (command == "validate" and code == 2 and out.getvalue()):
+                    assert err.getvalue() == ""
+                else:
+                    lines = err.getvalue().splitlines()
+                    assert len(lines) == 1 and lines[0].startswith("error: ")
+                    assert out.getvalue() == ""
                 if fmt == "json" and out.getvalue():
                     strict_json(out.getvalue())

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -519,6 +520,20 @@ class TestAnalyze:
             function(sigma)
         with pytest.raises(ValueError, match="entries must be finite"):
             function(np.full((4, 4), bad))
+
+    @pytest.mark.parametrize("scale", [1e80, 1e200, 1e307])
+    def test_overflowing_sigma_is_an_error(self, scale):
+        # det(sigma) ~ scale^4 overflows; the report used to say "separable" with S = nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResultError, match="double precision"):
+                analyze(np.eye(4) * scale)
+
+    def test_large_finite_sigma_is_analyzed(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = analyze(np.eye(4) * 1e76)
+        assert report.s_general == pytest.approx(1e304) and report.verdict == "separable"
 
     def test_rejects_asymmetric_sigma(self):
         bad = np.eye(4)
