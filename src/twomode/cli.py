@@ -3,10 +3,10 @@
 Subcommands: `validate` (environment positivity checks), `steady-state`
 (asymptotic covariance plus entanglement report), `evolve` (covariance
 trace on a time grid) and `sweep` (two-coefficient grid emitting plot
-data).  Configuration is a JSON document; each section is read into the
-dataclass below whose fields are its keys, and a malformed one exits 1 with
-one `error: <json.path>: ...` line.  Output is CSV with a `#` metadata
-header, or JSON behind --format.
+data).  Configuration is a JSON document; the fields of `OscillatorParams`,
+`TimeGrid` and `AxisSpec` are its sections' keys, and a malformed one exits
+1 with one `error: <json.path>: ...` line.  Output is CSV with a `#`
+metadata header, or JSON behind --format.
 """
 
 from __future__ import annotations
