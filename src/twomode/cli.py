@@ -34,6 +34,7 @@ from .model import (
     EnvironmentParams,
     OscillatorParams,
     SymmetricEnvironmentParams,
+    _MIRROR,
     _require_positive_lambda,
     _validity,
     build_diffusion_matrix,
@@ -49,21 +50,11 @@ class ConfigError(Exception):
     """Malformed configuration input (usage error, exit code 1)."""
 
 
-# JSON coefficient key -> EnvironmentParams field.
+# JSON coefficient key -> EnvironmentParams field: lam is "lambda", d_ab is "D_ab".
 _ENV_KEYS = {
-    "lambda": "lam",
-    "D_xx": "d_xx",
-    "D_xpx": "d_xpx",
-    "D_xy": "d_xy",
-    "D_xpy": "d_xpy",
-    "D_ypx": "d_ypx",
-    "D_pxpx": "d_pxpx",
-    "D_yy": "d_yy",
-    "D_ypy": "d_ypy",
-    "D_pxpy": "d_pxpy",
-    "D_pypy": "d_pypy",
+    "lambda" if f.name == "lam" else "D" + f.name[1:]: f.name for f in fields(EnvironmentParams)
 }
-_Y_DUPLICATE_KEYS = ("D_ypx", "D_yy", "D_ypy", "D_pypy")
+_Y_DUPLICATE_KEYS = tuple("D" + y[1:] for y in _MIRROR)
 _REDUCED_KEYS = ("D_xx", "D_xpx", "D_pxpx", "D_xy", "D_xpy", "D_pxpy")
 _FULL_KEYS = tuple(_ENV_KEYS)[1:]
 
@@ -77,11 +68,6 @@ _SIGMA_COLUMNS = (
 # Row and column indices of the upper triangle, in _SIGMA_COLUMNS order.
 _UPPER_ROWS = (0, 0, 0, 0, 1, 1, 1, 2, 2, 3)
 _UPPER_COLS = (0, 1, 2, 3, 1, 2, 3, 2, 3, 3)
-
-_SWEEP_COLUMNS = (
-    "axis1", "axis2", "D_xx", "D_xpy", "valid_strict", "valid_lenient",
-    "S_general", "S_special", "E_general", "E_closed", "verdict",
-)
 
 # EntanglementReport fields in JSON order, and the report columns of the CSV
 # row; each column names a field case-insensitively.
@@ -234,8 +220,7 @@ def _parse_time_grid(obj) -> TimeGrid:
 
 def _parse_axis(obj, name: str) -> AxisSpec:
     where = f"sweep.{name}"
-    # A null axis, like an omitted one, takes every default.
-    axis = _read(AxisSpec, {} if obj is None else obj, where, _AXIS_DEFAULTS[name])
+    axis = _read(AxisSpec, obj, where, _AXIS_DEFAULTS[name])
     if axis.coefficient not in _ENV_KEYS or axis.coefficient == "lambda":
         raise ConfigError(f"{where}.coefficient: unknown coefficient {axis.coefficient!r}")
     if not (math.isfinite(axis.min) and math.isfinite(axis.max) and axis.min < axis.max):
@@ -250,8 +235,8 @@ def _parse_sweep(obj) -> SweepSpec:
     scaling = obj.get("scaling", "scaled")
     if scaling not in ("raw", "scaled"):
         raise ConfigError(f"sweep.scaling: expected 'raw' or 'scaled', got {scaling!r}")
-    axis1 = _parse_axis(obj.get("axis1"), "axis1")
-    axis2 = _parse_axis(obj.get("axis2"), "axis2")
+    axis1 = _parse_axis(obj.get("axis1", {}), "axis1")
+    axis2 = _parse_axis(obj.get("axis2", {}), "axis2")
     if axis1.n * axis2.n > MAX_GRID_POINTS:
         raise ConfigError(
             f"sweep: axis1.n * axis2.n must be at most {MAX_GRID_POINTS}, "
@@ -443,26 +428,29 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
     osc, env = cfg.oscillator, cfg.environment
     y = build_drift_matrix(osc, env)
     d = build_diffusion_matrix(env)
-    rows = _evolve_rows(cfg, y, steady_state_lyapunov(y, d))
-    columns = ["t", *_SIGMA_COLUMNS, "S_general", "E_general", "max_abs_dev"]
-    _write_table("evolve", cfg, args, columns, rows)
+    _write_table("evolve", cfg, args, *_evolve_table(cfg, y, steady_state_lyapunov(y, d)))
     return 0
 
 
-def _evolve_rows(cfg: RunConfig, y: np.ndarray, sigma_inf: np.ndarray) -> list[list]:
-    # A function of its own so the stacked arrays are freed before formatting.
+def _evolve_table(cfg: RunConfig, y: np.ndarray, sigma_inf: np.ndarray) -> tuple[list, list]:
+    """Column names and rows of the evolve table.
+
+    A function of its own so the stacked arrays and the columns are freed
+    before formatting.
+    """
     sigma0 = _initial_covariance(cfg)
     grid = np.linspace(cfg.time_grid.t_start, cfg.time_grid.t_end, cfg.time_grid.n_points)
     sigmas = propagate(sigma0, sigma_inf, y, grid)
     inv = _invariants(sigmas)
-    deviation = np.abs(sigmas - sigma_inf).max(axis=(-2, -1))
-    upper = sigmas[:, _UPPER_ROWS, _UPPER_COLS]
-    rows = np.column_stack([grid, upper, inv.s, inv.e, deviation]).tolist()
-    s_index = 1 + len(_SIGMA_COLUMNS)  # after t and the sigma entries; E follows S
-    # Empty cells where E is undefined, or where S or E overflowed
-    for i, k in zip(*np.nonzero(~np.isfinite(np.column_stack([inv.s, inv.e])))):
-        rows[i][s_index + k] = None
-    return rows
+    table = {
+        "t": grid.tolist(),
+        **dict(zip(_SIGMA_COLUMNS, sigmas[:, _UPPER_ROWS, _UPPER_COLS].T.tolist())),
+        "S_general": _cells(inv.s),
+        "E_general": _cells(inv.e),
+        "max_abs_dev": np.abs(sigmas - sigma_inf).max(axis=(-2, -1)).tolist(),
+    }
+    del sigmas, inv  # freed before the rows are built, which lowers the peak RSS
+    return list(table), list(zip(*table.values()))
 
 
 def _sweep_environments(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, SimpleNamespace]:
@@ -484,13 +472,12 @@ def _sweep_environments(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, SimpleN
     else:
         values[_ENV_KEYS[sweep.axis1.coefficient]] = a1
         values[_ENV_KEYS[sweep.axis2.coefficient]] = a2
-    mirrored = dict(d_yy=values["d_xx"], d_ypy=values["d_xpx"], d_pypy=values["d_pxpx"])
-    grid = SimpleNamespace(lam=lam, d_ypx=values["d_xpy"], **mirrored, **values)
-    return a1, a2, grid
+    values.update({y: values[x] for y, x in _MIRROR.items()})
+    return a1, a2, SimpleNamespace(lam=lam, **values)
 
 
-def _sweep_rows(cfg: RunConfig) -> list[tuple]:
-    """Every sweep row: analyze's fields on the closed-form sigma_inf at each point.
+def _sweep_table(cfg: RunConfig) -> tuple[list, list]:
+    """Column names and rows: analyze's fields on the closed-form sigma_inf at each point.
 
     Below the single-mode uncertainty bound the asymptotic state is
     unphysical, so the negativity cells of those points are left empty.
@@ -505,21 +492,20 @@ def _sweep_rows(cfg: RunConfig) -> list[tuple]:
     inv = _invariants(_closed_form_sigma(osc, env))
     forms = _closed_forms(osc, env)
     unphysical = forms.window_code == _UNCERTAINTY
-    s_general = _cells(inv.s)
-    columns = (
-        a1.tolist(),
-        a2.tolist(),
-        env.d_xx.tolist(),
-        env.d_xpy.tolist(),
-        valid_strict.tolist(),
-        valid_lenient.tolist(),
-        s_general,
-        _cells(forms.s_special),
-        _cells(np.where(unphysical, np.nan, inv.e)),
-        _cells(np.where(unphysical, np.nan, forms.e_closed)),
-        [None if s is None else _verdict(s) for s in s_general],
-    )
-    return list(zip(*columns))
+    table = {
+        "axis1": a1.tolist(),
+        "axis2": a2.tolist(),
+        "D_xx": env.d_xx.tolist(),
+        "D_xpy": env.d_xpy.tolist(),
+        "valid_strict": valid_strict.tolist(),
+        "valid_lenient": valid_lenient.tolist(),
+        "S_general": _cells(inv.s),
+        "S_special": _cells(forms.s_special),
+        "E_general": _cells(np.where(unphysical, np.nan, inv.e)),
+        "E_closed": _cells(np.where(unphysical, np.nan, forms.e_closed)),
+    }
+    table["verdict"] = [None if s is None else _verdict(s) for s in table["S_general"]]
+    return list(table), list(zip(*table.values()))
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
@@ -552,7 +538,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                     f"got {axis.coefficient!r}"
                 )
     _require_positive_lambda(env.lam, "sweep requires a positive dissipation constant, got")
-    _write_table("sweep", cfg, args, _SWEEP_COLUMNS, _sweep_rows(cfg))
+    _write_table("sweep", cfg, args, *_sweep_table(cfg))
     return 0
 
 

@@ -27,6 +27,9 @@ PSD_TOLERANCE = 1e-10
 
 _LAMBDA_MESSAGE = "dissipation constant must be positive, got lam ="
 
+#: y-mode field -> the x-mode field it equals in a symmetric environment (field order).
+_MIRROR = {"d_ypx": "d_xpy", "d_yy": "d_xx", "d_ypy": "d_xpx", "d_pypy": "d_pxpx"}
+
 
 @dataclass(frozen=True)
 class OscillatorParams:
@@ -75,9 +78,9 @@ class SymmetricEnvironmentParams(EnvironmentParams):
     """Environment whose y-mode noise mirrors the x-mode noise.
 
     Constructed from the reduced coefficient set; the duplicates are filled
-    in as d_yy = d_xx, d_ypy = d_xpx, d_pypy = d_pxpx and d_ypx = d_xpy,
-    which makes both reduced one-mode covariance matrices equal and the
-    cross-correlation block symmetric.
+    in from `_MIRROR` (d_yy = d_xx, d_ypy = d_xpx, d_pypy = d_pxpx and
+    d_ypx = d_xpy), which makes both reduced one-mode covariance matrices
+    equal and the cross-correlation block symmetric.
     """
 
     def __init__(
@@ -90,19 +93,8 @@ class SymmetricEnvironmentParams(EnvironmentParams):
         d_xpy: float = 0.0,
         d_pxpy: float = 0.0,
     ) -> None:
-        super().__init__(
-            lam=lam,
-            d_xx=d_xx,
-            d_xpx=d_xpx,
-            d_xy=d_xy,
-            d_xpy=d_xpy,
-            d_ypx=d_xpy,
-            d_pxpx=d_pxpx,
-            d_yy=d_xx,
-            d_ypy=d_xpx,
-            d_pxpy=d_pxpy,
-            d_pypy=d_pxpx,
-        )
+        given = dict(d_xx=d_xx, d_xpx=d_xpx, d_pxpx=d_pxpx, d_xy=d_xy, d_xpy=d_xpy, d_pxpy=d_pxpy)
+        super().__init__(lam, **given, **{y: given[x] for y, x in _MIRROR.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,12 +163,10 @@ def _require_positive_lambda(lam: float, message: str = _LAMBDA_MESSAGE) -> None
 
 def is_symmetric_environment(env: EnvironmentParams, rtol: float = 1e-12) -> bool:
     """True when the y-mode coefficients mirror the x-mode ones (elementwise for arrays)."""
-    return (
-        _nearly_equal(env.d_yy, env.d_xx, rtol)
-        & _nearly_equal(env.d_ypy, env.d_xpx, rtol)
-        & _nearly_equal(env.d_pypy, env.d_pxpx, rtol)
-        & _nearly_equal(env.d_ypx, env.d_xpy, rtol)
-    )
+    mirrored = True
+    for y, x in _MIRROR.items():
+        mirrored &= _nearly_equal(getattr(env, y), getattr(env, x), rtol)
+    return mirrored
 
 
 def build_drift_matrix(

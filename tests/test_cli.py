@@ -440,6 +440,69 @@ class TestConfigRoundTrip:
             )
 
 
+# (config, json.dumps of its config_to_dict echo, the CSV `# config:` line), for
+# one reduced and one ten-coefficient environment; the keys are given shuffled.
+ECHO_TEXTS = [
+    pytest.param(
+        {
+            "oscillator": {"m": 1.3, "omega": 0.7},
+            "environment": {
+                "D_pxpy": 0.04, "D_xpy": 0.3, "lambda": 0.9, "D_xx": 0.6, "D_pxpx": 0.6
+            },
+            "time_grid": {"n_points": 3, "t_end": 1.0, "t_start": 0.0},
+            "sweep": {"axis2": {"n": 3}, "scaling": "raw"},
+        },
+        '{"oscillator": {"m": 1.3, "omega": 0.7}, "environment": {"lambda": 0.9, "D_xx": 0.6, '
+        '"D_xpx": 0.0, "D_pxpx": 0.6, "D_xy": 0.0, "D_xpy": 0.3, "D_pxpy": 0.04}, '
+        '"initial_state": "vacuum", "validation": "strict", "time_grid": {"t_start": 0.0, '
+        '"t_end": 1.0, "n_points": 3}, "sweep": {"axis1": {"coefficient": "D_xx", "min": 0.5, '
+        '"max": 1.5, "n": 11}, "axis2": {"coefficient": "D_xpy", "min": 0.0, "max": 2.0, "n": 3}, '
+        '"scaling": "raw"}}',
+        '# config: {"environment":{"D_pxpx":0.6,"D_pxpy":0.04,"D_xpx":0.0,"D_xpy":0.3,"D_xx":0.6,'
+        '"D_xy":0.0,"lambda":0.9},"initial_state":"vacuum","oscillator":{"m":1.3,"omega":0.7},'
+        '"sweep":{"axis1":{"coefficient":"D_xx","max":1.5,"min":0.5,"n":11},"axis2":'
+        '{"coefficient":"D_xpy","max":2.0,"min":0.0,"n":3},"scaling":"raw"},"time_grid":'
+        '{"n_points":3,"t_end":1.0,"t_start":0.0},"validation":"strict"}',
+        id="reduced",
+    ),
+    pytest.param(
+        {
+            "environment": {
+                "D_pypy": 0.85, "D_ypy": 0.03, "D_yy": 0.75, "D_ypx": 0.12, "lambda": 0.9,
+                "D_xx": 0.7, "D_xpx": 0.02, "D_xy": 0.05, "D_xpy": 0.1, "D_pxpx": 0.8,
+                "D_pxpy": 0.04,
+            },
+            "oscillator": {"omega": 0.7, "m": 1.3},
+            "validation": "lenient",
+            "initial_state": [
+                [0.9, 0.1, 0.05, 0.0],
+                [0.1, 0.6, 0.0, -0.02],
+                [0.05, 0.0, 0.8, 0.07],
+                [0.0, -0.02, 0.07, 0.5],
+            ],
+        },
+        '{"oscillator": {"m": 1.3, "omega": 0.7}, "environment": {"lambda": 0.9, "D_xx": 0.7, '
+        '"D_xpx": 0.02, "D_xy": 0.05, "D_xpy": 0.1, "D_ypx": 0.12, "D_pxpx": 0.8, "D_yy": 0.75, '
+        '"D_ypy": 0.03, "D_pxpy": 0.04, "D_pypy": 0.85}, "initial_state": [[0.9, 0.1, 0.05, 0.0], '
+        '[0.1, 0.6, 0.0, -0.02], [0.05, 0.0, 0.8, 0.07], [0.0, -0.02, 0.07, 0.5]], '
+        '"validation": "lenient"}',
+        '# config: {"environment":{"D_pxpx":0.8,"D_pxpy":0.04,"D_pypy":0.85,"D_xpx":0.02,'
+        '"D_xpy":0.1,"D_xx":0.7,"D_xy":0.05,"D_ypx":0.12,"D_ypy":0.03,"D_yy":0.75,"lambda":0.9},'
+        '"initial_state":[[0.9,0.1,0.05,0.0],[0.1,0.6,0.0,-0.02],[0.05,0.0,0.8,0.07],'
+        '[0.0,-0.02,0.07,0.5]],"oscillator":{"m":1.3,"omega":0.7},"validation":"lenient"}',
+        id="ten-coefficient",
+    ),
+]
+
+
+@pytest.mark.parametrize("payload, echo, csv_line", ECHO_TEXTS)
+def test_config_echo_text(tmp_path, capsys, payload, echo, csv_line):
+    # Key order included: the golden JSON comparison parses the echo and cannot see it.
+    assert json.dumps(config_to_dict(parse_config(payload))) == echo
+    main(["validate", "--config", write_config(tmp_path, payload)])
+    assert csv_line in capsys.readouterr().out.splitlines()
+
+
 def test_readme_config_example():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = json.loads(re.search(r"Config schema:\s*```json\n(.*?)```", readme, re.S)[1])
@@ -791,6 +854,18 @@ CONFIG_ERRORS = [
         malformed(sweep={"axis1": "D_xx"}),
         "error: sweep.axis1: expected an object",
         id="axis-not-object",
+    ),
+    pytest.param(
+        "validate",
+        malformed(sweep={"axis1": None}),
+        "error: sweep.axis1: expected an object",
+        id="axis1-null",
+    ),
+    pytest.param(
+        "validate",
+        malformed(sweep={"axis2": None}),
+        "error: sweep.axis2: expected an object",
+        id="axis2-null",
     ),
     pytest.param(
         "validate",

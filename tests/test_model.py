@@ -1,4 +1,6 @@
 import math
+from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +22,10 @@ from twomode import (
 )
 
 from support import random_symmetric_env
+
+
+# The paper's symmetric environment class: (y-mode field, the x-mode field it equals).
+MIRRORED_PAIRS = (("d_yy", "d_xx"), ("d_ypy", "d_xpx"), ("d_pypy", "d_pxpx"), ("d_ypx", "d_xpy"))
 
 
 class TestParams:
@@ -48,6 +54,35 @@ class TestParams:
         assert env.d_pypy == env.d_pxpx
         assert env.d_ypx == env.d_xpy
         assert is_symmetric_environment(env)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        reduced=st.lists(st.tuples(*[st.floats(-1e300, 1e300)] * 6), min_size=1, max_size=4),
+        stacked=st.booleans(),
+        data=st.data(),
+    )
+    def test_mirror_relation(self, reduced, stacked, data):
+        envs = [SymmetricEnvironmentParams(0.5, *row) for row in reduced]
+        for env in envs:
+            for y, x in MIRRORED_PAIRS:
+                assert getattr(env, y) == getattr(env, x)
+        if stacked:  # array coefficients, one environment per element
+            values = {f.name: np.array([getattr(e, f.name) for e in envs]) for f in fields(envs[0])}
+            mirrored = is_symmetric_environment(SimpleNamespace(**values))
+            assert mirrored.tolist() == [True] * len(envs)
+        else:
+            values = {f.name: getattr(envs[0], f.name) for f in fields(envs[0])}
+            assert is_symmetric_environment(envs[0]) is True
+        # Perturbing any one y-field by 1e-9 relative (of max(|value|, 1)) breaks the mirror.
+        y, _ = data.draw(st.sampled_from(MIRRORED_PAIRS))
+        if stacked:
+            index = data.draw(st.integers(0, len(envs) - 1))
+            values[y][index] += 1e-9 * max(abs(values[y][index]), 1.0)
+            expected = [i != index for i in range(len(envs))]
+            assert is_symmetric_environment(SimpleNamespace(**values)).tolist() == expected
+        else:
+            values[y] += 1e-9 * max(abs(values[y]), 1.0)
+            assert is_symmetric_environment(EnvironmentParams(**values)) is False
 
     def test_asymmetric_environment_detected(self):
         env = EnvironmentParams(lam=1.0, d_xx=0.5, d_yy=0.4)
