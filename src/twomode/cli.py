@@ -306,20 +306,42 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return out
 
 
-def _fmt(value) -> str:
-    """Format one CSV field; 17 significant digits keep doubles round-trip safe."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    number = float(value)
-    if number == 0.0:
-        number = 0.0  # avoid emitting "-0"
-    return format(number, ".17g")
+# Rows formatted, joined and written at a time; the full output is never built.
+_BLOCK_ROWS = 4096
+# Columns whose non-finite cells are empty ("" in CSV, null in JSON): undefined,
+# suppressed or overflowed values.
+_OPTIONAL_COLUMNS = frozenset({"S_general", "S_special", "E_general", "E_closed"})
+
+
+def _strict_json(obj) -> str:
+    """`obj` as indented JSON; a non-finite number in it is a NonFiniteResultError."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:  # a non-finite number: strict JSON has no encoding for it
+        raise NonFiniteResultError(f"cannot write strict JSON: {exc}") from None
+
+
+def _csv_header(command: str, cfg: RunConfig) -> str:
+    echo = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    return (
+        f"# twomode {command}\n# version: {__version__}\n# config: {echo}\n"
+        f"# validation: {cfg.validation}"
+    )
+
+
+def _document(command: str, cfg: RunConfig, payload: dict) -> str:
+    return _strict_json(
+        {"command": command, "version": __version__, "config": config_to_dict(cfg), **payload}
+    )
+
+
+def _emit(args, chunks) -> None:
+    """Write the text `chunks` to stdout or to the --output file, one at a time."""
+    if args.output == "-":
+        sys.stdout.writelines(chunks)
+    else:
+        with open(args.output, "w") as out:
+            out.writelines(chunks)
 
 
 def _write(command: str, cfg: RunConfig, args, payload, csv_lines) -> None:
@@ -328,26 +350,98 @@ def _write(command: str, cfg: RunConfig, args, payload, csv_lines) -> None:
     Both are callables, so only the requested format is built.
     """
     if args.format == "json":
-        document = {"command": command, "version": __version__, "config": config_to_dict(cfg)}
-        try:
-            text = json.dumps({**document, **payload()}, indent=2, allow_nan=False)
-        except ValueError as exc:  # a non-finite number: strict JSON has no encoding for it
-            raise NonFiniteResultError(f"cannot write strict JSON: {exc}") from None
+        text = _document(command, cfg, payload())
     else:
-        echo = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
-        header = [f"# twomode {command}", f"# version: {__version__}", f"# config: {echo}"]
-        text = "\n".join([*header, f"# validation: {cfg.validation}", *csv_lines()])
-    if args.output == "-":
-        sys.stdout.write(text + "\n")
+        text = "\n".join([_csv_header(command, cfg), *csv_lines()])
+    _emit(args, [text, "\n"])
+
+
+def _format_column(values: np.ndarray, optional: bool, as_json: bool) -> list[str]:
+    """The text of the cells of a 1-D column, by its kind.
+
+    A float is written with 17 significant digits, in CSV with -0 as 0 and
+    in JSON as its repr (-0.0 stays); a non-finite one is an empty cell in
+    an `optional` column.  A bool is true or false.  A string is itself,
+    quoted in JSON, and "" is an empty cell.  An empty cell is "" in CSV
+    and null in JSON.
+    """
+    if values.dtype == bool:
+        return np.where(values, "true", "false").tolist()
+    if values.dtype.kind == "U":
+        cells = values.tolist()
+        if not as_json:
+            return cells
+        quoted = {text: json.dumps(text) if text else "null" for text in set(cells)}
+        return [quoted[text] for text in cells]
+    if as_json:
+        cells = json.dumps(values.tolist())[1:-1].split(", ")
     else:
-        Path(args.output).write_text(text + "\n")
+        cells = list(map("%.17g".__mod__, (values + 0.0).tolist()))
+    if optional:
+        empty = "null" if as_json else ""
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            cells[i] = empty
+    return cells
 
 
-def _write_table(command: str, cfg: RunConfig, args, columns, rows) -> None:
-    def csv_lines() -> list[str]:
-        return [",".join(columns), *(",".join(map(_fmt, row)) for row in rows)]
+def _write_table(command: str, cfg: RunConfig, args, table: dict) -> None:
+    """Write `table` ({name: column}) as CSV or JSON rows, _BLOCK_ROWS at a time.
 
-    _write(command, cfg, args, lambda: {"columns": list(columns), "rows": rows}, csv_lines)
+    The columns broadcast to one shape, and a row is one element of it, in
+    row-major order.  A column smaller than that shape (a grid axis) has each
+    of its values formatted once.  Every check runs before the first byte is
+    written, so a failed run writes nothing.
+    """
+    as_json = args.format == "json"
+    shape = np.broadcast_shapes(*(column.shape for column in table.values()))
+    n_rows = math.prod(shape)
+    if as_json:
+        head = _document(command, cfg, {"columns": list(table)})[:-2] + ',\n  "rows": [\n'
+        # The first non-finite value of a column that has no empty cells, in
+        # document order, raises as json.dumps of the whole document would.
+        firsts = []
+        for position, (name, column) in enumerate(table.items()):
+            if column.dtype.kind == "f" and name not in _OPTIONAL_COLUMNS:
+                flat = np.broadcast_to(column, shape).reshape(-1)
+                bad = np.flatnonzero(~np.isfinite(flat))
+                if bad.size:
+                    firsts.append((bad[0], position, float(flat[bad[0]])))
+        if firsts:
+            _strict_json(min(firsts)[2])
+        # A row is "[cell, ...]" indented as json.dumps(indent=2) would write it.
+        cell_sep, row_sep, block_sep = ",\n      ", "\n    ],\n    [\n      ", ",\n"
+        start, end, tail = "    [\n      ", "\n    ]", "\n  ]\n}\n"
+    else:
+        head = _csv_header(command, cfg) + "\n" + ",".join(table) + "\n"
+        cell_sep, row_sep, block_sep = ",", "\n", ""
+        start, end, tail = "", "\n", ""
+
+    def cells_of(name: str, column: np.ndarray):
+        """(lo, hi) -> the cells of rows lo..hi of `column`."""
+        optional = name in _OPTIONAL_COLUMNS
+        if column.size == n_rows:
+            flat = column.reshape(-1)
+            return lambda lo, hi: _format_column(flat[lo:hi], optional, as_json)
+        texts = np.array(_format_column(column.reshape(-1), optional, as_json), dtype=object)
+        grid = np.broadcast_to(texts.reshape(column.shape), shape)
+        return lambda lo, hi: grid.flat[lo:hi].tolist()
+
+    sources = [cells_of(name, column) for name, column in table.items()]
+
+    def chunks():
+        yield head
+        for lo in range(0, n_rows, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n_rows)
+            rows = map(cell_sep.join, zip(*(cells(lo, hi) for cells in sources)))
+            yield (block_sep if lo else "") + start + row_sep.join(rows) + end
+        yield tail
+
+    _emit(args, chunks())
+
+
+def _format_cell(value) -> str:
+    """One CSV cell holding a Python value, by the rules of _format_column; None is empty."""
+    return "" if value is None else _format_column(np.array([value]), False, False)[0]
 
 
 def _upper_entries(sigma: np.ndarray) -> list:
@@ -355,16 +449,11 @@ def _upper_entries(sigma: np.ndarray) -> list:
     return sigma[_UPPER_ROWS, _UPPER_COLS].tolist()
 
 
-def _cells(values: np.ndarray) -> list:
-    """Values as a list, with a non-finite (undefined, suppressed or overflowed) value as None."""
-    return [v if math.isfinite(v) else None for v in values.tolist()]
-
-
 def cmd_validate(cfg: RunConfig, args) -> int:
     report = validate_environment(cfg.environment, cfg.validation)
     payload = asdict(report)
     lines = [
-        f"{key}: {','.join(value) if isinstance(value, tuple) else _fmt(value)}"
+        f"{key}: {','.join(value) if isinstance(value, tuple) else _format_cell(value)}"
         for key, value in payload.items()
         if value is not None
     ]
@@ -408,7 +497,7 @@ def cmd_steady_state(cfg: RunConfig, args) -> int:
             "steady-state report overflows double precision; "
             "the coefficients are too extreme"
         )
-    csv_lines = [",".join(columns), ",".join(map(_fmt, row))]
+    csv_lines = [",".join(columns), ",".join(map(_format_cell, row))]
     _write("steady-state", cfg, args, payload, lambda: csv_lines)
     return 0
 
@@ -428,56 +517,58 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
     osc, env = cfg.oscillator, cfg.environment
     y = build_drift_matrix(osc, env)
     d = build_diffusion_matrix(env)
-    _write_table("evolve", cfg, args, *_evolve_table(cfg, y, steady_state_lyapunov(y, d)))
+    _write_table("evolve", cfg, args, _evolve_table(cfg, y, steady_state_lyapunov(y, d)))
     return 0
 
 
-def _evolve_table(cfg: RunConfig, y: np.ndarray, sigma_inf: np.ndarray) -> tuple[list, list]:
-    """Column names and rows of the evolve table.
-
-    A function of its own so the stacked arrays and the columns are freed
-    before formatting.
-    """
+def _evolve_table(cfg: RunConfig, y: np.ndarray, sigma_inf: np.ndarray) -> dict:
+    """The evolve table: t, the entries of sigma(t), S, E and the distance to sigma_inf."""
     sigma0 = _initial_covariance(cfg)
     grid = np.linspace(cfg.time_grid.t_start, cfg.time_grid.t_end, cfg.time_grid.n_points)
     sigmas = propagate(sigma0, sigma_inf, y, grid)
     inv = _invariants(sigmas)
-    table = {
-        "t": grid.tolist(),
-        **dict(zip(_SIGMA_COLUMNS, sigmas[:, _UPPER_ROWS, _UPPER_COLS].T.tolist())),
-        "S_general": _cells(inv.s),
-        "E_general": _cells(inv.e),
-        "max_abs_dev": np.abs(sigmas - sigma_inf).max(axis=(-2, -1)).tolist(),
+    return {
+        "t": grid,
+        **dict(zip(_SIGMA_COLUMNS, sigmas[:, _UPPER_ROWS, _UPPER_COLS].T)),
+        "S_general": inv.s,
+        "E_general": inv.e,
+        "max_abs_dev": np.abs(sigmas - sigma_inf).max(axis=(-2, -1)),
     }
-    del sigmas, inv  # freed before the rows are built, which lowers the peak RSS
-    return list(table), list(zip(*table.values()))
 
 
-def _sweep_environments(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, SimpleNamespace]:
-    """Grid coordinates, row-major, and an environment whose diffusion coefficients are arrays."""
+def _sweep_environments(cfg: RunConfig) -> tuple[dict, SimpleNamespace]:
+    """The grid's coefficients and an environment of their values, row-major.
+
+    Each coefficient broadcasts to the grid's shape (axis1.n, axis2.n) and
+    varies along the axes it depends on only; the environment's diffusion
+    coefficients are flat arrays over the grid.
+    """
     osc, env, sweep = cfg.oscillator, cfg.environment, cfg.sweep
     m, w, lam = osc.m, osc.omega, env.lam
-    axis1 = np.linspace(sweep.axis1.min, sweep.axis1.max, sweep.axis1.n)
-    axis2 = np.linspace(sweep.axis2.min, sweep.axis2.max, sweep.axis2.n)
-    a1 = np.repeat(axis1, axis2.size)
-    a2 = np.tile(axis2, axis1.size)
-    zeros = np.zeros(a1.size)
-    values = {_ENV_KEYS[k]: zeros + getattr(env, _ENV_KEYS[k]) for k in _REDUCED_KEYS}
+    a1 = np.linspace(sweep.axis1.min, sweep.axis1.max, sweep.axis1.n)[:, None]
+    a2 = np.linspace(sweep.axis2.min, sweep.axis2.max, sweep.axis2.n)[None, :]
+    zero = np.zeros((1, 1))
+    values = {_ENV_KEYS[k]: zero + getattr(env, _ENV_KEYS[k]) for k in _REDUCED_KEYS}
     if sweep.scaling == "scaled":
         # The base's d_xpx, d_xy and d_pxpy are zero to 1e-12; the grid uses 0.
         d_xx = a1 * lam / (m * w)
         d_xpy = a2 * math.sqrt(lam * lam + w * w)
-        values.update(d_xx=d_xx, d_xpx=zeros, d_pxpx=(m * w) * (m * w) * d_xx, d_xy=zeros)
-        values.update(d_xpy=d_xpy, d_pxpy=zeros)
+        values.update(d_xx=d_xx, d_xpx=zero, d_pxpx=(m * w) * (m * w) * d_xx, d_xy=zero)
+        values.update(d_xpy=d_xpy, d_pxpy=zero)
     else:
         values[_ENV_KEYS[sweep.axis1.coefficient]] = a1
         values[_ENV_KEYS[sweep.axis2.coefficient]] = a2
     values.update({y: values[x] for y, x in _MIRROR.items()})
-    return a1, a2, SimpleNamespace(lam=lam, **values)
+    grid = {"axis1": a1, "axis2": a2, **values}
+    if not all(np.isfinite(x).all() for x in (lam, *grid.values())):
+        raise NonFiniteResultError("sweep grid overflows double precision")
+    shape = (a1.size, a2.size)
+    flat = {id(x): np.broadcast_to(x, shape).reshape(-1) for x in values.values()}
+    return grid, SimpleNamespace(lam=lam, **{k: flat[id(x)] for k, x in values.items()})
 
 
-def _sweep_table(cfg: RunConfig) -> tuple[list, list]:
-    """Column names and rows: analyze's fields on the closed-form sigma_inf at each point.
+def _sweep_table(cfg: RunConfig) -> dict:
+    """The sweep table: analyze's fields on the closed-form sigma_inf at each point.
 
     Below the single-mode uncertainty bound the asymptotic state is
     unphysical, so the negativity cells of those points are left empty.
@@ -485,27 +576,28 @@ def _sweep_table(cfg: RunConfig) -> tuple[list, list]:
     whose S_general is not finite.
     """
     osc = cfg.oscillator
-    a1, a2, env = _sweep_environments(cfg)
-    if not all(np.isfinite(x).all() for x in (a1, a2, *vars(env).values())):
-        raise NonFiniteResultError("sweep grid overflows double precision")
+    grid, env = _sweep_environments(cfg)
     valid_strict, valid_lenient = _validity(env)
     inv = _invariants(_closed_form_sigma(osc, env))
     forms = _closed_forms(osc, env)
     unphysical = forms.window_code == _UNCERTAINTY
     table = {
-        "axis1": a1.tolist(),
-        "axis2": a2.tolist(),
-        "D_xx": env.d_xx.tolist(),
-        "D_xpy": env.d_xpy.tolist(),
-        "valid_strict": valid_strict.tolist(),
-        "valid_lenient": valid_lenient.tolist(),
-        "S_general": _cells(inv.s),
-        "S_special": _cells(forms.s_special),
-        "E_general": _cells(np.where(unphysical, np.nan, inv.e)),
-        "E_closed": _cells(np.where(unphysical, np.nan, forms.e_closed)),
+        "valid_strict": valid_strict,
+        "valid_lenient": valid_lenient,
+        "S_general": inv.s,
+        "S_special": forms.s_special,
+        "E_general": np.where(unphysical, np.nan, inv.e),
+        "E_closed": np.where(unphysical, np.nan, forms.e_closed),
+        "verdict": np.where(np.isfinite(inv.s), _verdict(inv.s), ""),
     }
-    table["verdict"] = [None if s is None else _verdict(s) for s in table["S_general"]]
-    return list(table), list(zip(*table.values()))
+    shape = (grid["axis1"].size, grid["axis2"].size)
+    return {
+        "axis1": grid["axis1"],
+        "axis2": grid["axis2"],
+        "D_xx": grid["d_xx"],
+        "D_xpy": grid["d_xpy"],
+        **{name: column.reshape(shape) for name, column in table.items()},
+    }
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
@@ -538,7 +630,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                     f"got {axis.coefficient!r}"
                 )
     _require_positive_lambda(env.lam, "sweep requires a positive dissipation constant, got")
-    _write_table("sweep", cfg, args, *_sweep_table(cfg))
+    _write_table("sweep", cfg, args, _sweep_table(cfg))
     return 0
 
 

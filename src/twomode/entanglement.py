@@ -298,8 +298,10 @@ def _closed_form_value(name: str, osc: OscillatorParams, env: EnvironmentParams)
     return value
 
 
-def _verdict(s: float) -> str:
-    """Simon's test: the state is entangled iff S < 0."""
+def _verdict(s):
+    """Simon's test: the state is entangled iff S < 0; elementwise for an array."""
+    if isinstance(s, np.ndarray):
+        return np.where(s < 0.0, "entangled", "separable")
     return "entangled" if s < 0.0 else "separable"
 
 

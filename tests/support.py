@@ -1,5 +1,6 @@
 """Shared helpers and independent oracles used across the test modules."""
 
+import json
 import math
 
 import numpy as np
@@ -107,3 +108,26 @@ def random_physical_covariance(rng, max_noise=2.0, spread=0.8):
     thermal = np.diag([nu[0], nu[0], nu[1], nu[1]])
     sigma = symplectic @ thermal @ symplectic.T
     return 0.5 * (sigma + sigma.T)
+
+
+def csv_cell(value):
+    """A CSV cell as the per-field formatter wrote it before the column writer.
+
+    17 significant digits with -0 written as 0; None is an empty cell, a bool
+    is true or false and a string is itself.
+    """
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    number = float(value)
+    if number == 0.0:
+        number = 0.0  # avoid emitting "-0"
+    return format(number, ".17g")
+
+
+def json_cell(value):
+    """A JSON cell as json.dumps writes the value (-0.0 stays, None is null)."""
+    return json.dumps(value)

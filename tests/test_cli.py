@@ -1016,24 +1016,83 @@ def extreme_configs(draw):
     }
 
 
+def run_to(command, path, fmt, target=None):
+    """Exit code and what the run wrote (to stdout, or to `target` with --output)."""
+    argv = [command, "--config", str(path), "--format", fmt]
+    if target is not None:
+        argv += ["--output", str(target)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+        warnings.simplefilter("ignore", ConditioningWarning)
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+    if target is None:
+        return code, out.getvalue(), err.getvalue()
+    assert out.getvalue() == ""
+    written = target.read_text() if target.exists() else None
+    target.unlink(missing_ok=True)
+    return code, written, err.getvalue()
+
+
 @settings(max_examples=60, deadline=None)
 @given(config=extreme_configs())
 def test_extreme_coefficients_keep_the_error_contract(config):
     # Every subcommand exits 0, 1 or 2 without an exception, and its JSON
-    # output is strict, for any finite coefficients.
+    # output is strict, for any finite coefficients; a failed run writes
+    # nothing to stdout or to --output.
     with tempfile.TemporaryDirectory() as workdir:
         path = Path(workdir) / "config.json"
         path.write_text(json.dumps(config))
         for command in ("validate", "steady-state", "evolve", "sweep"):
             for fmt in ("csv", "json"):
-                out = io.StringIO()
-                with warnings.catch_warnings(), contextlib.redirect_stdout(out):
-                    warnings.simplefilter("ignore", ConditioningWarning)
-                    with contextlib.redirect_stderr(io.StringIO()):
-                        code = main([command, "--config", str(path), "--format", fmt])
-                assert code in (0, 1, 2)
-                if fmt == "json" and out.getvalue():
-                    strict_json(out.getvalue())
+                for target in (None, Path(workdir) / "out"):
+                    code, written, _ = run_to(command, path, fmt, target)
+                    assert code in (0, 1, 2)
+                    # not even the file is created; validate's exit 2 is a report
+                    if code != 0 and not (command == "validate" and code == 2):
+                        assert not written
+                    if fmt == "json" and written:
+                        strict_json(written)
+
+
+# One config per subcommand whose numbers overflow.  In JSON (and in CSV for
+# steady-state and sweep) the run exits 2 with one `error:` line and writes nothing.
+_OVERFLOWS = {
+    # the strict Gram matrix overflows: its smallest eigenvalue is -inf
+    "validate": dict(
+        REFERENCE_CONFIG,
+        environment={"lambda": 1.0, "D_xx": -1.7e308, "D_pxpx": 1.7e308, "D_xy": 1.7e308},
+    ),
+    "steady-state": dict(
+        REFERENCE_CONFIG,
+        environment={"lambda": 1.0, "D_xx": 1e160, "D_pxpx": 1e160, "D_xpy": 1e150},
+    ),
+    # sigma(t) overflows; the CSV writes inf and nan cells, strict JSON cannot
+    "evolve": dict(
+        REFERENCE_CONFIG,
+        oscillator={"m": 1.0, "omega": 1000.0},
+        initial_state=[[1e307 * (i == j) for j in range(4)] for i in range(4)],
+        time_grid={"t_start": 0.0, "t_end": 1.0, "n_points": 8193},  # over two row blocks
+    ),
+    "sweep": sweep_config(
+        axis1={"coefficient": "D_xx", "min": 0.5, "max": 1.5, "n": 3},
+        environment={"lambda": 1e300},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_OVERFLOWS))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_overflow_writes_nothing(tmp_path, command, fmt):
+    path = write_config(tmp_path, _OVERFLOWS[command])
+    for target in (None, tmp_path / "out"):
+        code, written, err = run_to(command, path, fmt, target)
+        if fmt == "csv" and command in ("validate", "evolve"):
+            assert code == (2 if command == "validate" else 0) and "inf" in written
+            continue
+        assert code == 2 and written in ("", None)
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "double precision" in err or "strict JSON" in err
 
 
 FULL_CONFIG = {
