@@ -210,7 +210,9 @@ def build_gram_matrix(env: EnvironmentParams) -> NDArray[np.complex128]:
 
     Complete positivity of the dynamical semigroup is equivalent to this
     matrix being positive semidefinite.  An environment whose coefficients
-    are arrays of one shape gives a stack of matrices.
+    are arrays of one shape gives a stack of matrices.  Strict validation
+    builds it only for environments that are not exactly mirrored; for the
+    mirrored ones it uses the closed-form spectrum (`_min_gram_eigenvalue`).
     """
     half = 0.5j * env.lam
     return _stack(
@@ -241,6 +243,46 @@ _COEFFICIENT_CONSTRAINTS = (
 _CHECK_NAMES = ("lambda_positive", *(name for name, _ in _COEFFICIENT_CONSTRAINTS), "gram_psd")
 
 
+def _min_gram_eigenvalue(env: EnvironmentParams):
+    """Smallest eigenvalue of the Gram matrix, elementwise for coefficient arrays.
+
+    When every `_MIRROR` pair is exactly equal (at every point of a stack),
+    the Gram matrix is [[P, Q], [Q, P]] with
+        P = [[D_xx, -D_xpx - i lam/2], [-D_xpx + i lam/2, D_pxpx]],
+        Q = [[D_xy, -D_xpy], [-D_xpy, D_pxpy]]   (real and symmetric),
+    and the unitary (1/sqrt 2)[[I, I], [I, -I]] block-diagonalises it into
+    P + Q and P - Q.  Each block is Hermitian [[a, -b - i lam/2],
+    [-b + i lam/2, d]] with a = D_xx + s D_xy, d = D_pxpx + s D_pxpy and
+    b = D_xpx + s D_xpy (s = +-1), so its smaller eigenvalue is
+        a/2 + d/2 - hypot(a/2 - d/2, hypot(b, lam/2)).
+    hypot keeps the squares from overflowing or underflowing.  The code
+    evaluates half of it, a/4 + d/4 - hypot(a/4 - d/4, hypot(b/2, lam/4)),
+    from quarters of the coefficients (halves for b) and doubles the result.
+    Scaling by powers of two is exact in range, and no partial sum can
+    overflow, so the result is never inf - inf; it is -inf only where the
+    eigenvalue is below the double range.  Scalars go through math.hypot,
+    several times cheaper than the ufunc on them, arrays through np.hypot;
+    the two may differ in the last bit.  Any other environment, mirrored
+    only to a tolerance included, goes through `eigvalsh` of
+    `build_gram_matrix`.
+    """
+    mirrored = functools.reduce(
+        operator.and_, [getattr(env, y) == getattr(env, x) for y, x in _MIRROR.items()]
+    )
+    stacked = isinstance(mirrored, np.ndarray)
+    if not (mirrored.all() if stacked else mirrored):
+        # [()] turns the 0-d result for one environment into a scalar
+        return np.linalg.eigvalsh(build_gram_matrix(env))[..., 0][()]
+    hypot, minimum = (np.hypot, np.minimum) if stacked else (math.hypot, min)
+    xx, xy, pp, py = 0.25 * env.d_xx, 0.25 * env.d_xy, 0.25 * env.d_pxpx, 0.25 * env.d_pxpy
+    xp, xq, lam = 0.5 * env.d_xpx, 0.5 * env.d_xpy, 0.25 * env.lam
+    halves = [
+        (a + d) - hypot(a - d, hypot(b, lam))
+        for a, d, b in ((xx + xy, pp + py, xp + xq), (xx - xy, pp - py, xp - xq))
+    ]
+    return 2.0 * minimum(*halves)
+
+
 def _violations(env: EnvironmentParams, strict: bool) -> tuple[list, object]:
     """Whether each check in _CHECK_NAMES fails, and the minimum Gram eigenvalue.
 
@@ -251,8 +293,7 @@ def _violations(env: EnvironmentParams, strict: bool) -> tuple[list, object]:
     violated = [env.lam <= 0.0] + [(c(env) >= 0.0) ^ True for _, c in _COEFFICIENT_CONSTRAINTS]
     min_eig = None
     if strict:
-        # [()] turns the 0-d result for one environment into a scalar
-        min_eig = np.linalg.eigvalsh(build_gram_matrix(env))[..., 0][()]
+        min_eig = _min_gram_eigenvalue(env)
         violated.append(min_eig < -PSD_TOLERANCE)
     return violated, min_eig
 
@@ -273,8 +314,10 @@ def validate_environment(
     Lenient mode checks lam > 0 plus the six pairwise Cauchy-Schwarz
     inequalities (e.g. D_xx D_pxpx - D_xpx^2 >= lam^2/4).  Strict mode
     additionally requires the full Gram matrix to be positive semidefinite
-    (minimum eigenvalue >= -PSD_TOLERANCE).  Physics violations are reported,
-    never raised.
+    (minimum eigenvalue >= -PSD_TOLERANCE).  That eigenvalue comes from a
+    closed form when the y-mode coefficients mirror the x-mode ones exactly,
+    and from `numpy.linalg.eigvalsh` otherwise; the two agree to rounding.
+    Physics violations are reported, never raised.
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"mode must be 'strict' or 'lenient', got {mode!r}")

@@ -19,6 +19,7 @@ import multiprocessing
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from twomode import OscillatorParams, SymmetricEnvironmentParams, analyze, steady_state_closed_form
@@ -214,8 +215,7 @@ def _compare_json(actual, expected, where: str = "$") -> list[str]:
     return [] if actual == expected else [f"{where}: {actual!r} != {expected!r}"]
 
 
-@pytest.mark.parametrize("name,fmt", PARAMS)
-def test_matches_golden_output(tmp_path, name, fmt):
+def _check_golden(tmp_path: Path, name: str, fmt: str) -> None:
     code, text = _run(tmp_path, name, fmt)
     assert code == CASES[name][2]
     expected = (GOLDEN / f"{name}.{fmt}").read_text()
@@ -224,6 +224,24 @@ def test_matches_golden_output(tmp_path, name, fmt):
     else:
         problems = _compare_json(json.loads(text), json.loads(expected))
     assert not problems, "\n".join(problems[:20])
+
+
+@pytest.mark.parametrize("name,fmt", PARAMS)
+def test_matches_golden_output(tmp_path, name, fmt):
+    _check_golden(tmp_path, name, fmt)
+
+
+@pytest.mark.parametrize("name", ["sweep_scaled", "sweep_raw"])
+def test_mirrored_sweep_runs_without_eigvalsh(tmp_path, monkeypatch, name):
+    """Every sweep point mirrors its x-mode noise exactly, so strict validity
+    takes the closed-form Gram spectrum and never falls back to eigvalsh."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called for a mirrored sweep")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for fmt in ("csv", "json"):
+        _check_golden(tmp_path, name, fmt)
 
 
 def _point_environment(config: dict, row: dict) -> SymmetricEnvironmentParams:

@@ -20,6 +20,7 @@ from twomode import (
     make_vacuum_covariance,
     validate_environment,
 )
+from twomode.model import PSD_TOLERANCE, _min_gram_eigenvalue, _validity
 
 from support import random_symmetric_env
 
@@ -254,6 +255,133 @@ class TestValidation:
                 assert validate_environment(env, "lenient").passed
         # the sampler must actually exercise the implication
         assert strict_passes > 100
+
+
+_REDUCED = ("lam", "d_xx", "d_xpx", "d_pxpx", "d_xy", "d_xpy", "d_pxpy")
+# Decades that the nonzero coefficients of one environment span.  Beyond a few
+# hundred decades LAPACK's Hermitian eigensolvers lose digits, so eigvalsh is no
+# oracle there (see test_wide_span_is_exact).
+_SPAN = 100
+
+
+@st.composite
+def reduced_coefficients(draw):
+    """lam and the six reduced coefficients: free, or on the boundary D_xx D_pxpx = lam^2/4.
+
+    The nonzero coefficients have either sign and magnitudes from 10**top down
+    to _SPAN decades below it, top being 0 or drawn from -300 to 299.
+    On the boundary D_xx = k |lam|/2 and D_pxpx = |lam|/(2k) with k a power of
+    two, so the product is exact; D_xx may then be lowered by up to 4e-10, which
+    moves the minimum eigenvalue across -PSD_TOLERANCE when lam is of order one.
+    """
+    top = draw(st.one_of(st.just(0), st.integers(-300, 299)))
+    coefficient = st.one_of(
+        st.just(0.0),
+        st.builds(
+            lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+            st.sampled_from((-1.0, 1.0)),
+            st.floats(1.0, 9.99),
+            st.integers(max(-300, top - _SPAN), top),
+        ),
+    )
+    values = dict(zip(_REDUCED, draw(st.tuples(*[coefficient] * 7))))
+    if draw(st.booleans()):
+        k, half = 2.0 ** draw(st.integers(-20, 20)), abs(values["lam"]) / 2.0
+        values.update(d_xx=k * half, d_pxpx=half / k)
+        if draw(st.booleans()):
+            values.update(d_xpx=0.0, d_xy=0.0, d_xpy=0.0, d_pxpy=0.0)
+        values["d_xx"] -= draw(st.sampled_from((0.0, 1e-10, 2e-10, 4e-10)))
+    return values
+
+
+@st.composite
+def mirrored_environments(draw):
+    """A SymmetricEnvironmentParams, or a stack of them as arrays, of drawn coefficients."""
+    rows = draw(st.lists(reduced_coefficients(), min_size=1, max_size=6))
+    envs = [SymmetricEnvironmentParams(**row) for row in rows]
+    if not draw(st.booleans()):
+        return envs[0]
+    names = [f.name for f in fields(EnvironmentParams)]
+    return SimpleNamespace(**{name: np.array([getattr(e, name) for e in envs]) for name in names})
+
+
+def _gram_oracle(env):
+    """Minimum Gram eigenvalue by eigvalsh, and 16 eps max|G| per environment.
+
+    eigvalsh runs on G scaled by a power of two to max|G| in [0.5, 1), which
+    is exact.  On the unscaled G it lost up to 1e11 eps max|G| on a few of
+    these environments of extreme magnitude; scaled, it stayed within 10.
+    """
+    gram = build_gram_matrix(env)
+    peak = np.abs(gram).max(axis=(-2, -1))
+    scale = np.ldexp(1.0, -np.frexp(peak)[1])
+    low = np.linalg.eigvalsh(gram * scale[..., None, None])[..., 0] / scale
+    return low[()], 16 * np.finfo(float).eps * peak
+
+
+class TestClosedFormGramSpectrum:
+    """The closed-form spectrum of exactly mirrored environments against eigvalsh."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(env=mirrored_environments())
+    def test_matches_eigvalsh(self, env):
+        oracle, band = _gram_oracle(env)
+        closed = _min_gram_eigenvalue(env)
+        same_infinity = np.isinf(oracle) & (closed == oracle)
+        assert np.all((np.abs(closed - oracle) <= band) | same_infinity), (closed, oracle)
+
+    @settings(max_examples=200, deadline=None)
+    @given(env=mirrored_environments())
+    def test_verdicts_match_eigvalsh(self, env):
+        oracle, band = _gram_oracle(env)
+        psd_failed = oracle < -PSD_TOLERANCE
+        decided = np.abs(oracle + PSD_TOLERANCE) > band
+        if isinstance(env, EnvironmentParams):
+            if decided:
+                lenient = validate_environment(env, "lenient")
+                strict = validate_environment(env, "strict")
+                assert strict.failed == lenient.failed + ("gram_psd",) * bool(psd_failed)
+                assert strict.passed == (lenient.passed and not psd_failed)
+        else:
+            with np.errstate(all="ignore"):  # array slacks overflow, as in the sweep
+                valid_strict, valid_lenient = _validity(env)
+            expected = valid_lenient & ~psd_failed
+            np.testing.assert_array_equal(valid_strict[decided], expected[decided])
+
+    @settings(max_examples=100, deadline=None)
+    @given(env=mirrored_environments(), data=st.data())
+    def test_unmirrored_environment_uses_eigvalsh(self, env, data):
+        # One y-field one step off its x-field, at one point of a stack.
+        y, x = data.draw(st.sampled_from(MIRRORED_PAIRS))
+        values = {f.name: np.array(getattr(env, f.name)) for f in fields(EnvironmentParams)}
+        index = data.draw(st.integers(0, values[y].size - 1))
+        values[y].reshape(-1)[index] = np.nextafter(values[x].reshape(-1)[index], np.inf)
+        if isinstance(env, EnvironmentParams):
+            env = EnvironmentParams(**{k: float(v) for k, v in values.items()})
+        else:
+            env = SimpleNamespace(**values)
+        closed = _min_gram_eigenvalue(env)
+        oracle = np.linalg.eigvalsh(build_gram_matrix(env))[..., 0][()]
+        assert np.asarray(closed).tobytes() == np.asarray(oracle).tobytes()
+
+    def test_wide_span_is_exact(self):
+        # Gram entries from 6e135 down to 1e-254: the smaller eigenvalue of the
+        # P - Q block is D_xx - D_xy to double precision, which the closed form
+        # gives.  LAPACK's Hermitian solvers (numpy's eigvalsh; scipy's ev, evd,
+        # evr and evx drivers) gave -6.2323e135 with OpenBLAS 0.3.31 on x86-64.
+        env = SymmetricEnvironmentParams(
+            lam=8.13728406e-265, d_xx=9.99e-254, d_xpx=-4.99474192e-26, d_xy=6.23478513e135
+        )
+        assert _min_gram_eigenvalue(env) == env.d_xx - env.d_xy == -6.23478513e135
+        assert validate_environment(env).min_gram_eigenvalue == -6.23478513e135
+
+    def test_mirrored_validation_does_not_call_eigvalsh(self, monkeypatch, reference_env):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called for a mirrored environment")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for env in (reference_env, SymmetricEnvironmentParams(0.5, 0.25, 0.01, 0.25, 0.02, 0.2)):
+            assert isinstance(validate_environment(env, "strict").min_gram_eigenvalue, float)
 
 
 class TestHurwitz:
