@@ -23,12 +23,12 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
-    _closed_form_sigma,
+    _closed_form_entries,
     propagate,
     steady_state_closed_form,
     steady_state_lyapunov,
 )
-from .entanglement import _UNCERTAINTY, _closed_forms, _invariants, _verdict, analyze
+from .entanglement import _UNCERTAINTY, _UPPER, _closed_forms, _kernel, _verdict, analyze
 from .errors import NonFiniteResultError, TwoModeError
 from .model import (
     EnvironmentParams,
@@ -61,13 +61,11 @@ _FULL_KEYS = tuple(_ENV_KEYS)[1:]
 #: Most points a time grid or a sweep grid (axis1.n * axis2.n) may have.
 MAX_GRID_POINTS = 10**6
 
+# The entries of sigma at entanglement._UPPER, in that order.
 _SIGMA_COLUMNS = (
     "sigma_xx", "sigma_xpx", "sigma_xy", "sigma_xpy", "sigma_pxpx",
     "sigma_ypx", "sigma_pxpy", "sigma_yy", "sigma_ypy", "sigma_pypy",
 )
-# Row and column indices of the upper triangle, in _SIGMA_COLUMNS order.
-_UPPER_ROWS = (0, 0, 0, 0, 1, 1, 1, 2, 2, 3)
-_UPPER_COLS = (0, 1, 2, 3, 1, 2, 3, 2, 3, 3)
 
 # EntanglementReport fields in JSON order, and the report columns of the CSV
 # row; each column names a field case-insensitively.
@@ -444,11 +442,6 @@ def _format_cell(value) -> str:
     return "" if value is None else _format_column(np.array([value]), False, False)[0]
 
 
-def _upper_entries(sigma: np.ndarray) -> list:
-    """The ten independent entries of a 4x4 sigma, in _SIGMA_COLUMNS order."""
-    return sigma[_UPPER_ROWS, _UPPER_COLS].tolist()
-
-
 def cmd_validate(cfg: RunConfig, args) -> int:
     report = validate_environment(cfg.environment, cfg.validation)
     payload = asdict(report)
@@ -488,8 +481,8 @@ def cmd_steady_state(cfg: RunConfig, args) -> int:
         + [f"cf_{name}" for name in _SIGMA_COLUMNS]
         + ["closed_form_max_diff", *_REPORT_COLUMNS]
     )
-    closed_entries = _upper_entries(sigma_closed) if sigma_closed is not None else [None] * 10
-    row = _upper_entries(sigma) + closed_entries + [max_diff]
+    closed_entries = sigma_closed[_UPPER].tolist() if sigma_closed is not None else [None] * 10
+    row = sigma[_UPPER].tolist() + closed_entries + [max_diff]
     row += [getattr(report, name.lower()) for name in _REPORT_COLUMNS]
     # analyze leaves no closed-form field non-finite; the rest of the row may overflow
     if not all(math.isfinite(v) for v in row if isinstance(v, float)):
@@ -526,13 +519,16 @@ def _evolve_table(cfg: RunConfig, y: np.ndarray, sigma_inf: np.ndarray) -> dict:
     sigma0 = _initial_covariance(cfg)
     grid = np.linspace(cfg.time_grid.t_start, cfg.time_grid.t_end, cfg.time_grid.n_points)
     sigmas = propagate(sigma0, sigma_inf, y, grid)
-    inv = _invariants(sigmas)
+    max_abs_dev = np.abs(sigmas - sigma_inf).max(axis=(-2, -1))
+    upper = sigmas[:, _UPPER[0], _UPPER[1]].T
+    del sigmas  # freed before the kernel runs: evolve's peak RSS is about 1 MB lower
+    inv = _kernel(*upper)
     return {
         "t": grid,
-        **dict(zip(_SIGMA_COLUMNS, sigmas[:, _UPPER_ROWS, _UPPER_COLS].T)),
+        **dict(zip(_SIGMA_COLUMNS, upper)),
         "S_general": inv.s,
         "E_general": inv.e,
-        "max_abs_dev": np.abs(sigmas - sigma_inf).max(axis=(-2, -1)),
+        "max_abs_dev": max_abs_dev,
     }
 
 
@@ -578,7 +574,8 @@ def _sweep_table(cfg: RunConfig) -> dict:
     osc = cfg.oscillator
     grid, env = _sweep_environments(cfg)
     valid_strict, valid_lenient = _validity(env)
-    inv = _invariants(_closed_form_sigma(osc, env))
+    sxx, sxpx, spxpx, sxy, sxpy, spxpy = _closed_form_entries(osc, env)
+    inv = _kernel(sxx, sxpx, sxy, sxpy, spxpx, sxpy, spxpy, sxx, sxpx, spxpx)
     forms = _closed_forms(osc, env)
     unphysical = forms.window_code == _UNCERTAINTY
     table = {

@@ -166,18 +166,18 @@ def steady_state_closed_form(
     _require_positive_lambda(env.lam)
     _warn_if_ill_conditioned(env.lam, osc.omega)
     try:
-        return _closed_form_sigma(osc, env)
+        xx, xpx, pxpx, xy, xpy, pxpy = _closed_form_entries(osc, env)
     except ZeroDivisionError:  # a denominator underflows to zero
         raise NonFiniteResultError(
             "closed-form steady state is out of double-precision range"
         ) from None
+    rows = [[xx, xpx, xy, xpy], [xpx, pxpx, xpy, pxpy], [xy, xpy, xx, xpx], [xpy, pxpy, xpx, pxpx]]
+    return _stack(rows)
 
 
-def _closed_form_sigma(osc: OscillatorParams, env: EnvironmentParams) -> NDArray[np.float64]:
-    """The closed-form sigma_inf of `steady_state_closed_form`, unchecked.
-
-    Gives a stack [..., 4, 4] when the coefficients are arrays of one shape.
-    """
+def _closed_form_entries(osc: OscillatorParams, env: EnvironmentParams) -> tuple:
+    """sigma_xx, sigma_xpx, sigma_pxpx, sigma_xy, sigma_xpy, sigma_pxpy of
+    `steady_state_closed_form`, unchecked and elementwise for coefficient arrays."""
     m, w, lam = osc.m, osc.omega, env.lam
     s2 = lam * lam + w * w
 
@@ -193,16 +193,7 @@ def _closed_form_sigma(osc: OscillatorParams, env: EnvironmentParams) -> NDArray
         ) / (2 * lam * s2)
         return qq, qp, pp
 
-    sxx, sxpx, spxpx = entries(env.d_xx, env.d_xpx, env.d_pxpx)
-    sxy, sxpy, spxpy = entries(env.d_xy, env.d_xpy, env.d_pxpy)
-    return _stack(
-        [
-            [sxx, sxpx, sxy, sxpy],
-            [sxpx, spxpx, sxpy, spxpy],
-            [sxy, sxpy, sxx, sxpx],
-            [sxpy, spxpy, sxpx, spxpx],
-        ]
-    )
+    return (*entries(env.d_xx, env.d_xpx, env.d_pxpx), *entries(env.d_xy, env.d_xpy, env.d_pxpy))
 
 
 def propagate(

@@ -5,8 +5,9 @@ logarithmic negativity E = -1/2 log2[4 f(sigma)] quantifies entanglement for
 E > 0.  Closed forms are provided for the matched-noise coefficient class
 m^2 w^2 D_xx = D_pxpx, D_xpx = 0, m^2 w^2 D_xy = D_pxpy.
 
-One kernel, `_invariants`, evaluates S, f and E on a stack of covariance
-matrices; the public functions are its one-matrix views.  One decision,
+One kernel, `_kernel`, evaluates S, f and E from the ten upper entries of
+sigma, Python floats for one matrix or arrays for a stack (`_invariants` takes
+the matrices); the public functions are its one-matrix views.  One decision,
 `_closed_forms`, gives S_special, E_closed and the window elementwise, with a
 code per field naming the first condition that fails: analyze's notes, the
 closed forms' errors and the sweep's empty cells all read these codes.
@@ -32,7 +33,6 @@ from .errors import (
     UncertaintyViolationError,
 )
 from .model import (
-    J,
     BlockDecomposition,
     EnvironmentParams,
     OscillatorParams,
@@ -49,10 +49,6 @@ from .model import (
 RADICAND_TOLERANCE = 1e-12
 
 _DIVERGENCE_TOLERANCE = 1e-12
-
-# Below this largest absolute entry no invariant of a 4x4 sigma (degree at
-# most four in its entries) can overflow a double.
-_OVERFLOW_PEAK = 1e75
 
 
 @dataclass(frozen=True)
@@ -80,35 +76,74 @@ class EntanglementReport:
 
 
 _Invariants = namedtuple("_Invariants", "det_a det_b det_c s radicand f e")
-# Indices gathering the blocks A, B and C of sigma[..., 4, 4] into [..., 3, 2, 2].
-_BLOCK_ROWS = np.array([[[0], [1]], [[2], [3]], [[0], [1]]])
-_BLOCK_COLS = np.array([[[0, 1]], [[2, 3]], [[2, 3]]])
+#: Row and column indices of sigma's upper entries s00, s01, s02, s03, s11, s12, s13, s22, s23, s33.
+_UPPER = ((0, 0, 0, 0, 1, 1, 1, 2, 2, 3), (0, 1, 2, 3, 1, 2, 3, 2, 3, 3))
+# A difference below this times the size of its terms is rounding noise.
+_NOISE = 4.0 * float(np.finfo(float).eps)
+
+
+def _denoised(difference, size):
+    """difference, or 0 where |difference| < _NOISE * size (strict: inf - inf stays)."""
+    return difference * ((abs(difference) < _NOISE * size) ^ True)
 
 
 def _invariants(sigma: NDArray[np.float64], det_sigma=None) -> _Invariants:
-    """The separability kernel for sigma[..., 4, 4]; every field has shape [...].
+    """The separability kernel for sigma[..., 4, 4]; every field has shape [...]."""
+    entries = sigma[..., _UPPER[0], _UPPER[1]]
+    columns = entries.tolist() if entries.ndim == 1 else np.moveaxis(entries, -1, 0)
+    return _kernel(*columns, det_sigma=det_sigma)
 
-    S = det A det B + (1/4 - |det C|)^2 - Tr[A J C J B J C^T J]
-        - (det A + det B)/4,
-    f = h - sqrt(h^2 - det sigma) with h = (det A + det B)/2 - det C, and
-    E = -1/2 log2(4 f).  The radicand h^2 - det sigma is returned as
-    computed and f clamps it at zero; E is NaN where the radicand is
-    negative beyond RADICAND_TOLERANCE or f <= 0.
+
+def _kernel(s00, s01, s02, s03, s11, s12, s13, s22, s23, s33, det_sigma=None) -> _Invariants:
+    """S, f and E from the ten upper entries of sigma: Python floats, or arrays of one shape.
+
+    With sigma = [[A, C], [C^T, B]], h = (det A + det B)/2 - det C and
+    T = Tr[A J C J B J C^T J] = s00 (r adj B r) - 2 s01 (q adj B r) + s11 (q adj B q),
+    q = (s02, s03), r = (s12, s13):  S = det A det B + (1/4 - |det C|)^2 - T
+    - (det A + det B)/4,  f = h - sqrt(h^2 - det sigma),  E = -1/2 log2(4 f).
+    To keep digits, the radicand is (det A - det B)^2/4 + T - (det A + det B) det C
+    (h^2 - det sigma for a caller's det sigma), det sigma is det A det(B - C^T A^-1 C)
+    (det A det B + det C^2 - T where det A = 0), and f = det sigma / (h + sqrt of the
+    radicand) where h > 0.  A difference within _NOISE of its terms counts as 0: the
+    radicand from a caller's det sigma, and the entries and determinant of the Schur
+    complement, so a singular sigma gets f = 0.  E is NaN where f <= 0 or the
+    radicand is below -RADICAND_TOLERANCE.
     """
-    blocks = sigma[..., _BLOCK_ROWS, _BLOCK_COLS]
-    a, b, c = blocks[..., 0, :, :], blocks[..., 1, :, :], blocks[..., 2, :, :]
-    dets = np.linalg.det(blocks)
-    det_a, det_b, det_c = dets[..., 0], dets[..., 1], dets[..., 2]
-    if det_sigma is None:
-        det_sigma = np.linalg.det(sigma)
-    chain = a @ J @ c @ J @ b @ J @ np.swapaxes(c, -1, -2) @ J
-    cross = chain[..., 0, 0] + chain[..., 1, 1]
-    s = det_a * det_b + (0.25 - abs(det_c)) ** 2 - cross - 0.25 * (det_a + det_b)
+    det_a = s00 * s11 - s01 * s01
+    det_b = s22 * s33 - s23 * s23
+    det_c = s02 * s13 - s03 * s12
+    br0, br1 = s33 * s12 - s23 * s13, s22 * s13 - s23 * s12  # adj B r
+    bq0, bq1 = s33 * s02 - s23 * s03, s22 * s03 - s23 * s02  # adj B q
+    cross = s00 * (s12 * br0 + s13 * br1) - 2.0 * s01 * (s02 * br0 + s03 * br1)
+    cross = cross + s11 * (s02 * bq0 + s03 * bq1)
+    quarter = 0.25 - abs(det_c)
+    s = det_a * det_b + quarter * quarter - cross - 0.25 * (det_a + det_b)
     head = 0.5 * (det_a + det_b) - det_c
-    radicand = head * head - det_sigma
-    f = head - np.sqrt(np.maximum(radicand, 0.0))
+    stacked = isinstance(head, np.ndarray)
+    where, sqrt, log2, maximum = (
+        (np.where, np.sqrt, np.log2, np.maximum) if stacked
+        else (lambda c, x, y: x if c else y, math.sqrt, math.log2, max)
+    )
+    if det_sigma is None:
+        half_gap = 0.5 * (det_a - det_b)
+        radicand = half_gap * half_gap + cross - (det_a + det_b) * det_c
+        pivot = det_a != 0.0
+        divisor = where(pivot, det_a, 1.0)
+        u0, u1 = (s11 * s02 - s01 * s12) / divisor, (s00 * s12 - s01 * s02) / divisor
+        w0, w1 = (s11 * s03 - s01 * s13) / divisor, (s00 * s13 - s01 * s03) / divisor
+        pairs = (s22, s02 * u0 + s12 * u1), (s23, s03 * u0 + s13 * u1), (s33, s03 * w0 + s13 * w1)
+        # the Schur complement B - C^T A^-1 C, with A^-1 C = (u, w): entries 00, 01, 11
+        schur = [_denoised(b - x, abs(b) + abs(x)) for b, x in pairs]
+        minor, skew = schur[0] * schur[2], schur[1] * schur[1]
+        det_schur = det_a * _denoised(minor - skew, abs(minor) + skew)
+        det_sigma = where(pivot, det_schur, det_a * det_b + det_c * det_c - cross)
+    else:
+        radicand = _denoised(head * head - det_sigma, head * head)
+    root = sqrt(maximum(radicand, 0.0))
+    positive = head > 0.0
+    f = where(positive, det_sigma / where(positive, head + root, 1.0), head - root)
     defined = (radicand >= -RADICAND_TOLERANCE) & (f > 0.0)
-    e = -0.5 * np.log2(4.0 * np.where(defined, f, np.nan))
+    e = -0.5 * log2(4.0 * where(defined, f, math.nan))
     return _Invariants(det_a, det_b, det_c, s, radicand, f, e)
 
 
@@ -122,10 +157,8 @@ def _require_radicand(inv: _Invariants) -> None:
 
 def block_decompose(sigma: NDArray[np.float64]) -> BlockDecomposition:
     """Split a 4x4 covariance matrix into its one-mode and cross blocks."""
-    sig, _ = _as_covariance(sigma)
-    return BlockDecomposition(
-        a=sig[:2, :2].copy(), b=sig[2:, 2:].copy(), c=sig[:2, 2:].copy()
-    )
+    sig = _as_covariance(sigma)
+    return BlockDecomposition(a=sig[:2, :2].copy(), b=sig[2:, 2:].copy(), c=sig[:2, 2:].copy())
 
 
 def simon_s(blocks: BlockDecomposition) -> float:
@@ -143,14 +176,14 @@ def f_sigma(blocks: BlockDecomposition, det_sigma: float) -> float:
     f = (det A + det B)/2 - det C
         - sqrt{[(det A + det B)/2 - det C]^2 - det sigma}.
     """
-    inv = _invariants(blocks.reassemble(), det_sigma)
+    inv = _invariants(blocks.reassemble(), float(det_sigma))
     _require_radicand(inv)
     return float(inv.f)
 
 
 def log_negativity(sigma: NDArray[np.float64]) -> float:
     """Logarithmic negativity E = -1/2 log2[4 f(sigma)]; E > 0 iff entangled."""
-    inv = _invariants(_as_covariance(sigma)[0])
+    inv = _invariants(_as_covariance(sigma))
     _require_radicand(inv)
     if inv.f <= 0.0:
         raise NonPositiveFError(f"f(sigma) = {float(inv.f)!r} must be positive")
@@ -371,38 +404,27 @@ def analyze(
     Raises NonFiniteResultError when sigma's invariants overflow double
     precision.
     """
-    sig, peak = _as_covariance(sigma)
-    if float(np.abs(sig - sig.T).max()) > 1e-10 * max(1.0, peak):
-        raise ValueError("covariance matrix must be symmetric")
+    sig = _as_covariance(sigma, 1e-10)
     if (osc is None) != (env is None):
         raise ValueError("osc and env must be provided together")
 
-    if peak < _OVERFLOW_PEAK:
-        inv = _invariants(sig)
-    else:
-        with np.errstate(all="ignore"):
-            inv = _invariants(sig)
-        if not np.isfinite(inv[:-1]).all():  # e is NaN wherever it is undefined
-            raise NonFiniteResultError("covariance invariants overflow double precision")
-    s_general = float(inv.s)
-    verdict = _verdict(s_general)
-
+    inv = _invariants(sig)  # Python floats
+    if not all(map(math.isfinite, inv[:-1])):  # e is NaN wherever it is undefined
+        raise NonFiniteResultError("covariance invariants overflow double precision")
     notes: list[str] = []
-    f_value: float | None = None
-    e_general: float | None = None
+    f_value = e_general = None
     try:
         _require_radicand(inv)
-        f_value = float(inv.f)
+        f_value = inv.f
         if f_value > 0.0:
-            e_general = float(inv.e)
+            e_general = inv.e
         else:
             notes.append("e_general: f(sigma) <= 0")
     except NegativeRadicandError as exc:
         notes.append(f"f_sigma: {exc}")
 
     closed: dict = {}
-    valid_strict: bool | None = None
-    valid_lenient: bool | None = None
+    valid_strict = valid_lenient = None
     if env is not None and osc is not None:
         valid_strict, valid_lenient = (bool(v) for v in _validity(env))
         for name, value in _closed_form_fields(osc, env).items():
@@ -410,17 +432,7 @@ def analyze(
                 notes.append(f"{name}: {value}")
             else:
                 closed[name] = value
-
     return EntanglementReport(
-        det_a=float(inv.det_a),
-        det_b=float(inv.det_b),
-        det_c=float(inv.det_c),
-        s_general=s_general,
-        verdict=verdict,
-        f_sigma=f_value,
-        e_general=e_general,
-        valid_strict=valid_strict,
-        valid_lenient=valid_lenient,
-        notes=tuple(notes),
-        **closed,
+        inv.det_a, inv.det_b, inv.det_c, inv.s, _verdict(inv.s), f_value, e_general,
+        valid_strict=valid_strict, valid_lenient=valid_lenient, notes=tuple(notes), **closed,
     )

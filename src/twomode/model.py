@@ -139,15 +139,17 @@ def _nearly_equal(a, b, rtol: float = 1e-12):
     return (gap <= rtol) | (gap <= rtol * abs(a)) | (gap <= rtol * abs(b))
 
 
-def _as_covariance(sigma) -> tuple[NDArray[np.float64], float]:
-    """sigma as a finite 4x4 float array, and its largest absolute entry."""
+def _as_covariance(sigma, atol: float | None = None) -> NDArray[np.float64]:
+    """sigma as a finite 4x4 float array; given atol, symmetric to atol * max(1, max |entry|)."""
     sig = np.asarray(sigma, dtype=float)
     if sig.shape != (4, 4):
         raise ValueError(f"covariance matrix must be 4x4, got shape {sig.shape}")
     peak = float(np.abs(sig).max())
     if not math.isfinite(peak):
         raise ValueError("covariance matrix entries must be finite")
-    return sig, peak
+    if atol is not None and float(np.abs(sig - sig.T).max()) > atol * max(1.0, peak):
+        raise ValueError("covariance matrix must be symmetric")
+    return sig
 
 
 def _stack(rows, dtype=float) -> NDArray:
@@ -346,9 +348,7 @@ def check_state_covariance(sigma, atol: float = 1e-12) -> NDArray[np.float64]:
     Returns the (exactly symmetrized) matrix; raises ValueError otherwise.
     Intermediate results of the dynamics are not funnelled through this check.
     """
-    sig, peak = _as_covariance(sigma)
-    if float(np.abs(sig - sig.T).max()) > atol * max(1.0, peak):
-        raise ValueError("covariance matrix must be symmetric")
+    sig = _as_covariance(sigma, atol)
     sig = 0.5 * (sig + sig.T)
     if float(np.linalg.eigvalsh(sig)[0]) <= 0.0:
         raise ValueError("covariance matrix must be positive definite")

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -573,3 +574,105 @@ class TestStackedKernel:
         grid = _invariants(stack.reshape(2, 3, 4, 4))
         for field in flat._fields:
             np.testing.assert_array_equal(getattr(grid, field).reshape(6), getattr(flat, field))
+
+
+def _mp_invariants(sigma):
+    """S and E of sigma's double entries, in 50-digit mpmath through the block matrices.
+
+    S = det A det B + (1/4 - |det C|)^2 - Tr[A J C J B J C^T J] - (det A + det B)/4
+    and f = h - sqrt(h^2 - det sigma) as written, with mpmath's determinants and
+    matrix products: an independent route to the kernel's closed polynomials.
+    """
+    with mpmath.workdps(50):
+        s = mpmath.matrix(np.asarray(sigma, dtype=float).tolist())
+        j = mpmath.matrix([[0, 1], [-1, 0]])
+        a, b, c = s[0:2, 0:2], s[2:4, 2:4], s[0:2, 2:4]
+        det_a, det_b, det_c = mpmath.det(a), mpmath.det(b), mpmath.det(c)
+        chain = a * j * c * j * b * j * c.T * j
+        cross = chain[0, 0] + chain[1, 1]
+        quarter = mpmath.mpf(1) / 4
+        s_value = det_a * det_b + (quarter - abs(det_c)) ** 2 - cross - quarter * (det_a + det_b)
+        head = (det_a + det_b) / 2 - det_c
+        f = head - mpmath.sqrt(head * head - mpmath.det(s))
+        return s_value, -mpmath.log(4 * f, 2) / 2
+
+
+def _near_product(rng):
+    sigma = random_physical_covariance(rng)
+    sigma[:2, 2:] *= 1e-6
+    sigma[2:, :2] *= 1e-6
+    return sigma
+
+
+def _near_degenerate(rng):
+    # B = A to a relative 1e-9 and a cross block C of size 1e-4 or 1e-8: the radicand
+    # is about |C|^2 h^2, so as the difference h^2 - det sigma it loses 8 or 16 digits
+    sigma = random_physical_covariance(rng)
+    sigma[2:, 2:] = sigma[:2, :2] * (1.0 + 1e-9 * rng.standard_normal())
+    scale = 10.0 ** -float(rng.choice([4, 8]))
+    sigma[:2, 2:] *= scale
+    sigma[2:, :2] *= scale
+    return sigma
+
+
+def _two_mode_squeezed(rng):
+    # thermal two-mode squeezed states, r up to 2 (E up to about 5.5) under local
+    # rotations: f is far below h, and h - sqrt(radicand) would keep 1e-10 of E
+    r = rng.uniform(0.5, 2.0)
+    c, s = math.cosh(2.0 * r) / 2.0, math.sinh(2.0 * r) / 2.0
+    sigma = rng.uniform(1.0, 1.5) * np.array(
+        [[c, 0.0, s, 0.0], [0.0, c, 0.0, -s], [s, 0.0, c, 0.0], [0.0, -s, 0.0, c]]
+    )
+    local = np.zeros((4, 4))
+    for k in (0, 2):
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        cos, sin = math.cos(angle), math.sin(angle)
+        local[k : k + 2, k : k + 2] = [[cos, sin], [-sin, cos]]
+    sigma = local @ sigma @ local.T
+    return 0.5 * (sigma + sigma.T)
+
+
+class TestKernelAgainstMpmath:
+    """The kernel, one matrix (Python floats) and a stack (arrays), against 50 digits."""
+
+    @pytest.mark.parametrize(
+        "states", [random_physical_covariance, _near_product, _near_degenerate, _two_mode_squeezed]
+    )
+    def test_s_and_e_match_mpmath(self, states):
+        rng = np.random.default_rng(91)
+        stack = np.array([states(rng) for _ in range(150)])
+        stacked = _invariants(stack)
+        for i, sigma in enumerate(stack):
+            s_want, e_want = _mp_invariants(sigma)
+            s_tol = 1e-14 * max(1.0, float(np.abs(sigma).max())) ** 4
+            single = _invariants(sigma)
+            for inv in (single, stacked._make(field[i] for field in stacked)):
+                assert abs(inv.s - s_want) <= s_tol, (i, inv.s, s_want)
+                assert abs(inv.e - e_want) <= 1e-11, (i, inv.e, e_want)
+            assert abs(simon_s(block_decompose(sigma)) - s_want) <= s_tol
+            assert abs(log_negativity(sigma) - e_want) <= 1e-11
+
+    def test_product_states(self):
+        # a I is a product state: f = a^2 exactly, where sqrt of a rounding-level
+        # radicand used to cost half the digits of E or raise NegativeRadicandError
+        for a in np.geomspace(1e-3, 1e3, 2001).tolist():
+            want = -0.5 * math.log2(4.0 * a * a)
+            sigma = a * np.eye(4)
+            assert abs(log_negativity(sigma) - want) <= 1e-12, a
+            assert abs(analyze(sigma).e_general - want) <= 1e-12, a
+
+    def test_singular_state_has_no_negativity(self):
+        # at the closed form's divergence (u = v) sigma is singular and E infinite;
+        # its determinant is rounding noise, so f is 0 (or noise <= 0) and E absent,
+        # not a large number
+        rng = np.random.default_rng(93)
+        for _ in range(200):
+            m, omega, lam = (float(v) for v in rng.uniform(0.5, 2.0, size=3))
+            u = float(rng.uniform(0.5, 3.0))
+            env = matched_env(m, omega, lam, u, u)
+            sigma = steady_state_closed_form(OscillatorParams(m, omega), env)
+            report = analyze(sigma)
+            assert report.e_general is None and abs(report.f_sigma) <= 1e-30, (m, omega, lam, u)
+            assert report.notes == ("e_general: f(sigma) <= 0",)
+            with pytest.raises(NonPositiveFError):
+                log_negativity(sigma)
