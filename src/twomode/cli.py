@@ -393,19 +393,26 @@ def _write_table(command: str, cfg: RunConfig, args, table: dict) -> None:
     as_json = args.format == "json"
     shape = np.broadcast_shapes(*(column.shape for column in table.values()))
     n_rows = math.prod(shape)
+    # The first non-finite value of a column that has no empty cells, in
+    # document order, raises: in JSON as json.dumps of the whole document would.
+    # A column is broadcast to the rows only to find that value.
+    firsts = []
+    for position, (name, column) in enumerate(table.items()):
+        if column.dtype.kind == "f" and name not in _OPTIONAL_COLUMNS:
+            if not np.isfinite(column).all():
+                flat = np.broadcast_to(column, shape).reshape(-1)
+                row = int(np.isfinite(flat).argmin())
+                firsts.append((row, position, name, float(flat[row])))
+    if firsts:
+        row, _, name, value = min(firsts)
+        if as_json:
+            _strict_json(value)
+        raise NonFiniteResultError(
+            f"cannot write {name} = {value!r} in row {row + 1}: "
+            "the value overflows double precision"
+        )
     if as_json:
         head = _document(command, cfg, {"columns": list(table)})[:-2] + ',\n  "rows": [\n'
-        # The first non-finite value of a column that has no empty cells, in
-        # document order, raises as json.dumps of the whole document would.
-        firsts = []
-        for position, (name, column) in enumerate(table.items()):
-            if column.dtype.kind == "f" and name not in _OPTIONAL_COLUMNS:
-                flat = np.broadcast_to(column, shape).reshape(-1)
-                bad = np.flatnonzero(~np.isfinite(flat))
-                if bad.size:
-                    firsts.append((bad[0], position, float(flat[bad[0]])))
-        if firsts:
-            _strict_json(min(firsts)[2])
         # A row is "[cell, ...]" indented as json.dumps(indent=2) would write it.
         cell_sep, row_sep, block_sep = ",\n      ", "\n    ],\n    [\n      ", ",\n"
         start, end, tail = "    [\n      ", "\n    ]", "\n  ]\n}\n"
@@ -442,15 +449,27 @@ def _format_cell(value) -> str:
     return "" if value is None else _format_column(np.array([value]), False, False)[0]
 
 
+def _require_finite(values, report: str) -> None:
+    """Raise NonFiniteResultError when a float among `values` is not finite."""
+    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+        raise NonFiniteResultError(
+            f"{report} overflows double precision; the coefficients are too extreme"
+        )
+
+
 def cmd_validate(cfg: RunConfig, args) -> int:
     report = validate_environment(cfg.environment, cfg.validation)
     payload = asdict(report)
-    lines = [
-        f"{key}: {','.join(value) if isinstance(value, tuple) else _format_cell(value)}"
-        for key, value in payload.items()
-        if value is not None
-    ]
-    _write("validate", cfg, args, lambda: {"report": payload}, lambda: lines)
+
+    def csv_lines() -> list[str]:
+        _require_finite(payload.values(), "validation report")
+        return [
+            f"{key}: {','.join(value) if isinstance(value, tuple) else _format_cell(value)}"
+            for key, value in payload.items()
+            if value is not None
+        ]
+
+    _write("validate", cfg, args, lambda: {"report": payload}, csv_lines)
     return 0 if report.passed else 2
 
 
@@ -485,11 +504,7 @@ def cmd_steady_state(cfg: RunConfig, args) -> int:
     row = sigma[_UPPER].tolist() + closed_entries + [max_diff]
     row += [getattr(report, name.lower()) for name in _REPORT_COLUMNS]
     # analyze leaves no closed-form field non-finite; the rest of the row may overflow
-    if not all(math.isfinite(v) for v in row if isinstance(v, float)):
-        raise NonFiniteResultError(
-            "steady-state report overflows double precision; "
-            "the coefficients are too extreme"
-        )
+    _require_finite(row, "steady-state report")
     csv_lines = [",".join(columns), ",".join(map(_format_cell, row))]
     _write("steady-state", cfg, args, payload, lambda: csv_lines)
     return 0

@@ -115,7 +115,8 @@ def steady_state_lyapunov(
     y = np.asarray(y, dtype=float)
     d = np.asarray(d, dtype=float)
     eigs = np.linalg.eigvals(y)
-    if not float(np.max(eigs.real)) < 0.0:
+    slowest = float(eigs.real.max())
+    if not slowest < 0.0:
         raise NotHurwitzError(
             "drift matrix has an eigenvalue with non-negative real part; "
             "no steady state exists"
@@ -136,7 +137,7 @@ def steady_state_lyapunov(
             "steady-state covariance overflows double precision; "
             "lambda is too small for these diffusion coefficients"
         )
-    _warn_if_ill_conditioned(-float(np.max(eigs.real)), float(np.max(np.abs(eigs.imag))))
+    _warn_if_ill_conditioned(-slowest, float(abs(eigs.imag).max()))
     return 0.5 * (sigma + sigma.T)
 
 

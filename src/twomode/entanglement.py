@@ -282,6 +282,8 @@ def _closed_forms(osc: OscillatorParams, env: EnvironmentParams) -> _ClosedForms
     shape.  A value is NaN where its field is absent; its code names the first
     condition that fails there: the matched class, then D_xy = 0 (not for
     S_special), lambda > 0, the divergence or the uncertainty bound, a finite value.
+    Outside the matched class every code is the class code, so one environment
+    of Python floats returns there, before any closed form is evaluated.
     """
     mw2 = _mw2(osc)
     matched = _first_failure(
@@ -291,6 +293,9 @@ def _closed_forms(osc: OscillatorParams, env: EnvironmentParams) -> _ClosedForms
         (_XPX, _nearly_equal(env.d_xpx, 0.0) ^ True),
         (_PXPY, _nearly_equal(mw2 * env.d_xy, env.d_pxpy) ^ True),
     )
+    # the ndarray test comes first: an array's truth value is ambiguous
+    if not isinstance(matched, np.ndarray) and matched:
+        return _ClosedForms(math.nan, math.nan, (math.nan, math.nan), matched, matched, matched)
     positive = (_LAMBDA, (env.lam > 0.0) ^ True)
     zero_cross = _first_failure(matched, (_CROSS, _nearly_equal(env.d_xy, 0.0) ^ True), positive)
     lam2 = env.lam * env.lam  # S_special divides by lam^2 (lam^2 + w^2): NaN where that is 0

@@ -2,7 +2,8 @@
 
 All matrices use the phase-space ordering (x, p_x, y, p_y) and hbar = 1.
 Types are immutable after construction and every operation is a pure
-function, so everything here is safe for unrestricted concurrent use.
+function, so everything here is safe for unrestricted concurrent use; the
+one cache, `_violations`'s last result, is replaced by a single assignment.
 """
 
 from __future__ import annotations
@@ -285,19 +286,36 @@ def _min_gram_eigenvalue(env: EnvironmentParams):
     return 2.0 * minimum(*halves)
 
 
-def _violations(env: EnvironmentParams, strict: bool) -> tuple[list, object]:
+# (env, strict, result) of the last _violations call on an EnvironmentParams.
+# Replaced by one assignment and read once per call, so concurrent callers see
+# a whole entry; the strong reference keeps env's id from being reused.
+_last_violations = (None, None, None)
+
+
+def _violations(env: EnvironmentParams, strict: bool) -> tuple[tuple, object]:
     """Whether each check in _CHECK_NAMES fails, and the minimum Gram eigenvalue.
 
     Elementwise for coefficient arrays of one shape.  The Gram check comes
-    last, only when strict; the eigenvalue is None otherwise.
+    last, only when strict; the eigenvalue is None otherwise.  The result for
+    the last EnvironmentParams object is kept and returned again for the same
+    object and mode, so `analyze` after `validate_environment` does not
+    repeat the Gram spectrum.  The key is identity, not equality: d_xy = 0.0
+    and -0.0 compare equal, yet their eigenvalues may differ in a zero's sign.
     """
+    global _last_violations
+    last_env, last_strict, result = _last_violations
+    if env is last_env and strict == last_strict:
+        return result
     # a NaN slack (inf - inf for extreme coefficients) counts as violated
     violated = [env.lam <= 0.0] + [(c(env) >= 0.0) ^ True for _, c in _COEFFICIENT_CONSTRAINTS]
     min_eig = None
     if strict:
         min_eig = _min_gram_eigenvalue(env)
         violated.append(min_eig < -PSD_TOLERANCE)
-    return violated, min_eig
+    result = tuple(violated), min_eig
+    if isinstance(env, EnvironmentParams):
+        _last_violations = env, strict, result
+    return result
 
 
 def _validity(env: EnvironmentParams) -> tuple:

@@ -1055,8 +1055,8 @@ def test_extreme_coefficients_keep_the_error_contract(config):
                         strict_json(written)
 
 
-# One config per subcommand whose numbers overflow.  In JSON (and in CSV for
-# steady-state and sweep) the run exits 2 with one `error:` line and writes nothing.
+# One config per subcommand whose numbers overflow.  In either format the run
+# exits 2 with one `error:` line and writes nothing.
 _OVERFLOWS = {
     # the strict Gram matrix overflows: its smallest eigenvalue is -inf
     "validate": dict(
@@ -1067,7 +1067,7 @@ _OVERFLOWS = {
         REFERENCE_CONFIG,
         environment={"lambda": 1.0, "D_xx": 1e160, "D_pxpx": 1e160, "D_xpy": 1e150},
     ),
-    # sigma(t) overflows; the CSV writes inf and nan cells, strict JSON cannot
+    # sigma(t) overflows: some sigma and max_abs_dev cells would read inf or nan
     "evolve": dict(
         REFERENCE_CONFIG,
         oscillator={"m": 1.0, "omega": 1000.0},
@@ -1087,9 +1087,6 @@ def test_overflow_writes_nothing(tmp_path, command, fmt):
     path = write_config(tmp_path, _OVERFLOWS[command])
     for target in (None, tmp_path / "out"):
         code, written, err = run_to(command, path, fmt, target)
-        if fmt == "csv" and command in ("validate", "evolve"):
-            assert code == (2 if command == "validate" else 0) and "inf" in written
-            continue
         assert code == 2 and written in ("", None)
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "double precision" in err or "strict JSON" in err

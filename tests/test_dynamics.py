@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,8 +128,25 @@ class TestSteadyStateLyapunov:
 
     def test_warns_when_barely_damped(self):
         y = drift(lam=1e-8)
-        with pytest.warns(ConditioningWarning):
+        with pytest.warns(ConditioningWarning) as record:
             steady_state_lyapunov(y, np.eye(4))
+        assert len(record) == 1
+
+    def test_real_spectrum(self):
+        # eigvals of a diagonal Y is a float array, with no imaginary part
+        y = np.diag([-1.0, -2.0, -3.0, -4.0])
+        assert np.linalg.eigvals(y).dtype == np.float64
+        d = np.arange(16.0).reshape(4, 4)
+        d = d + d.T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigma = steady_state_lyapunov(y, d)
+        rates = np.diag(y)
+        np.testing.assert_allclose(sigma, -2.0 * d / (rates[:, None] + rates[None, :]), rtol=1e-14)
+
+    def test_real_eigenvalue_zero_is_not_hurwitz(self):
+        with pytest.raises(NotHurwitzError):
+            steady_state_lyapunov(np.diag([-1.0, 0.0, -3.0, -4.0]), np.eye(4))
 
     @pytest.mark.parametrize("structured", [True, False])
     def test_equals_kronecker_solve(self, structured):

@@ -1,5 +1,10 @@
+import copy
 import math
+import sys
+import threading
 import warnings
+from dataclasses import asdict, fields
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -30,9 +35,23 @@ from twomode import (
     simon_s,
     simon_s_special,
     steady_state_closed_form,
+    validate_environment,
 )
 
-from twomode.entanglement import _invariants
+from twomode.entanglement import (
+    _CROSS,
+    _DIVERGENT,
+    _LAMBDA,
+    _MIRRORED,
+    _NONFINITE,
+    _PXPX,
+    _PXPY,
+    _UNCERTAINTY,
+    _XPX,
+    _closed_forms,
+    _invariants,
+)
+from twomode.model import _validity
 
 from support import (
     matched_env,
@@ -545,6 +564,173 @@ class TestAnalyze:
     def test_rejects_partial_context(self, osc):
         with pytest.raises(ValueError):
             analyze(VACUUM, osc, None)
+
+
+def _stacked(env):
+    """env with each diffusion coefficient a 1-element array, as in the sweep; lam is a float."""
+    return SimpleNamespace(
+        lam=env.lam,
+        **{f.name: np.array([getattr(env, f.name)]) for f in fields(EnvironmentParams)[1:]},
+    )
+
+
+def _assert_closed_forms_match_stacked(osc, env):
+    """One Python-float environment gives the codes and values of its 1-element stack."""
+    ours = _closed_forms(osc, env)
+    with np.errstate(all="ignore"):  # arrays overflow silently, as the CLI runs the sweep
+        stacked = _closed_forms(osc, _stacked(env))
+    assert ours[3:] == tuple(int(code[0]) for code in stacked[3:])
+    values = [ours.s_special, ours.e_closed, *ours.window]
+    expected = [stacked.s_special, stacked.e_closed, *stacked.window]
+    np.testing.assert_array_equal(values, [value[0] for value in expected])  # NaN == NaN
+    return ours
+
+
+# One environment (m = omega = 1) per code that a closed form's absence can have.
+_CODE_CASES = {
+    _MIRRORED: EnvironmentParams(
+        lam=1.0, d_xx=0.6, d_pxpx=0.6, d_xpy=0.3, d_ypx=0.3, d_yy=0.7, d_pypy=0.6
+    ),
+    _PXPX: SymmetricEnvironmentParams(lam=1.0, d_xx=0.6, d_pxpx=0.5, d_xpy=0.3),
+    _XPX: SymmetricEnvironmentParams(lam=1.0, d_xx=0.6, d_xpx=0.1, d_pxpx=0.6, d_xpy=0.3),
+    _PXPY: SymmetricEnvironmentParams(1.0, 0.6, 0.0, 0.6, d_xy=0.1, d_xpy=0.3, d_pxpy=0.2),
+    _CROSS: SymmetricEnvironmentParams(1.0, 0.6, 0.0, 0.6, d_xy=0.1, d_xpy=0.3, d_pxpy=0.1),
+    _LAMBDA: SymmetricEnvironmentParams(lam=-0.5, d_xx=0.6, d_pxpx=0.6, d_xpy=0.3),
+    _DIVERGENT: matched_env(1.0, 1.0, 1.0, u=0.6, v=0.6),
+    _UNCERTAINTY: matched_env(1.0, 1.0, 1.0, u=0.3, v=1.0),
+    _NONFINITE: SymmetricEnvironmentParams(lam=1e-300, d_xx=1e10, d_pxpx=1e10, d_xpy=0.3),
+}
+
+
+class TestClosedFormsOnOneEnvironment:
+    """Python floats return at the first class failure; the stack evaluates every form."""
+
+    @pytest.mark.parametrize("code", sorted(_CODE_CASES))
+    def test_each_code_matches_the_stacked_path(self, code):
+        forms = _assert_closed_forms_match_stacked(OscillatorParams(1.0, 1.0), _CODE_CASES[code])
+        assert code in (forms.s_code, forms.e_code, forms.window_code)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=closed_form_cases())
+    def test_drawn_cases_match_the_stacked_path(self, case):
+        osc, env, _ = case
+        _assert_closed_forms_match_stacked(osc, env)
+
+
+@st.composite
+def scalar_api_environments(draw):
+    """(osc, env) of a benchmark scalar kind: matched class, mirrored, ten coefficients.
+
+    The ranges make a good share of the environments pass lenient validation
+    and fail or pass strict, so the two modes' results differ.
+    """
+    m, omega = draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0))
+    lam = draw(st.floats(0.2, 1.0))
+    kind = draw(st.sampled_from(("matched", "mirrored", "general")))
+    if kind == "matched":
+        env = matched_env(m, omega, lam, u=draw(st.floats(0.3, 3.0)), v=draw(st.floats(0.0, 3.0)))
+        return OscillatorParams(m, omega), env
+    diagonal, off = st.floats(0.3, 1.2), st.floats(-0.25, 0.25)
+    env = SymmetricEnvironmentParams(
+        lam, draw(diagonal), draw(off), draw(diagonal), draw(off), draw(off), draw(off)
+    )
+    if kind == "general":  # the y-mode coefficients move off their mirror images
+        moved = {y: getattr(env, y) + draw(off) for y in ("d_ypx", "d_yy", "d_ypy", "d_pypy")}
+        env = EnvironmentParams(**{**asdict(env), **moved})
+    return OscillatorParams(m, omega), env
+
+
+def _pipeline(osc, env, mode="strict"):
+    """The reprs of validate_environment and then analyze on the same env object."""
+    return repr(validate_environment(env, mode)), repr(analyze(VACUUM, osc, env))
+
+
+def _fresh(osc, env, mode="strict"):
+    """_pipeline's results computed on fresh copies of env, which no cache holds."""
+    report = validate_environment(copy.copy(env), mode)
+    return repr(report), repr(analyze(VACUUM, osc, copy.copy(env)))
+
+
+class TestRepeatedValidity:
+    """analyze reuses validate_environment's checks for the same env object, and only then."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=scalar_api_environments(), mode=st.sampled_from(["strict", "lenient"]))
+    def test_analyze_after_validate_equals_a_fresh_object(self, case, mode):
+        assert _pipeline(*case, mode) == _fresh(*case, mode)
+
+    @settings(max_examples=100, deadline=None)
+    @given(first=scalar_api_environments(), second=scalar_api_environments())
+    def test_another_validation_in_between(self, first, second):
+        osc, env = first
+        validate_environment(env)
+        validate_environment(second[1])
+        assert repr(analyze(VACUUM, osc, env)) == _fresh(osc, env)[1]
+
+    def test_lenient_validation_then_analyze(self, osc, boundary_env):
+        assert validate_environment(boundary_env, "lenient").passed
+        report = analyze(VACUUM, osc, boundary_env)
+        assert (report.valid_strict, report.valid_lenient) == (False, True)
+
+    def test_analyze_reuses_the_strict_gram_check(self, monkeypatch, osc):
+        env = _CODE_CASES[_MIRRORED]  # not mirrored: its Gram spectrum comes from eigvalsh
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        validate_environment(env)
+        analyze(VACUUM, osc, env)
+        assert len(calls) == 1
+
+    def test_equal_environments_keep_their_own_reports(self):
+        # the two compare and hash equal, yet their Gram eigenvalues are 0.0 and -0.0
+        zero, negative_zero = (
+            SymmetricEnvironmentParams(0.0, -0.0, -0.0, -0.0, d_xy, -0.0, -0.0)
+            for d_xy in (0.0, -0.0)
+        )
+        assert zero == negative_zero and hash(zero) == hash(negative_zero)
+        for _ in range(2):
+            assert repr(validate_environment(zero).min_gram_eigenvalue) == "0.0"
+            assert repr(validate_environment(negative_zero).min_gram_eigenvalue) == "-0.0"
+
+    def test_array_environment_is_never_kept(self, reference_env):
+        # the sweep's environment is mutable, so a result kept for it could go stale
+        env = _stacked(reference_env)
+        assert [bool(v[0]) for v in _validity(env)] == [True, True]
+        env.d_xx = np.array([-1.0])
+        assert [bool(v[0]) for v in _validity(env)] == [False, False]
+
+    def test_threads_get_the_serial_results(self):
+        rng = np.random.default_rng(31)
+        cases = []
+        for _ in range(4):
+            osc = OscillatorParams(*(float(v) for v in rng.uniform(0.5, 2.0, size=2)))
+            mirrored = random_valid_symmetric_env(rng, "strict")
+            general = EnvironmentParams(**{**asdict(mirrored), "d_yy": mirrored.d_yy + 0.1})
+            v = float(rng.uniform(0, 2))
+            matched = matched_env(osc.m, osc.omega, mirrored.lam, u=0.8, v=v)
+            cases += [(osc, mirrored), (osc, general), (osc, matched)]
+        # four threads, each on its own environments
+        n_threads = 4
+        serial = [_pipeline(*case) for case in cases]
+        expected = [serial[k::n_threads] * 100 for k in range(n_threads)]
+        results = [None] * n_threads
+        barrier = threading.Barrier(n_threads)
+
+        def work(k):
+            barrier.wait()
+            results[k] = [_pipeline(*case) for _ in range(100) for case in cases[k::n_threads]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == expected
 
 
 class TestStackedKernel:

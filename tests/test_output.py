@@ -169,8 +169,10 @@ def test_first_non_finite_cell_in_document_order_raises(row):
     with pytest.raises(NonFiniteResultError) as raised:
         written(table, "json")
     assert str(raised.value) == f"cannot write strict JSON: {oracle.value}"
-    # CSV writes them as they are
-    assert "inf" in written(table, "csv")
+    # CSV raises at the same cell, counting rows from 1 (row - 1 = -1 is the last row)
+    first = f"b = inf in row {row}" if row else "a = nan in row 1"
+    with pytest.raises(NonFiniteResultError, match=f"cannot write {first}:"):
+        written(table, "csv")
 
 
 def strict_json(text):
