@@ -17,7 +17,6 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,15 +27,15 @@ from .dynamics import (
     steady_state_closed_form,
     steady_state_lyapunov,
 )
-from .entanglement import _UNCERTAINTY, _UPPER, _closed_forms, _kernel, _verdict, analyze
+from .entanglement import analyze, report
 from .errors import NonFiniteResultError, TwoModeError
 from .model import (
+    Coefficients,
     EnvironmentParams,
     OscillatorParams,
     SymmetricEnvironmentParams,
     _MIRROR,
     _require_positive_lambda,
-    _validity,
     build_diffusion_matrix,
     build_drift_matrix,
     check_state_covariance,
@@ -61,7 +60,8 @@ _FULL_KEYS = tuple(_ENV_KEYS)[1:]
 #: Most points a time grid or a sweep grid (axis1.n * axis2.n) may have.
 MAX_GRID_POINTS = 10**6
 
-# The entries of sigma at entanglement._UPPER, in that order.
+# sigma's upper entries in row-major order, the order `report` takes them in, and their columns.
+_UPPER = np.triu_indices(4)
 _SIGMA_COLUMNS = (
     "sigma_xx", "sigma_xpx", "sigma_xy", "sigma_xpy", "sigma_pxpx",
     "sigma_ypx", "sigma_pxpy", "sigma_yy", "sigma_ypy", "sigma_pypy",
@@ -483,7 +483,7 @@ def cmd_steady_state(cfg: RunConfig, args) -> int:
     if is_symmetric_environment(env):
         sigma_closed = steady_state_closed_form(osc, env)
         max_diff = float(np.abs(sigma - sigma_closed).max())
-    report = analyze(sigma, osc, env)
+    analysis = analyze(sigma, osc, env)
 
     def payload() -> dict:
         return {
@@ -492,7 +492,7 @@ def cmd_steady_state(cfg: RunConfig, args) -> int:
                 sigma_closed.tolist() if sigma_closed is not None else None
             ),
             "closed_form_max_diff": max_diff,
-            "report": {name: getattr(report, name) for name in _REPORT_FIELDS},
+            "report": {name: getattr(analysis, name) for name in _REPORT_FIELDS},
         }
 
     columns = (
@@ -502,7 +502,7 @@ def cmd_steady_state(cfg: RunConfig, args) -> int:
     )
     closed_entries = sigma_closed[_UPPER].tolist() if sigma_closed is not None else [None] * 10
     row = sigma[_UPPER].tolist() + closed_entries + [max_diff]
-    row += [getattr(report, name.lower()) for name in _REPORT_COLUMNS]
+    row += [getattr(analysis, name.lower()) for name in _REPORT_COLUMNS]
     # analyze leaves no closed-form field non-finite; the rest of the row may overflow
     _require_finite(row, "steady-state report")
     csv_lines = [",".join(columns), ",".join(map(_format_cell, row))]
@@ -537,22 +537,22 @@ def _evolve_table(cfg: RunConfig, y: np.ndarray, sigma_inf: np.ndarray) -> dict:
     max_abs_dev = np.abs(sigmas - sigma_inf).max(axis=(-2, -1))
     upper = sigmas[:, _UPPER[0], _UPPER[1]].T
     del sigmas  # freed before the kernel runs: evolve's peak RSS is about 1 MB lower
-    inv = _kernel(*upper)
+    at = report(upper)
     return {
         "t": grid,
         **dict(zip(_SIGMA_COLUMNS, upper)),
-        "S_general": inv.s,
-        "E_general": inv.e,
+        "S_general": at.s,
+        "E_general": at.e,
         "max_abs_dev": max_abs_dev,
     }
 
 
-def _sweep_environments(cfg: RunConfig) -> tuple[dict, SimpleNamespace]:
-    """The grid's coefficients and an environment of their values, row-major.
+def _sweep_environments(cfg: RunConfig) -> tuple[dict, Coefficients]:
+    """The grid's coefficients and an environment of their values.
 
     Each coefficient broadcasts to the grid's shape (axis1.n, axis2.n) and
     varies along the axes it depends on only; the environment's diffusion
-    coefficients are flat arrays over the grid.
+    coefficients are read-only views of them in the grid's shape.
     """
     osc, env, sweep = cfg.oscillator, cfg.environment, cfg.sweep
     m, w, lam = osc.m, osc.omega, env.lam
@@ -574,48 +574,39 @@ def _sweep_environments(cfg: RunConfig) -> tuple[dict, SimpleNamespace]:
     if not all(np.isfinite(x).all() for x in (lam, *grid.values())):
         raise NonFiniteResultError("sweep grid overflows double precision")
     shape = (a1.size, a2.size)
-    flat = {id(x): np.broadcast_to(x, shape).reshape(-1) for x in values.values()}
-    return grid, SimpleNamespace(lam=lam, **{k: flat[id(x)] for k, x in values.items()})
+    return grid, Coefficients(lam=lam, **{k: np.broadcast_to(x, shape) for k, x in values.items()})
 
 
 def _sweep_table(cfg: RunConfig) -> dict:
-    """The sweep table: analyze's fields on the closed-form sigma_inf at each point.
+    """The sweep table: `report`'s fields on the closed-form sigma_inf at each point.
 
-    Below the single-mode uncertainty bound the asymptotic state is
-    unphysical, so the negativity cells of those points are left empty.
-    Non-finite numbers are left empty too, and so is the verdict of a row
-    whose S_general is not finite.
+    The sweep's own rule: where the report is gated, below the single-mode
+    uncertainty bound, the state is unphysical and the negativity cells are
+    empty.  So are non-finite numbers, and the verdict where S is not finite.
     """
     osc = cfg.oscillator
     grid, env = _sweep_environments(cfg)
-    valid_strict, valid_lenient = _validity(env)
     sxx, sxpx, spxpx, sxy, sxpy, spxpy = _closed_form_entries(osc, env)
-    inv = _kernel(sxx, sxpx, sxy, sxpy, spxpx, sxpy, spxpy, sxx, sxpx, spxpx)
-    forms = _closed_forms(osc, env)
-    unphysical = forms.window_code == _UNCERTAINTY
-    table = {
-        "valid_strict": valid_strict,
-        "valid_lenient": valid_lenient,
-        "S_general": inv.s,
-        "S_special": forms.s_special,
-        "E_general": np.where(unphysical, np.nan, inv.e),
-        "E_closed": np.where(unphysical, np.nan, forms.e_closed),
-        "verdict": np.where(np.isfinite(inv.s), _verdict(inv.s), ""),
-    }
-    shape = (grid["axis1"].size, grid["axis2"].size)
+    at = report((sxx, sxpx, sxy, sxpy, spxpx, sxpy, spxpy, sxx, sxpx, spxpx), osc, env)
     return {
         "axis1": grid["axis1"],
         "axis2": grid["axis2"],
         "D_xx": grid["d_xx"],
         "D_xpy": grid["d_xpy"],
-        **{name: column.reshape(shape) for name, column in table.items()},
+        "valid_strict": at.valid_strict,
+        "valid_lenient": at.valid_lenient,
+        "S_general": at.s,
+        "S_special": at.forms.s_special,
+        "E_general": np.where(at.gated, np.nan, at.e),
+        "E_closed": np.where(at.gated, np.nan, at.forms.e_closed),
+        "verdict": at.verdict,
     }
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep requires a sweep section in the config")
-    osc, env, sweep = cfg.oscillator, cfg.environment, cfg.sweep
+    env, sweep = cfg.environment, cfg.sweep
     if not is_symmetric_environment(env):
         raise ConfigError(
             "sweep requires a symmetric base environment "

@@ -110,7 +110,8 @@ def steady_state_lyapunov(
     Bartels-Stewart style solver unnecessary.  The operator I (x) Y + Y (x) I
     is built as one broadcast product over [4, 4, 4, 4] reshaped to 16x16;
     it makes the same products and sums as two `np.kron` calls, so it is
-    bit for bit the Kronecker-built operator, for any 4x4 Y.
+    bit for bit the Kronecker-built operator, for any 4x4 Y.  The finiteness
+    check comes after the symmetrization, whose sum can overflow too.
     """
     y = np.asarray(y, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -132,13 +133,14 @@ def steady_state_lyapunov(
             "Lyapunov operator is singular in double precision; "
             "the coefficients span too many orders of magnitude"
         ) from None
+    sigma = 0.5 * (sigma + sigma.T)
     if not np.isfinite(sigma).all():
         raise NonFiniteResultError(
             "steady-state covariance overflows double precision; "
             "lambda is too small for these diffusion coefficients"
         )
     _warn_if_ill_conditioned(-slowest, float(abs(eigs.imag).max()))
-    return 0.5 * (sigma + sigma.T)
+    return sigma
 
 
 def steady_state_closed_form(

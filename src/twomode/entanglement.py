@@ -5,12 +5,12 @@ logarithmic negativity E = -1/2 log2[4 f(sigma)] quantifies entanglement for
 E > 0.  Closed forms are provided for the matched-noise coefficient class
 m^2 w^2 D_xx = D_pxpx, D_xpx = 0, m^2 w^2 D_xy = D_pxpy.
 
-One kernel, `_kernel`, evaluates S, f and E from the ten upper entries of
-sigma, Python floats for one matrix or arrays for a stack (`_invariants` takes
-the matrices); the public functions are its one-matrix views.  One decision,
-`_closed_forms`, gives S_special, E_closed and the window elementwise, with a
-code per field naming the first condition that fails: analyze's notes, the
-closed forms' errors and the sweep's empty cells all read these codes.
+One kernel, `_kernel`, evaluates S, f, E and Simon's verdict from the ten
+upper entries of sigma, Python floats for one matrix or arrays for a stack.
+One decision, `_closed_forms`, gives S_special, E_closed and the window
+elementwise, with a code per field naming the first condition that fails.
+`report` adds validity and the closed forms to the kernel: `analyze` is its
+one-matrix view, with notes read from the codes, and the CLI tables its columns.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class EntanglementReport:
     notes: tuple[str, ...] = ()
 
 
-_Invariants = namedtuple("_Invariants", "det_a det_b det_c s radicand f e")
+_Invariants = namedtuple("_Invariants", "det_a det_b det_c s radicand f e verdict")
 #: Row and column indices of sigma's upper entries s00, s01, s02, s03, s11, s12, s13, s22, s23, s33.
 _UPPER = ((0, 0, 0, 0, 1, 1, 1, 2, 2, 3), (0, 1, 2, 3, 1, 2, 3, 2, 3, 3))
 # A difference below this times the size of its terms is rounding noise.
@@ -87,15 +87,8 @@ def _denoised(difference, size):
     return difference * ((abs(difference) < _NOISE * size) ^ True)
 
 
-def _invariants(sigma: NDArray[np.float64], det_sigma=None) -> _Invariants:
-    """The separability kernel for sigma[..., 4, 4]; every field has shape [...]."""
-    entries = sigma[..., _UPPER[0], _UPPER[1]]
-    columns = entries.tolist() if entries.ndim == 1 else np.moveaxis(entries, -1, 0)
-    return _kernel(*columns, det_sigma=det_sigma)
-
-
 def _kernel(s00, s01, s02, s03, s11, s12, s13, s22, s23, s33, det_sigma=None) -> _Invariants:
-    """S, f and E from the ten upper entries of sigma: Python floats, or arrays of one shape.
+    """S, f, E and the verdict (entangled iff S < 0) of sigma's upper entries: floats, or arrays.
 
     With sigma = [[A, C], [C^T, B]], h = (det A + det B)/2 - det C and
     T = Tr[A J C J B J C^T J] = s00 (r adj B r) - 2 s01 (q adj B r) + s11 (q adj B q),
@@ -107,7 +100,7 @@ def _kernel(s00, s01, s02, s03, s11, s12, s13, s22, s23, s33, det_sigma=None) ->
     radicand) where h > 0.  A difference within _NOISE of its terms counts as 0: the
     radicand from a caller's det sigma, and the entries and determinant of the Schur
     complement, so a singular sigma gets f = 0.  E is NaN where f <= 0 or the
-    radicand is below -RADICAND_TOLERANCE.
+    radicand is below -RADICAND_TOLERANCE, and the verdict "" where S is not finite.
     """
     det_a = s00 * s11 - s01 * s01
     det_b = s22 * s33 - s23 * s23
@@ -144,7 +137,8 @@ def _kernel(s00, s01, s02, s03, s11, s12, s13, s22, s23, s33, det_sigma=None) ->
     f = where(positive, det_sigma / where(positive, head + root, 1.0), head - root)
     defined = (radicand >= -RADICAND_TOLERANCE) & (f > 0.0)
     e = -0.5 * log2(4.0 * where(defined, f, math.nan))
-    return _Invariants(det_a, det_b, det_c, s, radicand, f, e)
+    verdict = where(_nonfinite(s), "", where(s < 0.0, "entangled", "separable"))
+    return _Invariants(det_a, det_b, det_c, s, radicand, f, e, verdict)
 
 
 def _require_radicand(inv: _Invariants) -> None:
@@ -167,7 +161,7 @@ def simon_s(blocks: BlockDecomposition) -> float:
     S = det A det B + (1/4 - |det C|)^2 - Tr[A J C J B J C^T J]
         - (det A + det B)/4.
     """
-    return float(_invariants(blocks.reassemble()).s)
+    return float(_kernel(*blocks.reassemble()[_UPPER].tolist()).s)
 
 
 def f_sigma(blocks: BlockDecomposition, det_sigma: float) -> float:
@@ -176,14 +170,14 @@ def f_sigma(blocks: BlockDecomposition, det_sigma: float) -> float:
     f = (det A + det B)/2 - det C
         - sqrt{[(det A + det B)/2 - det C]^2 - det sigma}.
     """
-    inv = _invariants(blocks.reassemble(), float(det_sigma))
+    inv = _kernel(*blocks.reassemble()[_UPPER].tolist(), det_sigma=float(det_sigma))
     _require_radicand(inv)
     return float(inv.f)
 
 
 def log_negativity(sigma: NDArray[np.float64]) -> float:
     """Logarithmic negativity E = -1/2 log2[4 f(sigma)]; E > 0 iff entangled."""
-    inv = _invariants(_as_covariance(sigma))
+    inv = _kernel(*_as_covariance(sigma)[_UPPER].tolist())
     _require_radicand(inv)
     if inv.f <= 0.0:
         raise NonPositiveFError(f"f(sigma) = {float(inv.f)!r} must be positive")
@@ -318,9 +312,9 @@ def _closed_forms(osc: OscillatorParams, env: EnvironmentParams) -> _ClosedForms
     return _ClosedForms(s_special * _SHOWN[s_code], e_closed, window, s_code, e_code, window_code)
 
 
-def _closed_form_fields(osc: OscillatorParams, env: EnvironmentParams) -> dict:
-    """analyze's closed-form fields for one environment: each value, or its function's error."""
-    s_special, e_closed, (low, high), s_code, e_code, window_code = _closed_forms(osc, env)
+def _closed_form_fields(forms, osc: OscillatorParams, env: EnvironmentParams) -> dict:
+    """analyze's closed-form fields from one environment's `forms`: value or function's error."""
+    s_special, e_closed, (low, high), s_code, e_code, window_code = forms
     error = {c: _ABSENCE_ERRORS[c](osc, env) for c in {s_code, e_code, window_code} if c}
     return {
         "s_special": error[s_code] if s_code else float(s_special),
@@ -330,17 +324,31 @@ def _closed_form_fields(osc: OscillatorParams, env: EnvironmentParams) -> dict:
 
 
 def _closed_form_value(name: str, osc: OscillatorParams, env: EnvironmentParams):
-    value = _closed_form_fields(osc, env)[name]
+    value = _closed_form_fields(_closed_forms(osc, env), osc, env)[name]
     if isinstance(value, TwoModeError):
         raise value
     return value
 
 
-def _verdict(s):
-    """Simon's test: the state is entangled iff S < 0; elementwise for an array."""
-    if isinstance(s, np.ndarray):
-        return np.where(s < 0.0, "entangled", "separable")
-    return "entangled" if s < 0.0 else "separable"
+_Report = namedtuple(
+    "_Report", (*_Invariants._fields, "valid_strict", "valid_lenient", "forms", "gated")
+)
+
+
+def report(entries, osc=None, env=None) -> _Report:
+    """The separability report from sigma's ten upper entries, in _UPPER's order.
+
+    Entries and coefficients are Python floats for one matrix, or arrays of one
+    shape for a stack.  Given osc and env it adds strict and lenient validity,
+    the closed forms with their codes and `gated`, below the uncertainty bound.
+    """
+    if (osc is None) != (env is None):
+        raise ValueError("osc and env must be provided together")
+    inv = _kernel(*entries)
+    if env is None:
+        return _Report(*inv, None, None, None, None)
+    forms = _closed_forms(osc, env)
+    return _Report(*inv, *_validity(env), forms, forms.window_code == _UNCERTAINTY)
 
 
 def det_c_closed_form(osc: OscillatorParams, env: EnvironmentParams) -> float:
@@ -409,35 +417,30 @@ def analyze(
     Raises NonFiniteResultError when sigma's invariants overflow double
     precision.
     """
-    sig = _as_covariance(sigma, 1e-10)
-    if (osc is None) != (env is None):
-        raise ValueError("osc and env must be provided together")
-
-    inv = _invariants(sig)  # Python floats
-    if not all(map(math.isfinite, inv[:-1])):  # e is NaN wherever it is undefined
+    rep = report(_as_covariance(sigma, 1e-10)[_UPPER].tolist(), osc, env)
+    if not all(map(math.isfinite, rep[:6])):  # det_a to f; e is NaN wherever it is undefined
         raise NonFiniteResultError("covariance invariants overflow double precision")
     notes: list[str] = []
     f_value = e_general = None
     try:
-        _require_radicand(inv)
-        f_value = inv.f
+        _require_radicand(rep)
+        f_value = rep.f
         if f_value > 0.0:
-            e_general = inv.e
+            e_general = rep.e
         else:
             notes.append("e_general: f(sigma) <= 0")
     except NegativeRadicandError as exc:
         notes.append(f"f_sigma: {exc}")
 
-    closed: dict = {}
-    valid_strict = valid_lenient = None
-    if env is not None and osc is not None:
-        valid_strict, valid_lenient = (bool(v) for v in _validity(env))
-        for name, value in _closed_form_fields(osc, env).items():
+    context: dict = {}
+    if env is not None:
+        context = {"valid_strict": bool(rep.valid_strict), "valid_lenient": bool(rep.valid_lenient)}
+        for name, value in _closed_form_fields(rep.forms, osc, env).items():
             if isinstance(value, TwoModeError):
                 notes.append(f"{name}: {value}")
             else:
-                closed[name] = value
+                context[name] = value
     return EntanglementReport(
-        inv.det_a, inv.det_b, inv.det_c, inv.s, _verdict(inv.s), f_value, e_general,
-        valid_strict=valid_strict, valid_lenient=valid_lenient, notes=tuple(notes), **closed,
+        rep.det_a, rep.det_b, rep.det_c, rep.s, rep.verdict, f_value, e_general,
+        notes=tuple(notes), **context,
     )

@@ -11,7 +11,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.typing import NDArray
@@ -75,14 +76,22 @@ class EnvironmentParams:
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
+@dataclass(frozen=True, init=False)
 class SymmetricEnvironmentParams(EnvironmentParams):
     """Environment whose y-mode noise mirrors the x-mode noise.
 
     Constructed from the reduced coefficient set; the duplicates are filled
     in from `_MIRROR` (d_yy = d_xx, d_ypy = d_xpx, d_pypy = d_pxpx and
     d_ypx = d_xpy), which makes both reduced one-mode covariance matrices
-    equal and the cross-correlation block symmetric.
+    equal and the cross-correlation block symmetric.  The duplicates are not
+    arguments, so `dataclasses.replace` mirrors a changed x-mode field and
+    refuses a y-mode one.
     """
+
+    d_ypx: float = field(default=0.0, init=False)
+    d_yy: float = field(default=0.0, init=False)
+    d_ypy: float = field(default=0.0, init=False)
+    d_pypy: float = field(default=0.0, init=False)
 
     def __init__(
         self,
@@ -244,6 +253,9 @@ _COEFFICIENT_CONSTRAINTS = (
 
 
 _CHECK_NAMES = ("lambda_positive", *(name for name, _ in _COEFFICIENT_CONSTRAINTS), "gram_psd")
+#: An environment's coefficients, unchecked: floats, or arrays of one shape for a grid
+#: of environments, which the checks below and the closed forms take elementwise.
+Coefficients = namedtuple("Coefficients", [f.name for f in fields(EnvironmentParams)])
 
 
 def _min_gram_eigenvalue(env: EnvironmentParams):
@@ -267,15 +279,23 @@ def _min_gram_eigenvalue(env: EnvironmentParams):
     several times cheaper than the ufunc on them, arrays through np.hypot;
     the two may differ in the last bit.  Any other environment, mirrored
     only to a tolerance included, goes through `eigvalsh` of
-    `build_gram_matrix`.
+    `build_gram_matrix`, each matrix scaled by a power of two to a largest
+    real or imaginary part in [0.5, 1): exact, and unscaled with ldexp, as
+    2.0**1024 overflows.  Unscaled, eigvalsh lost digits on entries of
+    extreme magnitude (-6.2323e135 for -6.2348e135).
     """
     mirrored = functools.reduce(
         operator.and_, [getattr(env, y) == getattr(env, x) for y, x in _MIRROR.items()]
     )
     stacked = isinstance(mirrored, np.ndarray)
     if not (mirrored.all() if stacked else mirrored):
-        # [()] turns the 0-d result for one environment into a scalar
-        return np.linalg.eigvalsh(build_gram_matrix(env))[..., 0][()]
+        gram = build_gram_matrix(env)
+        peak = np.maximum(abs(gram.real), abs(gram.imag)).max(axis=(-2, -1))
+        exponent = np.frexp(peak)[1]
+        scale = -exponent[..., None, None]
+        gram.real, gram.imag = np.ldexp(gram.real, scale), np.ldexp(gram.imag, scale)
+        low = np.ldexp(np.linalg.eigvalsh(gram)[..., 0], exponent)
+        return low if stacked else float(low)
     hypot, minimum = (np.hypot, np.minimum) if stacked else (math.hypot, min)
     xx, xy, pp, py = 0.25 * env.d_xx, 0.25 * env.d_xy, 0.25 * env.d_pxpx, 0.25 * env.d_pxpy
     xp, xq, lam = 0.5 * env.d_xpx, 0.5 * env.d_xpy, 0.25 * env.lam

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from twomode import (
     ConditioningWarning,
     EnvironmentParams,
+    NonFiniteResultError,
     NonPositiveLambdaError,
     NotHurwitzError,
     OscillatorParams,
@@ -143,6 +144,15 @@ class TestSteadyStateLyapunov:
             sigma = steady_state_lyapunov(y, d)
         rates = np.diag(y)
         np.testing.assert_allclose(sigma, -2.0 * d / (rates[:, None] + rates[None, :]), rtol=1e-14)
+
+    def test_overflow_in_the_symmetrization_is_an_error(self):
+        # the solve gives finite entries near 3e307 whose symmetrized sum
+        # overflows: the result used to carry inf, and analyze then raised
+        # ValueError out of `twomode steady-state`
+        osc, env = OscillatorParams(1.0, 0.1), SymmetricEnvironmentParams(lam=0.3, d_xpy=1e307)
+        y, d = build_drift_matrix(osc, env), build_diffusion_matrix(env)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteResultError, match="overflows"):
+            steady_state_lyapunov(y, d)
 
     def test_real_eigenvalue_zero_is_not_hurwitz(self):
         with pytest.raises(NotHurwitzError):

@@ -3,8 +3,7 @@ import math
 import sys
 import threading
 import warnings
-from dataclasses import asdict, fields
-from types import SimpleNamespace
+from dataclasses import asdict, replace
 
 import mpmath
 import numpy as np
@@ -47,11 +46,12 @@ from twomode.entanglement import (
     _PXPX,
     _PXPY,
     _UNCERTAINTY,
+    _UPPER,
     _XPX,
-    _closed_forms,
-    _invariants,
+    report,
 )
-from twomode.model import _validity
+from twomode.dynamics import _closed_form_entries
+from twomode.model import Coefficients, _validity
 
 from support import (
     matched_env,
@@ -396,11 +396,16 @@ _BREAKS = (*_CLASS_BREAKS, "xy", "lam", "uncertainty", "divergent")
 
 
 @st.composite
-def closed_form_cases(draw):
+def closed_form_cases(draw, shared=None):
     """(osc, env, broken): a matched-class environment with D_xy = 0 and the
-    set of conditions then broken, so each closed-form branch is reached."""
-    m, omega, lam = (draw(st.floats(0.3, 3.0)) for _ in range(3))
-    broken = draw(st.sets(st.sampled_from(_BREAKS), max_size=3))
+    set of conditions then broken, so each closed-form branch is reached.
+
+    `shared` = (m, omega, lam) fixes the oscillator and lambda, and then
+    lambda is not among the conditions broken.
+    """
+    m, omega, lam = shared or (draw(st.floats(0.3, 3.0)) for _ in range(3))
+    breaks = _BREAKS if shared is None else tuple(b for b in _BREAKS if b != "lam")
+    broken = draw(st.sets(st.sampled_from(breaks), max_size=3))
     mw = m * omega
     mw2 = mw * mw
     root = math.sqrt(lam * lam + omega * omega)
@@ -566,24 +571,54 @@ class TestAnalyze:
             analyze(VACUUM, osc, None)
 
 
-def _stacked(env):
-    """env with each diffusion coefficient a 1-element array, as in the sweep; lam is a float."""
-    return SimpleNamespace(
-        lam=env.lam,
-        **{f.name: np.array([getattr(env, f.name)]) for f in fields(EnvironmentParams)[1:]},
-    )
+def _stacked(envs):
+    """The environments as one with a diffusion coefficient array each, as in the sweep.
+
+    They share lambda, which stays a float.
+    """
+    (lam,) = {env.lam for env in envs}
+    names = Coefficients._fields[1:]
+    return Coefficients(lam, *(np.array([getattr(env, name) for env in envs]) for name in names))
 
 
-def _assert_closed_forms_match_stacked(osc, env):
-    """One Python-float environment gives the codes and values of its 1-element stack."""
-    ours = _closed_forms(osc, env)
+def _same_bits(ours, theirs):
+    """The same float, bit for bit, or NaN both."""
+    ours, theirs = np.float64(ours), np.float64(theirs)
+    return ours.tobytes() == theirs.tobytes() or (np.isnan(ours) and np.isnan(theirs))
+
+
+def _assert_closed_forms_match_stacked(osc, envs):
+    """The report of each Python-float environment is its element of their stack's report.
+
+    The entries are sigma_inf's closed-form entries on the stack, as the sweep
+    passes them.  The kernel's fields, the verdict, both validity flags, the
+    closed forms and their codes and the gate agree bit for bit; E to one unit
+    in the last place, as numpy's log2 and math.log2 may round apart.
+    """
+    stack = _stacked(envs)
     with np.errstate(all="ignore"):  # arrays overflow silently, as the CLI runs the sweep
-        stacked = _closed_forms(osc, _stacked(env))
-    assert ours[3:] == tuple(int(code[0]) for code in stacked[3:])
-    values = [ours.s_special, ours.e_closed, *ours.window]
-    expected = [stacked.s_special, stacked.e_closed, *stacked.window]
-    np.testing.assert_array_equal(values, [value[0] for value in expected])  # NaN == NaN
-    return ours
+        xx, xpx, pxpx, xy, xpy, pxpy = _closed_form_entries(osc, stack)
+        entries = np.array([xx, xpx, xy, xpy, pxpx, xpy, pxpy, xx, xpx, pxpx])
+        stacked = report(entries, osc, stack)
+    reports = []
+    for i, env in enumerate(envs):
+        ours = report(entries[:, i].tolist(), osc, env)
+        for field in ("det_a", "det_b", "det_c", "s", "radicand", "f"):
+            assert _same_bits(getattr(ours, field), getattr(stacked, field)[i]), (field, i)
+        e = np.float64(stacked.e[i])
+        assert _same_bits(ours.e, e) or abs(ours.e - e) <= np.spacing(abs(e)), (ours.e, e)
+        assert ours.verdict == stacked.verdict[i]
+        simon = "entangled" if ours.s < 0.0 else "separable"
+        assert ours.verdict == (simon if math.isfinite(ours.s) else "")
+        assert ours.valid_strict == stacked.valid_strict[i]
+        assert ours.valid_lenient == stacked.valid_lenient[i]
+        assert ours.gated == stacked.gated[i]
+        assert ours.forms[3:] == tuple(int(code[i]) for code in stacked.forms[3:])
+        values = [ours.forms.s_special, ours.forms.e_closed, *ours.forms.window]
+        expected = [stacked.forms.s_special, stacked.forms.e_closed, *stacked.forms.window]
+        assert all(_same_bits(v, x[i]) for v, x in zip(values, expected)), (values, i)
+        reports.append(ours)
+    return reports
 
 
 # One environment (m = omega = 1) per code that a closed form's absence can have.
@@ -602,19 +637,44 @@ _CODE_CASES = {
 }
 
 
+@st.composite
+def closed_form_stacks(draw):
+    """(osc, envs): one to five closed_form_cases of one oscillator and one lambda.
+
+    Half of the stacks break lambda > 0, which they share.
+    """
+    shared = tuple(draw(st.floats(0.3, 3.0)) for _ in range(3))
+    cases = draw(st.lists(closed_form_cases(shared), min_size=1, max_size=5))
+    envs = [env for _, env, _ in cases]
+    if draw(st.booleans()):
+        lam = draw(st.sampled_from([0.0, -0.5]))
+        envs = [replace(env, lam=lam) for env in envs]
+    return cases[0][0], envs
+
+
 class TestClosedFormsOnOneEnvironment:
-    """Python floats return at the first class failure; the stack evaluates every form."""
+    """Python floats return at the first class failure; the stack evaluates every form.
+
+    The report of one environment is the report of a stack at its element.
+    """
 
     @pytest.mark.parametrize("code", sorted(_CODE_CASES))
     def test_each_code_matches_the_stacked_path(self, code):
-        forms = _assert_closed_forms_match_stacked(OscillatorParams(1.0, 1.0), _CODE_CASES[code])
-        assert code in (forms.s_code, forms.e_code, forms.window_code)
+        osc = OscillatorParams(1.0, 1.0)
+        (ours,) = _assert_closed_forms_match_stacked(osc, [_CODE_CASES[code]])
+        assert code in (ours.forms.s_code, ours.forms.e_code, ours.forms.window_code)
+
+    def test_codes_in_one_stack(self):
+        # the seven cases with lambda = 1, one of them not mirrored, so the stack's
+        # Gram spectrum comes from eigvalsh and the mirrored ones' from the closed form
+        envs = [env for env in _CODE_CASES.values() if env.lam == 1.0]
+        reports = _assert_closed_forms_match_stacked(OscillatorParams(1.0, 1.0), envs)
+        assert len(reports) == 7 and any(r.gated for r in reports)
 
     @settings(max_examples=200, deadline=None)
-    @given(case=closed_form_cases())
-    def test_drawn_cases_match_the_stacked_path(self, case):
-        osc, env, _ = case
-        _assert_closed_forms_match_stacked(osc, env)
+    @given(stack=closed_form_stacks())
+    def test_drawn_cases_match_the_stacked_path(self, stack):
+        _assert_closed_forms_match_stacked(*stack)
 
 
 @st.composite
@@ -693,9 +753,9 @@ class TestRepeatedValidity:
 
     def test_array_environment_is_never_kept(self, reference_env):
         # the sweep's environment is mutable, so a result kept for it could go stale
-        env = _stacked(reference_env)
+        env = _stacked([reference_env])
         assert [bool(v[0]) for v in _validity(env)] == [True, True]
-        env.d_xx = np.array([-1.0])
+        env.d_xx[0] = -1.0
         assert [bool(v[0]) for v in _validity(env)] == [False, False]
 
     def test_threads_get_the_serial_results(self):
@@ -733,20 +793,26 @@ class TestRepeatedValidity:
         assert results == expected
 
 
+def _report_of(sigma):
+    """`report` on sigma[..., 4, 4]: Python floats for one matrix, arrays for a stack."""
+    upper = sigma[..., _UPPER[0], _UPPER[1]]
+    return report(upper.tolist() if upper.ndim == 1 else np.moveaxis(upper, -1, 0))
+
+
 class TestStackedKernel:
-    """The stacked kernel against its one-matrix views and the oracle."""
+    """The stacked report against its one-matrix views and the oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
     def test_stack_matches_single_matrices(self, seed, n):
         rng = np.random.default_rng(seed)
         stack = np.array([random_physical_covariance(rng) for _ in range(n)])
-        inv = _invariants(stack)
+        inv = _report_of(stack)
         assert inv.s.shape == (n,)
         for i, sigma in enumerate(stack):
             # S is quartic and f quadratic in the entries
             tol = 1e-13 * max(1.0, float(np.abs(sigma).max())) ** 4
-            single = _invariants(sigma)
+            single = _report_of(sigma)
             for field in ("det_a", "det_b", "det_c", "s", "radicand", "f", "e"):
                 assert abs(getattr(inv, field)[i] - getattr(single, field)) <= tol, field
             assert abs(simon_s(block_decompose(sigma)) - inv.s[i]) <= tol
@@ -756,9 +822,9 @@ class TestStackedKernel:
     def test_leading_axes_are_kept(self):
         rng = np.random.default_rng(28)
         stack = np.array([random_physical_covariance(rng) for _ in range(6)])
-        flat = _invariants(stack)
-        grid = _invariants(stack.reshape(2, 3, 4, 4))
-        for field in flat._fields:
+        flat = _report_of(stack)
+        grid = _report_of(stack.reshape(2, 3, 4, 4))
+        for field in ("det_a", "det_b", "det_c", "s", "radicand", "f", "e", "verdict"):
             np.testing.assert_array_equal(getattr(grid, field).reshape(6), getattr(flat, field))
 
 
@@ -827,14 +893,14 @@ class TestKernelAgainstMpmath:
     def test_s_and_e_match_mpmath(self, states):
         rng = np.random.default_rng(91)
         stack = np.array([states(rng) for _ in range(150)])
-        stacked = _invariants(stack)
+        stacked = _report_of(stack)
         for i, sigma in enumerate(stack):
             s_want, e_want = _mp_invariants(sigma)
             s_tol = 1e-14 * max(1.0, float(np.abs(sigma).max())) ** 4
-            single = _invariants(sigma)
-            for inv in (single, stacked._make(field[i] for field in stacked)):
-                assert abs(inv.s - s_want) <= s_tol, (i, inv.s, s_want)
-                assert abs(inv.e - e_want) <= 1e-11, (i, inv.e, e_want)
+            single = _report_of(sigma)
+            for s, e in ((single.s, single.e), (stacked.s[i], stacked.e[i])):
+                assert abs(s - s_want) <= s_tol, (i, s, s_want)
+                assert abs(e - e_want) <= 1e-11, (i, e, e_want)
             assert abs(simon_s(block_decompose(sigma)) - s_want) <= s_tol
             assert abs(log_negativity(sigma) - e_want) <= 1e-11
 

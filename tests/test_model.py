@@ -1,7 +1,8 @@
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,30 @@ class TestParams:
         assert env.d_pypy == env.d_pxpx
         assert env.d_ypx == env.d_xpy
         assert is_symmetric_environment(env)
+
+    def test_replace_mirrors_the_x_mode_fields(self):
+        env = SymmetricEnvironmentParams(1.0, 0.6, 0.05, 0.6, 0.01, 0.3, 0.02)
+        assert replace(SymmetricEnvironmentParams(lam=1.0)) == SymmetricEnvironmentParams(lam=1.0)
+        moved = replace(env, d_xx=0.7, d_xpy=0.2)
+        assert type(moved) is SymmetricEnvironmentParams
+        assert moved == SymmetricEnvironmentParams(1.0, 0.7, 0.05, 0.6, 0.01, 0.2, 0.02)
+        assert (moved.d_yy, moved.d_ypx) == (0.7, 0.2)
+        for y in ("d_ypx", "d_yy", "d_ypy", "d_pypy"):
+            with pytest.raises(ValueError, match="init=False"):
+                replace(env, **{y: 0.5})
+
+    def test_symmetric_environment_is_the_same_value(self):
+        # the y-mode fields are declared again, without changing the field order,
+        # the repr, equality or the hash
+        env = SymmetricEnvironmentParams(0.8, 0.2, 0.05, 0.3, 0.01, 0.07, 0.02)
+        assert [f.name for f in fields(env)] == [f.name for f in fields(EnvironmentParams)]
+        assert repr(env) == (
+            "SymmetricEnvironmentParams(lam=0.8, d_xx=0.2, d_xpx=0.05, d_xy=0.01, d_xpy=0.07, "
+            "d_ypx=0.07, d_pxpx=0.3, d_yy=0.2, d_ypy=0.05, d_pxpy=0.02, d_pypy=0.3)"
+        )
+        assert hash(env) == hash(tuple(asdict(env).values()))
+        assert env == SymmetricEnvironmentParams(0.8, 0.2, 0.05, 0.3, 0.01, 0.07, 0.02)
+        assert env != EnvironmentParams(**asdict(env))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -308,15 +333,25 @@ def mirrored_environments(draw):
 def _gram_oracle(env):
     """Minimum Gram eigenvalue by eigvalsh, and 16 eps max|G| per environment.
 
-    eigvalsh runs on G scaled by a power of two to max|G| in [0.5, 1), which
-    is exact.  On the unscaled G it lost up to 1e11 eps max|G| on a few of
-    these environments of extreme magnitude; scaled, it stayed within 10.
+    eigvalsh runs on G scaled by a power of two to a largest real or imaginary
+    part in [0.5, 1), which is exact.  On the unscaled G it lost up to 1e11 eps
+    max|G| on a few of these environments of extreme magnitude; scaled, it
+    stayed within 10.
     """
     gram = build_gram_matrix(env)
-    peak = np.abs(gram).max(axis=(-2, -1))
-    scale = np.ldexp(1.0, -np.frexp(peak)[1])
-    low = np.linalg.eigvalsh(gram * scale[..., None, None])[..., 0] / scale
-    return low[()], 16 * np.finfo(float).eps * peak
+    band = 16 * np.finfo(float).eps * np.abs(gram).max(axis=(-2, -1))
+    exponent = np.frexp(np.maximum(abs(gram.real), abs(gram.imag)).max(axis=(-2, -1)))[1]
+    scale = -exponent[..., None, None]
+    gram.real, gram.imag = np.ldexp(gram.real, scale), np.ldexp(gram.imag, scale)
+    return np.ldexp(np.linalg.eigvalsh(gram)[..., 0], exponent)[()], band
+
+
+def _mp_min_gram_eigenvalue(env):
+    """The smallest eigenvalue of env's Gram matrix, to double precision from 80 digits."""
+    rows = build_gram_matrix(env).tolist()
+    with mpmath.workdps(80):
+        gram = mpmath.matrix([[mpmath.mpc(z) for z in row] for row in rows])
+        return float(min(mpmath.eighe(gram, eigvals_only=True)))
 
 
 class TestClosedFormGramSpectrum:
@@ -361,8 +396,32 @@ class TestClosedFormGramSpectrum:
         else:
             env = SimpleNamespace(**values)
         closed = _min_gram_eigenvalue(env)
-        oracle = np.linalg.eigvalsh(build_gram_matrix(env))[..., 0][()]
-        assert np.asarray(closed).tobytes() == np.asarray(oracle).tobytes()
+        assert np.asarray(closed).tobytes() == np.asarray(_gram_oracle(env)[0]).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=reduced_coefficients(), data=st.data())
+    def test_unmirrored_spectrum_matches_mpmath(self, values, data):
+        # Every y-field moved off its x-field by a drawn factor, so the
+        # environment takes the eigvalsh path, on entries up to 1e299 that span
+        # up to _SPAN decades.
+        env = SymmetricEnvironmentParams(**values)
+        factor = st.sampled_from((0.5, 0.9, 1.0, 1.1, 2.0, -1.0))
+        moved = {y: getattr(env, x) * data.draw(factor) for y, x in MIRRORED_PAIRS}
+        env = EnvironmentParams(**{**asdict(env), **moved})
+        ours, want = _min_gram_eigenvalue(env), _mp_min_gram_eigenvalue(env)
+        band = 16 * np.finfo(float).eps * np.abs(build_gram_matrix(env)).max()
+        assert abs(ours - want) <= band, (ours, want)
+        assert validate_environment(env).min_gram_eigenvalue == ours
+
+    def test_unmirrored_wide_span(self):
+        # the twin of test_wide_span_is_exact, one ulp off mirrored: unscaled,
+        # eigvalsh gave -6.232310015111197e135
+        env = EnvironmentParams(
+            lam=8.13728406e-265, d_xx=9.99e-254, d_xpx=-4.99474192e-26, d_xy=6.23478513e135,
+            d_yy=math.nextafter(9.99e-254, 1.0), d_ypy=-4.99474192e-26,
+        )
+        assert _mp_min_gram_eigenvalue(env) == -6.23478513e135
+        assert validate_environment(env).min_gram_eigenvalue == -6.23478513e135
 
     def test_wide_span_is_exact(self):
         # Gram entries from 6e135 down to 1e-254: the smaller eigenvalue of the
