@@ -3,6 +3,11 @@
 The evolution d(sigma)/dt = Y sigma + sigma Y^T + 2 D has the solution
 sigma(t) = M(t) (sigma(0) - sigma_inf) M(t)^T + sigma_inf with M(t) = exp(Y t),
 provided Y is Hurwitz; sigma_inf solves Y sigma + sigma Y^T = -2 D.
+
+The Hurwitz test and the conditioning warning need only the largest real part
+and the largest |imaginary part| of Y's spectrum.  For a block-diagonal Y, as
+`build_drift_matrix` makes, they come in closed form from its two 2x2 blocks
+(`_drift_spectrum`); any other Y goes through `numpy.linalg.eigvals`.
 """
 
 from __future__ import annotations
@@ -100,6 +105,54 @@ def _warn_if_ill_conditioned(decay: float, oscillation: float) -> None:
         )
 
 
+# A 2x2 block whose largest |entry| lies in this range has products and sums
+# of its entries in the normal range of doubles: none overflows or underflows.
+_BLOCK_LOW, _BLOCK_HIGH = 1e-150, 1e150
+
+
+def _block_spectrum(a: float, b: float, c: float, d: float) -> tuple[float, float] | None:
+    """(largest real part, largest |imaginary part|) of the eigenvalues of [[a, b], [c, d]].
+
+    The eigenvalues are h +- sqrt(g^2 + b c) with h = (a + d)/2, g = (a - d)/2,
+    exactly a and d for a triangular block.  A real pair's larger root h + r
+    cancels where h < 0; it is (a d - b c) / (h - r) there.  None when a block
+    that is not triangular has its largest |entry| outside [_BLOCK_LOW, _BLOCK_HIGH].
+    """
+    if b == 0.0 or c == 0.0:
+        return max(a, d), 0.0
+    if not _BLOCK_LOW <= max(abs(a), abs(b), abs(c), abs(d)) <= _BLOCK_HIGH:
+        return None
+    half, gap = 0.5 * (a + d), 0.5 * (a - d)
+    radicand = gap * gap + b * c
+    if radicand < 0.0:
+        return half, math.sqrt(-radicand)
+    root = math.sqrt(radicand)
+    return (half + root if half >= 0.0 else (a * d - b * c) / (half - root)), 0.0
+
+
+def _drift_spectrum(y: NDArray[np.float64]) -> tuple[float, float]:
+    """(largest real part, largest |imaginary part|) of the eigenvalues of y.
+
+    A finite 4x4 y whose off-diagonal 2x2 blocks are exact zeros, as every
+    drift matrix `build_drift_matrix` makes, has the eigenvalues of its two
+    diagonal blocks, which `_block_spectrum` takes in closed form from one
+    `tolist()`.  Any other y, and a block out of that closed form's range,
+    goes through `np.linalg.eigvals`, which raises LinAlgError on a
+    non-finite y.
+    """
+    if y.shape == (4, 4):
+        (a, b, z0, z1), (c, d, z2, z3), (z4, z5, e, f), (z6, z7, g, h) = y.tolist()
+        # x * 0.0 is 0.0 for finite x only: a non-finite y goes on to eigvals, which
+        # raises, and no NaN reaches _block_spectrum, where max() would pass it over
+        finite = (a + b + c + d + e + f + g + h) * 0.0 == 0.0
+        if finite and not (z0 or z1 or z2 or z3 or z4 or z5 or z6 or z7):
+            first, second = _block_spectrum(a, b, c, d), _block_spectrum(e, f, g, h)
+            if first and second:
+                return max(first[0], second[0]), max(first[1], second[1])
+    eigs = np.linalg.eigvals(y)
+    return float(eigs.real.max()), float(abs(eigs.imag).max())
+
+
 def steady_state_lyapunov(
     y: NDArray[np.float64], d: NDArray[np.float64]
 ) -> NDArray[np.float64]:
@@ -112,11 +165,17 @@ def steady_state_lyapunov(
     it makes the same products and sums as two `np.kron` calls, so it is
     bit for bit the Kronecker-built operator, for any 4x4 Y.  The finiteness
     check comes after the symmetrization, whose sum can overflow too.
+
+    Y must be Hurwitz (NotHurwitzError otherwise), and a ConditioningWarning
+    is issued when its slowest decay rate is below 1e-6 times its fastest
+    oscillation.  Both read Y's spectrum from `_drift_spectrum`: in closed form
+    from the two 2x2 blocks of a block-diagonal Y, with no `np.linalg` call,
+    and from `np.linalg.eigvals` for any other Y, so a non-finite Y raises
+    numpy's LinAlgError.
     """
     y = np.asarray(y, dtype=float)
     d = np.asarray(d, dtype=float)
-    eigs = np.linalg.eigvals(y)
-    slowest = float(eigs.real.max())
+    slowest, oscillation = _drift_spectrum(y)
     if not slowest < 0.0:
         raise NotHurwitzError(
             "drift matrix has an eigenvalue with non-negative real part; "
@@ -139,7 +198,7 @@ def steady_state_lyapunov(
             "steady-state covariance overflows double precision; "
             "lambda is too small for these diffusion coefficients"
         )
-    _warn_if_ill_conditioned(-slowest, float(abs(eigs.imag).max()))
+    _warn_if_ill_conditioned(-slowest, oscillation)
     return sigma
 
 

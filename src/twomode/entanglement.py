@@ -16,6 +16,7 @@ one-matrix view, with notes read from the codes, and the CLI tables its columns.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -37,8 +38,8 @@ from .model import (
     EnvironmentParams,
     OscillatorParams,
     _LAMBDA_MESSAGE,
-    _as_covariance,
     _nearly_equal,
+    _read_covariance,
     _require_positive_lambda,
     _validity,
     is_symmetric_environment,
@@ -78,8 +79,11 @@ class EntanglementReport:
 _Invariants = namedtuple("_Invariants", "det_a det_b det_c s radicand f e verdict")
 #: Row and column indices of sigma's upper entries s00, s01, s02, s03, s11, s12, s13, s22, s23, s33.
 _UPPER = ((0, 0, 0, 0, 1, 1, 1, 2, 2, 3), (0, 1, 2, 3, 1, 2, 3, 2, 3, 3))
+#: The same ten entries from sigma's 16 row-major entries.
+_UPPER_ENTRIES = operator.itemgetter(*(4 * i + j for i, j in zip(*_UPPER)))
 # A difference below this times the size of its terms is rounding noise.
 _NOISE = 4.0 * float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 def _denoised(difference, size):
@@ -97,9 +101,11 @@ def _kernel(s00, s01, s02, s03, s11, s12, s13, s22, s23, s33, det_sigma=None) ->
     To keep digits, the radicand is (det A - det B)^2/4 + T - (det A + det B) det C
     (h^2 - det sigma for a caller's det sigma), det sigma is det A det(B - C^T A^-1 C)
     (det A det B + det C^2 - T where det A = 0), and f = det sigma / (h + sqrt of the
-    radicand) where h > 0.  A difference within _NOISE of its terms counts as 0: the
-    radicand from a caller's det sigma, and the entries and determinant of the Schur
-    complement, so a singular sigma gets f = 0.  E is NaN where f <= 0 or the
+    radicand) where h > 0; where that det sigma is below the normal range (entries
+    below about 1e-77), f = det A (det(B - C^T A^-1 C) / (h + sqrt of the radicand)),
+    so det sigma never forms.  A difference within _NOISE of its terms counts as 0:
+    the radicand from a caller's det sigma, and the entries and determinant of the
+    Schur complement, so a singular sigma gets f = 0.  E is NaN where f <= 0 or the
     radicand is below -RADICAND_TOLERANCE, and the verdict "" where S is not finite.
     """
     det_a = s00 * s11 - s01 * s01
@@ -128,13 +134,18 @@ def _kernel(s00, s01, s02, s03, s11, s12, s13, s22, s23, s33, det_sigma=None) ->
         # the Schur complement B - C^T A^-1 C, with A^-1 C = (u, w): entries 00, 01, 11
         schur = [_denoised(b - x, abs(b) + abs(x)) for b, x in pairs]
         minor, skew = schur[0] * schur[2], schur[1] * schur[1]
-        det_schur = det_a * _denoised(minor - skew, abs(minor) + skew)
-        det_sigma = where(pivot, det_schur, det_a * det_b + det_c * det_c - cross)
+        det_schur = _denoised(minor - skew, abs(minor) + skew)
+        det_sigma = where(pivot, det_a * det_schur, det_a * det_b + det_c * det_c - cross)
+        split = pivot & (abs(det_sigma) < _TINY)
     else:
         radicand = _denoised(head * head - det_sigma, head * head)
+        split = False
     root = sqrt(maximum(radicand, 0.0))
     positive = head > 0.0
     f = where(positive, det_sigma / where(positive, head + root, 1.0), head - root)
+    if split.any() if isinstance(split, np.ndarray) else split:
+        # det sigma underflows here, but not det A or det(B - C^T A^-1 C)
+        f = where(split & positive, det_a * (det_schur / where(positive, head + root, 1.0)), f)
     defined = (radicand >= -RADICAND_TOLERANCE) & (f > 0.0)
     e = -0.5 * log2(4.0 * where(defined, f, math.nan))
     verdict = where(_nonfinite(s), "", where(s < 0.0, "entangled", "separable"))
@@ -151,7 +162,7 @@ def _require_radicand(inv: _Invariants) -> None:
 
 def block_decompose(sigma: NDArray[np.float64]) -> BlockDecomposition:
     """Split a 4x4 covariance matrix into its one-mode and cross blocks."""
-    sig = _as_covariance(sigma)
+    sig = _read_covariance(sigma)[0]
     return BlockDecomposition(a=sig[:2, :2].copy(), b=sig[2:, 2:].copy(), c=sig[:2, 2:].copy())
 
 
@@ -176,8 +187,11 @@ def f_sigma(blocks: BlockDecomposition, det_sigma: float) -> float:
 
 
 def log_negativity(sigma: NDArray[np.float64]) -> float:
-    """Logarithmic negativity E = -1/2 log2[4 f(sigma)]; E > 0 iff entangled."""
-    inv = _kernel(*_as_covariance(sigma)[_UPPER].tolist())
+    """Logarithmic negativity E = -1/2 log2[4 f(sigma)]; E > 0 iff entangled.
+
+    sigma is read once, as `analyze` reads it, without the symmetry check.
+    """
+    inv = _kernel(*_UPPER_ENTRIES(_read_covariance(sigma)[1]))
     _require_radicand(inv)
     if inv.f <= 0.0:
         raise NonPositiveFError(f"f(sigma) = {float(inv.f)!r} must be positive")
@@ -414,10 +428,13 @@ def analyze(
     With oscillator/environment context the closed-form quantities are added
     where the coefficient class admits them.  Individual failures never abort
     the report; the affected fields stay None and a note explains why.
-    Raises NonFiniteResultError when sigma's invariants overflow double
-    precision.
+    sigma is read once, with one `tolist()`: its Python floats serve the
+    finiteness check, the symmetry check (to 1e-10 max(1, max |entry|)) and
+    the kernel's ten upper entries.  Raises ValueError for a shape other than
+    4x4, a non-finite entry or an asymmetric sigma, in that order, and
+    NonFiniteResultError when sigma's invariants overflow double precision.
     """
-    rep = report(_as_covariance(sigma, 1e-10)[_UPPER].tolist(), osc, env)
+    rep = report(_UPPER_ENTRIES(_read_covariance(sigma, 1e-10)[1]), osc, env)
     if not all(map(math.isfinite, rep[:6])):  # det_a to f; e is NaN wherever it is undefined
         raise NonFiniteResultError("covariance invariants overflow double precision")
     notes: list[str] = []

@@ -149,17 +149,27 @@ def _nearly_equal(a, b, rtol: float = 1e-12):
     return (gap <= rtol) | (gap <= rtol * abs(a)) | (gap <= rtol * abs(b))
 
 
-def _as_covariance(sigma, atol: float | None = None) -> NDArray[np.float64]:
-    """sigma as a finite 4x4 float array; given atol, symmetric to atol * max(1, max |entry|)."""
+#: The row-major entries of a 4x4 matrix's transpose, from its own row-major entries.
+_TRANSPOSED = operator.itemgetter(*(4 * j + i for i in range(4) for j in range(4)))
+
+
+def _read_covariance(sigma, atol: float | None = None) -> tuple[NDArray[np.float64], list]:
+    """sigma as a 4x4 float array and its 16 entries as Python floats, row-major.
+
+    The entries are read once, with one `tolist()`, and checked on floats:
+    finite, and given atol, symmetric to atol * max(1, max |entry|).
+    """
     sig = np.asarray(sigma, dtype=float)
     if sig.shape != (4, 4):
         raise ValueError(f"covariance matrix must be 4x4, got shape {sig.shape}")
-    peak = float(np.abs(sig).max())
-    if not math.isfinite(peak):
+    flat = sig.ravel().tolist()
+    if not all(map(math.isfinite, flat)):
         raise ValueError("covariance matrix entries must be finite")
-    if atol is not None and float(np.abs(sig - sig.T).max()) > atol * max(1.0, peak):
-        raise ValueError("covariance matrix must be symmetric")
-    return sig
+    if atol is not None:
+        skew = max(map(abs, map(operator.sub, flat, _TRANSPOSED(flat))))
+        if skew > atol * max(1.0, max(map(abs, flat))):
+            raise ValueError("covariance matrix must be symmetric")
+    return sig, flat
 
 
 def _stack(rows, dtype=float) -> NDArray:
@@ -368,9 +378,15 @@ def validate_environment(
 
 
 def is_hurwitz(y: NDArray[np.float64]) -> bool:
-    """True iff every eigenvalue of y has strictly negative real part."""
-    eigs = np.linalg.eigvals(np.asarray(y, dtype=float))
-    return bool(np.max(eigs.real) < 0.0)
+    """True iff every eigenvalue of y has strictly negative real part.
+
+    The largest real part comes from `dynamics._drift_spectrum`: in closed form
+    for a block-diagonal 4x4 y, such as `build_drift_matrix` makes, and from
+    `numpy.linalg.eigvals` for any other y.
+    """
+    from .dynamics import _drift_spectrum  # dynamics imports this module
+
+    return _drift_spectrum(np.asarray(y, dtype=float))[0] < 0.0
 
 
 def make_vacuum_covariance(osc: OscillatorParams) -> NDArray[np.float64]:
@@ -386,7 +402,7 @@ def check_state_covariance(sigma, atol: float = 1e-12) -> NDArray[np.float64]:
     Returns the (exactly symmetrized) matrix; raises ValueError otherwise.
     Intermediate results of the dynamics are not funnelled through this check.
     """
-    sig = _as_covariance(sigma, atol)
+    sig = _read_covariance(sigma, atol)[0]
     sig = 0.5 * (sig + sig.T)
     if float(np.linalg.eigvalsh(sig)[0]) <= 0.0:
         raise ValueError("covariance matrix must be positive definite")

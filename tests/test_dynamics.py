@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from twomode import (
     ConditioningWarning,
+    is_hurwitz,
     EnvironmentParams,
     NonFiniteResultError,
     NonPositiveLambdaError,
@@ -23,6 +24,8 @@ from twomode import (
     steady_state_closed_form,
     steady_state_lyapunov,
 )
+
+from twomode.dynamics import _drift_spectrum
 
 from support import (
     matched_env,
@@ -181,6 +184,127 @@ class TestSteadyStateLyapunov:
             assert ours.tobytes() == expected.tobytes()
             reference = scipy.linalg.solve_continuous_lyapunov(y, -2.0 * d)
             np.testing.assert_allclose(ours, reference, rtol=1e-8, atol=1e-10)
+
+
+def _eigvals_extent(y):
+    eigs = np.linalg.eigvals(y)
+    return float(eigs.real.max()), float(abs(eigs.imag).max())
+
+
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+_NONZERO = st.floats(0.125, 8.0) | st.floats(-8.0, -0.125)
+_ENTRY = _NONZERO | _SIGNED_ZERO
+
+
+@st.composite
+def _blocks(draw):
+    """A 2x2 block [[a, b], [c, d]] with an exactly known kind of spectrum.
+
+    Returns (block, exact): exact when the block's eigenvalues are its diagonal
+    (triangular) or re +- i im with re its diagonal, so the sign of the largest
+    real part is known without rounding.
+    """
+    kind = draw(st.sampled_from(["complex", "triangular", "repeated", "zero", "real", "any"]))
+    if kind == "complex":  # re +- i im, re = +-0.0 included (lambda = 0 in the drift)
+        re, b = draw(_ENTRY), draw(_NONZERO)
+        im = draw(st.floats(0.125, 8.0))
+        return [[re, b], [-im * im / b, re]], True
+    if kind == "triangular":
+        a, d, off = draw(_ENTRY), draw(_ENTRY), draw(_ENTRY)
+        return ([[a, off], [0.0, d]] if draw(st.booleans()) else [[a, 0.0], [off, d]]), True
+    if kind == "repeated":  # l I or a Jordan block
+        lam, off = draw(_ENTRY), draw(_ENTRY)
+        return [[lam, off], [0.0, lam]], True
+    if kind == "zero":  # rank one: eigenvalues 0 and a + d
+        p, q, r = draw(_NONZERO), draw(_NONZERO), draw(_NONZERO)
+        return [[p * q, p * r], [q, r]], False
+    if kind == "real":  # b c > 0: two distinct real eigenvalues
+        b, c = draw(_NONZERO), draw(_NONZERO)
+        return [[draw(_ENTRY), b], [math.copysign(c, b), draw(_ENTRY)]], False
+    return [[draw(_ENTRY), draw(_ENTRY)], [draw(_ENTRY), draw(_ENTRY)]], False
+
+
+def _block_diagonal(first, second):
+    y = np.zeros((4, 4))
+    y[:2, :2], y[2:, 2:] = first, second
+    return y
+
+
+class TestDriftSpectrum:
+    """The closed-form spectrum of block-diagonal drift matrices against eigvals."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(first=_blocks(), second=_blocks())
+    def test_matches_eigvals(self, first, second):
+        y = _block_diagonal(first[0], second[0])
+        want = _eigvals_extent(y)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "eigvals", None)  # the closed form never calls it
+            real, imag = _drift_spectrum(y)
+        # a repeated root moves by sqrt(eps) under rounding, in either computation
+        tol = 1e-7 * max(1.0, float(np.abs(y).max()))
+        assert abs(real - want[0]) <= tol and abs(imag - want[1]) <= tol, (real, imag, want)
+        if first[1] and second[1]:
+            assert (real < 0.0) == (want[0] < 0.0)
+            assert is_hurwitz(y) == (want[0] < 0.0)
+
+    @pytest.mark.parametrize(
+        "y, hurwitz",
+        [
+            (np.diag([-1.0, 0.0, -3.0, -4.0]), False),
+            (np.diag([-1.0, -2.0, -3.0, -4.0]), True),
+            (drift(lam=0.0), False),
+            (drift(lam=-0.0), False),
+            (drift(1.3, 0.7, 0.9), True),
+            (drift(lam=1e-300), True),
+        ],
+    )
+    def test_exact_cases(self, y, hurwitz):
+        assert _drift_spectrum(y) == _eigvals_extent(y)
+        assert is_hurwitz(y) is hurwitz
+
+    def test_small_real_root_keeps_its_digits(self):
+        # h + r cancels to a relative 4e-5 here (eigvals is off by 1e-4); the larger
+        # root is -9.8999999999999900808e-13 (40-digit mpmath)
+        y = _block_diagonal([[-1e-12, 1e-7], [1e-7, -1.0]], -3.0 * np.eye(2))
+        want = -9.8999999999999900808e-13
+        assert abs(_drift_spectrum(y)[0] - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize(
+        "y",
+        [
+            np.arange(16.0).reshape(4, 4) - 20.0 * np.eye(4),  # dense
+            drift() + np.diag([0.0, 1e-300, 0.0], 1),  # one off-block entry, upper right
+            drift() + np.diag([0.0, -0.5, 0.0], -1),  # lower left
+            _block_diagonal([[-1e200, 1e200], [-1e200, -1e200]], -np.eye(2)),  # beyond its range
+            _block_diagonal([[-1e-200, 1e-200], [-1e-200, -1e-200]], -np.eye(2)),  # below it
+            -np.eye(3),  # not 4x4
+        ],
+    )
+    def test_other_matrices_use_eigvals(self, y, monkeypatch):
+        want = _eigvals_extent(y)
+        eigvals, calls = np.linalg.eigvals, []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
+        assert _drift_spectrum(y) == want
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (3, 2), (0, 2)])
+    def test_non_finite_drift_raises_linalg_error(self, bad, where, monkeypatch):
+        y = drift()
+        y[where] = bad
+        eigvals, calls = np.linalg.eigvals, []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
+        for function in (_drift_spectrum, is_hurwitz, lambda y: steady_state_lyapunov(y, np.eye(4))):
+            with pytest.raises(np.linalg.LinAlgError):
+                function(y)
+        assert len(calls) == 3
+
+    def test_barely_damped_warns_once_without_eigvals(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvals", None)
+        with pytest.warns(ConditioningWarning) as record:
+            steady_state_lyapunov(drift(lam=1e-8), np.eye(4))
+        assert len(record) == 1
 
 
 class TestSteadyStateClosedForm:

@@ -928,3 +928,113 @@ class TestKernelAgainstMpmath:
             assert report.notes == ("e_general: f(sigma) <= 0",)
             with pytest.raises(NonPositiveFError):
                 log_negativity(sigma)
+
+    def test_tiny_product_states(self):
+        # det sigma = a^4 underflows below a = 1e-77; f = det A (det(B - C^T A^-1 C) /
+        # (h + root)) has factors in range
+        values = np.geomspace(1e-150, 1e-77, 731)
+        stacked = _report_of(values[:, None, None] * np.eye(4))
+        for a, e_stacked in zip(values.tolist(), stacked.e.tolist()):
+            want = -0.5 * math.log2(4.0 * a * a)
+            sigma = a * np.eye(4)
+            assert abs(log_negativity(sigma) - want) <= 1e-12, a
+            report = analyze(sigma)
+            assert abs(report.e_general - want) <= 1e-12 and report.notes == (), a
+            assert abs(e_stacked - want) <= 1e-12, a
+
+    def test_underflowing_determinant(self):
+        report = analyze(np.eye(4) * 1e-100)
+        assert report.e_general == pytest.approx(331.19280948873626, abs=1e-12)
+        assert abs(report.f_sigma - 1e-200) <= 1e-15 * 1e-200
+
+    @pytest.mark.parametrize("scale", [1e-78, 1e-100, 1e-120, 1e-150])
+    def test_tiny_product_states_match_mpmath(self, scale):
+        # A (+) A with A a random one-mode state: the radicand is exactly 0, and f = det A
+        rng = np.random.default_rng(94)
+        stack = []
+        for _ in range(40):
+            one_mode = random_physical_covariance(rng)[:2, :2]
+            sigma = np.zeros((4, 4))
+            sigma[:2, :2] = sigma[2:, 2:] = scale * one_mode
+            stack.append(sigma)
+        stacked = _report_of(np.array(stack))
+        for i, sigma in enumerate(stack):
+            _, e_want = _mp_invariants(sigma)
+            for e in (_report_of(sigma).e, stacked.e[i], log_negativity(sigma)):
+                assert abs(e - e_want) <= 1e-11, (i, e, e_want)
+            assert abs(analyze(sigma).e_general - e_want) <= 1e-11, i
+
+
+class TestCovarianceRead:
+    """analyze and log_negativity read sigma once; errors and reports as before."""
+
+    @pytest.mark.parametrize("function", [analyze, log_negativity])
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [
+            (np.eye(3), r"covariance matrix must be 4x4, got shape \(3, 3\)"),
+            (np.ones(16), r"covariance matrix must be 4x4, got shape \(16,\)"),
+            ([[1.0] * 5] * 4, r"covariance matrix must be 4x4, got shape \(4, 5\)"),
+        ],
+    )
+    def test_wrong_shape(self, function, sigma, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            function(sigma)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e-6])
+    def test_asymmetry_beyond_tolerance(self, scale):
+        # the tolerance is 1e-10 max(1, max |entry|)
+        sigma = scale * VACUUM
+        sigma[0, 1] = 2e-10 * max(1.0, 0.5 * scale)
+        with pytest.raises(ValueError, match="^covariance matrix must be symmetric$"):
+            analyze(sigma)
+        sigma[0, 1] = 0.5e-10 * max(1.0, 0.5 * scale)
+        assert analyze(sigma).verdict == "separable"
+        assert math.isfinite(log_negativity(sigma))
+
+    def test_overflowing_asymmetry(self):
+        sigma = np.full((4, 4), 1e308)
+        sigma[0, 1] = -1e308  # the difference overflows to inf
+        with pytest.raises(ValueError, match="^covariance matrix must be symmetric$"):
+            analyze(sigma)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 1), (1, 0), (2, 3)])
+    def test_non_finite_is_reported_before_asymmetry(self, bad, where):
+        sigma = VACUUM.copy()
+        sigma[0, 3] = 1.0
+        sigma[where] = bad
+        with pytest.raises(ValueError, match="^covariance matrix entries must be finite$"):
+            analyze(sigma)
+
+    @staticmethod
+    def _views(sigma):
+        base = np.zeros((8, 8))
+        base[::2, ::2] = sigma
+        read_only = sigma.copy()
+        read_only.flags.writeable = False
+        return {
+            "nested lists": sigma.tolist(),
+            "Fortran order": np.asfortranarray(sigma),
+            "transposed view": sigma.T,  # Fortran-ordered, of a symmetric sigma
+            "non-contiguous view": base[::2, ::2],
+            "np.matrix": np.matrix(sigma),
+            "read-only": read_only,
+        }
+
+    @pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
+    def test_input_forms_give_the_same_report(self, osc, reference_env, reference_sigma_inf):
+        rng = np.random.default_rng(95)
+        for sigma in (reference_sigma_inf, VACUUM, random_physical_covariance(rng)):
+            want = (repr(analyze(sigma, osc, reference_env)), repr(analyze(sigma)))
+            negativity = log_negativity(sigma)
+            for name, form in self._views(sigma).items():
+                got = (repr(analyze(form, osc, reference_env)), repr(analyze(form)))
+                assert got == want, name
+                assert log_negativity(form) == negativity, name
+
+    def test_integer_array(self, osc, reference_env):
+        sigma = np.diag([2, 3, 2, 3])
+        want = analyze(sigma.astype(float), osc, reference_env)
+        assert repr(analyze(sigma, osc, reference_env)) == repr(want)
+        assert log_negativity(sigma) == log_negativity(sigma.astype(float))
