@@ -19,14 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .entanglement import _mirrored_closed_form
 from .errors import ConditioningWarning, NonFiniteResultError, NotHurwitzError
-from .model import (
-    EnvironmentParams,
-    OscillatorParams,
-    _require_positive_lambda,
-    _stack,
-    is_symmetric_environment,
-)
+from .model import EnvironmentParams, OscillatorParams, _stack
 
 # sigma_inf entries scale like 1/lambda, so warn well before that blows up.
 _CONDITIONING_RATIO = 1e-6
@@ -218,21 +213,11 @@ def steady_state_closed_form(
                      / [2 lam (lam^2 + w^2)]
 
     and the one-mode block entries follow from the same expressions with
-    (D_xy, D_xpy, D_pxpy) replaced by (D_xx, D_xpx, D_pxpx).
+    (D_xy, D_xpy, D_pxpy) replaced by (D_xx, D_xpx, D_pxpx).  Errors: see `twomode.entanglement`;
+    a finite result at lam < 1e-6 omega comes with a ConditioningWarning.
     """
-    if not is_symmetric_environment(env):
-        raise ValueError(
-            "closed-form steady state requires a symmetric environment "
-            "(d_yy = d_xx, d_ypy = d_xpx, d_pypy = d_pxpx, d_ypx = d_xpy)"
-        )
-    _require_positive_lambda(env.lam)
+    xx, xpx, pxpx, xy, xpy, pxpy = _mirrored_closed_form(_closed_form_entries, osc, env)
     _warn_if_ill_conditioned(env.lam, osc.omega)
-    try:
-        xx, xpx, pxpx, xy, xpy, pxpy = _closed_form_entries(osc, env)
-    except ZeroDivisionError:  # a denominator underflows to zero
-        raise NonFiniteResultError(
-            "closed-form steady state is out of double-precision range"
-        ) from None
     rows = [[xx, xpx, xy, xpy], [xpx, pxpx, xpy, pxpy], [xy, xpy, xx, xpx], [xpy, pxpy, xpx, pxpx]]
     return _stack(rows)
 

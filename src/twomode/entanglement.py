@@ -11,6 +11,9 @@ One decision, `_closed_forms`, gives S_special, E_closed and the window
 elementwise, with a code per field naming the first condition that fails.
 `report` adds validity and the closed forms to the kernel: `analyze` is its
 one-matrix view, with notes read from the codes, and the CLI tables its columns.
+Every public closed form, `dynamics.steady_state_closed_form` too, raises the
+`_ABSENCE_ERRORS` entry of its first failing code: ClassViolationError, then
+NonPositiveLambdaError, DivergentNegativityError, UncertaintyViolationError, NonFiniteResultError.
 """
 
 from __future__ import annotations
@@ -37,10 +40,8 @@ from .model import (
     BlockDecomposition,
     EnvironmentParams,
     OscillatorParams,
-    _LAMBDA_MESSAGE,
     _nearly_equal,
     _read_covariance,
-    _require_positive_lambda,
     _validity,
     is_symmetric_environment,
 )
@@ -97,7 +98,7 @@ def _kernel(s00, s01, s02, s03, s11, s12, s13, s22, s23, s33, det_sigma=None) ->
     With sigma = [[A, C], [C^T, B]], h = (det A + det B)/2 - det C and
     T = Tr[A J C J B J C^T J] = s00 (r adj B r) - 2 s01 (q adj B r) + s11 (q adj B q),
     q = (s02, s03), r = (s12, s13):  S = det A det B + (1/4 - |det C|)^2 - T
-    - (det A + det B)/4,  f = h - sqrt(h^2 - det sigma),  E = -1/2 log2(4 f).
+    - (det A + det B)/4,  f = h - sqrt(h^2 - det sigma),  E = -1/2 np.log2(4 f) on floats too.
     To keep digits, the radicand is (det A - det B)^2/4 + T - (det A + det B) det C
     (h^2 - det sigma for a caller's det sigma), det sigma is det A det(B - C^T A^-1 C)
     (det A det B + det C^2 - T where det A = 0), and f = det sigma / (h + sqrt of the
@@ -121,7 +122,7 @@ def _kernel(s00, s01, s02, s03, s11, s12, s13, s22, s23, s33, det_sigma=None) ->
     stacked = isinstance(head, np.ndarray)
     where, sqrt, log2, maximum = (
         (np.where, np.sqrt, np.log2, np.maximum) if stacked
-        else (lambda c, x, y: x if c else y, math.sqrt, math.log2, max)
+        else (lambda c, x, y: x if c else y, math.sqrt, lambda x: float(np.log2(x)), max)
     )
     if det_sigma is None:
         half_gap = 0.5 * (det_a - det_b)
@@ -152,7 +153,10 @@ def _kernel(s00, s01, s02, s03, s11, s12, s13, s22, s23, s33, det_sigma=None) ->
     return _Invariants(det_a, det_b, det_c, s, radicand, f, e, verdict)
 
 
-def _require_radicand(inv: _Invariants) -> None:
+def _check_invariants(inv: _Invariants) -> None:
+    """NonFiniteResultError where an invariant overflows, then NegativeRadicandError."""
+    if not all(map(math.isfinite, inv[:6])):  # det_a to f; e is NaN wherever it is undefined
+        raise NonFiniteResultError("covariance invariants overflow double precision")
     if inv.radicand < -RADICAND_TOLERANCE:
         raise NegativeRadicandError(
             f"radicand {float(inv.radicand)!r} is negative beyond tolerance; "
@@ -180,19 +184,20 @@ def f_sigma(blocks: BlockDecomposition, det_sigma: float) -> float:
 
     f = (det A + det B)/2 - det C
         - sqrt{[(det A + det B)/2 - det C]^2 - det sigma}.
+    Overflowing invariants raise NonFiniteResultError, as in `log_negativity`.
     """
     inv = _kernel(*blocks.reassemble()[_UPPER].tolist(), det_sigma=float(det_sigma))
-    _require_radicand(inv)
+    _check_invariants(inv)
     return float(inv.f)
 
 
 def log_negativity(sigma: NDArray[np.float64]) -> float:
     """Logarithmic negativity E = -1/2 log2[4 f(sigma)]; E > 0 iff entangled.
 
-    sigma is read once, as `analyze` reads it, without the symmetry check.
+    sigma is read and its invariants checked as in `analyze`, without the symmetry check.
     """
     inv = _kernel(*_UPPER_ENTRIES(_read_covariance(sigma)[1]))
-    _require_radicand(inv)
+    _check_invariants(inv)
     if inv.f <= 0.0:
         raise NonPositiveFError(f"f(sigma) = {float(inv.f)!r} must be positive")
     return float(inv.e)
@@ -257,7 +262,9 @@ _ABSENCE_ERRORS = {
         f"d_pxpy must equal (m omega)^2 d_xy, got {env.d_pxpy!r} vs {_mw2(osc) * env.d_xy!r}"
     ),
     _CROSS: lambda osc, env: ClassViolationError(f"d_xy must vanish, got {env.d_xy!r}"),
-    _LAMBDA: lambda osc, env: NonPositiveLambdaError(f"{_LAMBDA_MESSAGE} {env.lam!r}"),
+    _LAMBDA: lambda osc, env: NonPositiveLambdaError(
+        f"dissipation constant must be positive, got lam = {env.lam!r}"
+    ),
     _DIVERGENT: lambda osc, env: DivergentNegativityError(
         "negativity diverges at this coefficient combination; "
         "such environments fail strict validation"
@@ -271,6 +278,21 @@ _ABSENCE_ERRORS = {
         "lambda is too small or a coefficient too large"
     ),
 }
+
+
+def _mirrored_closed_form(evaluate, osc: OscillatorParams, env: EnvironmentParams):
+    """evaluate(osc, env) or the error of the first failing code: _MIRRORED, _LAMBDA, _NONFINITE."""
+    if not is_symmetric_environment(env):
+        raise _ABSENCE_ERRORS[_MIRRORED](osc, env)
+    if not env.lam > 0.0:
+        raise _ABSENCE_ERRORS[_LAMBDA](osc, env)
+    try:
+        value = evaluate(osc, env)
+    except ZeroDivisionError:  # a denominator underflows to 0
+        value = math.nan
+    if not np.isfinite(value).all():
+        raise _ABSENCE_ERRORS[_NONFINITE](osc, env)
+    return value
 
 
 def _first_failure(code, *checks):
@@ -366,20 +388,14 @@ def report(entries, osc=None, env=None) -> _Report:
 
 
 def det_c_closed_form(osc: OscillatorParams, env: EnvironmentParams) -> float:
-    """Determinant of the asymptotic cross-correlation block C.
+    """Determinant of the asymptotic cross-correlation block C of a mirrored environment.
 
     det C = [(m w^2 D_xy + D_pxpy/m)^2 + 4 lam^2 (D_xy D_pxpy - D_xpy^2)]
             / [4 lam^2 (lam^2 + w^2)].
 
-    det C >= 0 guarantees a separable asymptotic state.
+    det C >= 0 guarantees a separable asymptotic state.  Errors: see the module docstring.
     """
-    if not is_symmetric_environment(env):
-        raise _ABSENCE_ERRORS[_MIRRORED](osc, env)
-    _require_positive_lambda(env.lam)
-    try:
-        return _det_c(osc, env)
-    except ZeroDivisionError:  # lam^2 underflows to zero
-        raise _ABSENCE_ERRORS[_NONFINITE](osc, env) from None
+    return _mirrored_closed_form(_det_c, osc, env)
 
 
 def simon_s_special(osc: OscillatorParams, env: EnvironmentParams) -> float:
@@ -430,17 +446,15 @@ def analyze(
     the report; the affected fields stay None and a note explains why.
     sigma is read once, with one `tolist()`: its Python floats serve the
     finiteness check, the symmetry check (to 1e-10 max(1, max |entry|)) and
-    the kernel's ten upper entries.  Raises ValueError for a shape other than
-    4x4, a non-finite entry or an asymmetric sigma, in that order, and
-    NonFiniteResultError when sigma's invariants overflow double precision.
+    the kernel's ten upper entries.  Raises ValueError for a complex sigma, a
+    shape other than 4x4, a non-finite entry or an asymmetric sigma, in that
+    order, and NonFiniteResultError when sigma's invariants overflow double precision.
     """
     rep = report(_UPPER_ENTRIES(_read_covariance(sigma, 1e-10)[1]), osc, env)
-    if not all(map(math.isfinite, rep[:6])):  # det_a to f; e is NaN wherever it is undefined
-        raise NonFiniteResultError("covariance invariants overflow double precision")
     notes: list[str] = []
     f_value = e_general = None
     try:
-        _require_radicand(rep)
+        _check_invariants(rep)
         f_value = rep.f
         if f_value > 0.0:
             e_general = rep.e

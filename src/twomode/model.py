@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NonFiniteResultError, NonPositiveLambdaError
+from .errors import NonFiniteResultError
 
 #: 2x2 symplectic matrix.
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -26,8 +26,6 @@ J.flags.writeable = False
 #: Absolute eigenvalue floor for the positive-semidefiniteness check, chosen
 #: so boundary environments (equalities in the coefficient inequalities) pass.
 PSD_TOLERANCE = 1e-10
-
-_LAMBDA_MESSAGE = "dissipation constant must be positive, got lam ="
 
 #: y-mode field -> the x-mode field it equals in a symmetric environment (field order).
 _MIRROR = {"d_ypx": "d_xpy", "d_yy": "d_xx", "d_ypy": "d_xpx", "d_pypy": "d_pxpx"}
@@ -156,9 +154,12 @@ _TRANSPOSED = operator.itemgetter(*(4 * j + i for i in range(4) for j in range(4
 def _read_covariance(sigma, atol: float | None = None) -> tuple[NDArray[np.float64], list]:
     """sigma as a 4x4 float array and its 16 entries as Python floats, row-major.
 
+    A complex sigma is refused before the cast would drop its imaginary parts.
     The entries are read once, with one `tolist()`, and checked on floats:
     finite, and given atol, symmetric to atol * max(1, max |entry|).
     """
+    if np.iscomplexobj(sigma):
+        raise ValueError("covariance matrix must be real, got a complex dtype")
     sig = np.asarray(sigma, dtype=float)
     if sig.shape != (4, 4):
         raise ValueError(f"covariance matrix must be 4x4, got shape {sig.shape}")
@@ -176,11 +177,6 @@ def _stack(rows, dtype=float) -> NDArray:
     """Square matrices [..., n, n] from n x n nested rows of scalars or same-shape arrays."""
     out = np.array(rows, dtype=dtype)
     return out if out.ndim == 2 else np.moveaxis(out, (0, 1), (-2, -1))
-
-
-def _require_positive_lambda(lam: float, message: str = _LAMBDA_MESSAGE) -> None:
-    if not lam > 0.0:
-        raise NonPositiveLambdaError(f"{message} {lam!r}")
 
 
 def is_symmetric_environment(env: EnvironmentParams, rtol: float = 1e-12) -> bool:

@@ -616,6 +616,15 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert code == 2 and "Traceback" not in err and err.startswith("error: ")
 
+    def test_steady_state_warns_once_when_barely_damped(self, tmp_path, capsys):
+        # the solve and the closed form see the same condition; the run warns once
+        environment = {**REFERENCE_CONFIG["environment"], "lambda": 1e-7}
+        path = write_config(tmp_path, dict(REFERENCE_CONFIG, environment=environment))
+        with pytest.warns(ConditioningWarning) as record:
+            code = main(["steady-state", "--config", path, "--format", "json"])
+        assert code == 0 and strict_json(capsys.readouterr().out)
+        assert [warning.category for warning in record] == [ConditioningWarning]
+
     def test_sweep_overflowing_s_is_strict_json(self, tmp_path, capsys):
         cfg = sweep_config(
             axis1={"coefficient": "D_xx", "min": 1e160, "max": 2e160, "n": 3},

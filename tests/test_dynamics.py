@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twomode import (
+    ClassViolationError,
     ConditioningWarning,
     is_hurwitz,
     EnvironmentParams,
@@ -41,6 +42,10 @@ def drift(m=1.0, omega=1.0, lam=1.0):
 
 
 class TestMatrixExponential:
+    def test_rejects_a_drift_matrix_that_is_not_4x4(self):
+        with pytest.raises(ValueError, match=r"^drift matrix must be 4x4, got shape \(3, 3\)$"):
+            matrix_exponential(np.eye(3), 1.0)
+
     def test_identity_at_zero(self):
         prop = matrix_exponential(drift(1.3, 0.7, 0.4), 0.0)
         np.testing.assert_array_equal(prop.matrix, np.eye(4))
@@ -330,8 +335,24 @@ class TestSteadyStateClosedForm:
 
     def test_rejects_asymmetric_environment(self, osc):
         env = EnvironmentParams(lam=1.0, d_xx=0.5, d_yy=0.4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ClassViolationError):
             steady_state_closed_form(osc, env)
+
+    @pytest.mark.parametrize(
+        "m, env",
+        [
+            # entries overflow to inf
+            (1.0, SymmetricEnvironmentParams(lam=1e-10, d_xx=1e300, d_pxpx=1e300, d_xpy=0.3)),
+            # m^2 underflows to zero in the denominator of sigma_xx
+            (1e-170, SymmetricEnvironmentParams(lam=1e-170, d_xx=0.6, d_pxpx=0.6, d_xpy=0.3)),
+        ],
+        ids=["overflow", "denominator_underflow"],
+    )
+    def test_non_finite_raises_before_any_warning(self, m, env):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResultError, match="not finite in double precision"):
+                steady_state_closed_form(OscillatorParams(m, 1.0), env)
 
     def test_agrees_with_lyapunov_solver(self):
         rng = np.random.default_rng(8)

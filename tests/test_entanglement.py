@@ -25,6 +25,7 @@ from twomode import (
     UncertaintyViolationError,
     analyze,
     block_decompose,
+    check_state_covariance,
     det_c_closed_form,
     entanglement_window,
     f_sigma,
@@ -434,7 +435,12 @@ def closed_form_cases(draw, shared=None):
 
 
 def _expected_closed_form_error(name, broken):
-    """The error type a closed form raises: class, then lambda, then its own bound."""
+    """The error type a closed form raises: class, then lambda, then its own bound.
+
+    det_c and sigma, the mirrored-class closed forms, need no matched class.
+    """
+    if name in ("det_c", "sigma"):
+        broken = broken & {"mirror", "lam"}
     if broken & set(_CLASS_BREAKS):
         return ClassViolationError
     if "xy" in broken and name != "s_special":
@@ -524,6 +530,13 @@ class TestAnalyze:
             assert getattr(report, name) == value
             assert type(error) is _expected_closed_form_error(name, broken)
         assert report.notes == tuple(expected_notes)
+        for name, public in (("det_c", det_c_closed_form), ("sigma", steady_state_closed_form)):
+            try:
+                public(osc, env)
+                error = None
+            except TwoModeError as exc:
+                error = exc
+            assert type(error) is _expected_closed_form_error(name, broken)
 
     def test_non_finite_closed_forms_become_notes(self, osc):
         # u = m omega D_xx / lambda overflows and lambda^2 underflows
@@ -553,6 +566,37 @@ class TestAnalyze:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteResultError, match="double precision"):
                 analyze(np.eye(4) * scale)
+
+    @pytest.mark.parametrize("scale", [1e80, 1e200])
+    def test_overflowing_sigma_is_an_error_for_log_negativity_and_f_sigma(self, scale):
+        # log_negativity used to return -inf at 1e80 and NaN at 1e200, f_sigma 0.0 at both
+        sigma = np.eye(4) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResultError, match="double precision"):
+                log_negativity(sigma)
+            with pytest.raises(NonFiniteResultError, match="double precision"):
+                f_sigma(block_decompose(sigma), 1e308)
+
+    def test_negative_radicand_becomes_a_note(self):
+        a = np.random.default_rng(0).standard_normal((4, 4))
+        report = analyze((a + a.T) / 2)
+        assert report.f_sigma is None and report.e_general is None
+        assert report.notes == (
+            "f_sigma: radicand -0.11064422928261035 is negative beyond tolerance; "
+            "input is not a physical covariance matrix",
+        )
+
+    @pytest.mark.parametrize(
+        "function", [analyze, log_negativity, block_decompose, check_state_covariance]
+    )
+    @pytest.mark.parametrize("form", [np.asarray, np.ndarray.tolist], ids=["array", "lists"])
+    def test_rejects_complex_sigma(self, function, form):
+        # the cast to float used to drop the imaginary parts with a ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^covariance matrix must be real"):
+                function(form(np.eye(4) * (1 + 1j)))
 
     def test_large_finite_sigma_is_analyzed(self):
         with warnings.catch_warnings():
@@ -592,8 +636,7 @@ def _assert_closed_forms_match_stacked(osc, envs):
 
     The entries are sigma_inf's closed-form entries on the stack, as the sweep
     passes them.  The kernel's fields, the verdict, both validity flags, the
-    closed forms and their codes and the gate agree bit for bit; E to one unit
-    in the last place, as numpy's log2 and math.log2 may round apart.
+    closed forms and their codes and the gate agree bit for bit, E too.
     """
     stack = _stacked(envs)
     with np.errstate(all="ignore"):  # arrays overflow silently, as the CLI runs the sweep
@@ -605,8 +648,7 @@ def _assert_closed_forms_match_stacked(osc, envs):
         ours = report(entries[:, i].tolist(), osc, env)
         for field in ("det_a", "det_b", "det_c", "s", "radicand", "f"):
             assert _same_bits(getattr(ours, field), getattr(stacked, field)[i]), (field, i)
-        e = np.float64(stacked.e[i])
-        assert _same_bits(ours.e, e) or abs(ours.e - e) <= np.spacing(abs(e)), (ours.e, e)
+        assert _same_bits(ours.e, stacked.e[i]), (ours.e, stacked.e[i])
         assert ours.verdict == stacked.verdict[i]
         simon = "entangled" if ours.s < 0.0 else "separable"
         assert ours.verdict == (simon if math.isfinite(ours.s) else "")
@@ -675,6 +717,40 @@ class TestClosedFormsOnOneEnvironment:
     @given(stack=closed_form_stacks())
     def test_drawn_cases_match_the_stacked_path(self, stack):
         _assert_closed_forms_match_stacked(*stack)
+
+
+_FIVE_CLOSED_FORMS = (
+    steady_state_closed_form,
+    det_c_closed_form,
+    simon_s_special,
+    log_negativity_closed_form,
+    entanglement_window,
+)
+
+
+class TestOneAbsenceRule:
+    """The five public closed forms raise the same error for the same condition."""
+
+    @pytest.mark.parametrize("closed_form", _FIVE_CLOSED_FORMS)
+    @pytest.mark.parametrize(
+        "env, error",
+        [
+            (_CODE_CASES[_MIRRORED], ClassViolationError),
+            (SymmetricEnvironmentParams(0.0, 0.6, 0.0, 0.6, 0.0, 0.3), NonPositiveLambdaError),
+            (SymmetricEnvironmentParams(-0.5, 0.6, 0.0, 0.6, 0.0, 0.3), NonPositiveLambdaError),
+            # sigma_inf, det C, S_special, E_closed and the window all overflow
+            (
+                SymmetricEnvironmentParams(1e-10, 1e300, 0.0, 1e300, 0.0, 1e300),
+                NonFiniteResultError,
+            ),
+        ],
+        ids=["not_mirrored", "zero_lambda", "negative_lambda", "overflow"],
+    )
+    def test_same_error_for_the_same_condition(self, closed_form, env, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                closed_form(OscillatorParams(1.0, 1.0), env)
 
 
 @st.composite
