@@ -190,14 +190,7 @@ def _parse_initial_state(value) -> str | tuple[tuple[float, ...], ...]:
             not isinstance(row, list) or len(row) != 4 for row in value
         ):
             raise ConfigError("initial_state: matrix must be 4x4 (row-major)")
-        rows = []
-        for row in value:
-            for entry in row:
-                if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-                    raise ConfigError(
-                        f"initial_state: expected numeric entries, got {entry!r}"
-                    )
-            rows.append(tuple(_checked(entry, "float", "initial_state") for entry in row))
+        rows = (tuple(_checked(entry, "float", "initial_state") for entry in row) for row in value)
         return tuple(rows)
     raise ConfigError("initial_state: expected \"vacuum\" or a 4x4 array")
 

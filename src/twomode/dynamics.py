@@ -4,15 +4,14 @@ The evolution d(sigma)/dt = Y sigma + sigma Y^T + 2 D has the solution
 sigma(t) = M(t) (sigma(0) - sigma_inf) M(t)^T + sigma_inf with M(t) = exp(Y t),
 provided Y is Hurwitz; sigma_inf solves Y sigma + sigma Y^T = -2 D.
 
-The Hurwitz test and the conditioning warning need only the largest real part
-and the largest |imaginary part| of Y's spectrum.  For a block-diagonal Y, as
-`build_drift_matrix` makes, they come in closed form from its two 2x2 blocks
-(`_drift_spectrum`); any other Y goes through `numpy.linalg.eigvals`.
+Y's layout is known to `twomode.model` alone: `_drift_parameters` reads
+(m, omega, lam) back for the damped rotations of M(t), and `_drift_spectrum`
+gives the Hurwitz test and the conditioning warning Y's largest real part and
+largest |imaginary part|.  No code here reads Y's layout itself.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -21,7 +20,8 @@ from numpy.typing import NDArray
 
 from .entanglement import _mirrored_closed_form
 from .errors import ConditioningWarning, NonFiniteResultError, NotHurwitzError
-from .model import EnvironmentParams, OscillatorParams, _stack
+from .model import EnvironmentParams, OscillatorParams, _as_real, _drift_parameters
+from .model import _drift_spectrum, _read_covariance, _stack
 
 # sigma_inf entries scale like 1/lambda, so warn well before that blows up.
 _CONDITIONING_RATIO = 1e-6
@@ -36,33 +36,6 @@ class Propagator:
 
     t: float
     matrix: NDArray[np.float64]
-
-
-def _drift_parameters(y: NDArray[np.float64]) -> tuple[float, float, float]:
-    """Recover (m, omega, lam) from a structured drift matrix.
-
-    Raises ValueError when y is not block-diagonal with two identical
-    damped-oscillator blocks.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (4, 4):
-        raise ValueError(f"drift matrix must be 4x4, got shape {y.shape}")
-    blk = y[:2, :2]
-    scale = max(1.0, float(np.abs(y).max()))
-    structured = (
-        float(np.abs(y[:2, 2:]).max()) <= 1e-12 * scale
-        and float(np.abs(y[2:, :2]).max()) <= 1e-12 * scale
-        and float(np.abs(y[2:, 2:] - blk).max()) <= 1e-12 * scale
-        and abs(blk[0, 0] - blk[1, 1]) <= 1e-12 * scale
-        and blk[0, 1] > 0.0
-        and blk[1, 0] < 0.0
-    )
-    if not structured:
-        raise ValueError("drift matrix is not of the two-oscillator damped form")
-    m = 1.0 / blk[0, 1]
-    lam = -blk[0, 0]
-    omega = math.sqrt(-blk[1, 0] * blk[0, 1])
-    return m, omega, lam
 
 
 def _check_times(t) -> None:
@@ -85,6 +58,7 @@ def matrix_exponential(y: NDArray[np.float64], t: float) -> Propagator:
 
     Each 2x2 block equals
     exp(-lam t) [[cos(w t), sin(w t)/(m w)], [-m w sin(w t), cos(w t)]].
+    A y off `build_drift_matrix`'s layout is a ValueError (`_drift_parameters`).
     """
     _check_times(t)
     return Propagator(t=float(t), matrix=_damped_rotations(*_drift_parameters(y), t))
@@ -98,54 +72,6 @@ def _warn_if_ill_conditioned(decay: float, oscillation: float) -> None:
             ConditioningWarning,
             stacklevel=3,
         )
-
-
-# A 2x2 block whose largest |entry| lies in this range has products and sums
-# of its entries in the normal range of doubles: none overflows or underflows.
-_BLOCK_LOW, _BLOCK_HIGH = 1e-150, 1e150
-
-
-def _block_spectrum(a: float, b: float, c: float, d: float) -> tuple[float, float] | None:
-    """(largest real part, largest |imaginary part|) of the eigenvalues of [[a, b], [c, d]].
-
-    The eigenvalues are h +- sqrt(g^2 + b c) with h = (a + d)/2, g = (a - d)/2,
-    exactly a and d for a triangular block.  A real pair's larger root h + r
-    cancels where h < 0; it is (a d - b c) / (h - r) there.  None when a block
-    that is not triangular has its largest |entry| outside [_BLOCK_LOW, _BLOCK_HIGH].
-    """
-    if b == 0.0 or c == 0.0:
-        return max(a, d), 0.0
-    if not _BLOCK_LOW <= max(abs(a), abs(b), abs(c), abs(d)) <= _BLOCK_HIGH:
-        return None
-    half, gap = 0.5 * (a + d), 0.5 * (a - d)
-    radicand = gap * gap + b * c
-    if radicand < 0.0:
-        return half, math.sqrt(-radicand)
-    root = math.sqrt(radicand)
-    return (half + root if half >= 0.0 else (a * d - b * c) / (half - root)), 0.0
-
-
-def _drift_spectrum(y: NDArray[np.float64]) -> tuple[float, float]:
-    """(largest real part, largest |imaginary part|) of the eigenvalues of y.
-
-    A finite 4x4 y whose off-diagonal 2x2 blocks are exact zeros, as every
-    drift matrix `build_drift_matrix` makes, has the eigenvalues of its two
-    diagonal blocks, which `_block_spectrum` takes in closed form from one
-    `tolist()`.  Any other y, and a block out of that closed form's range,
-    goes through `np.linalg.eigvals`, which raises LinAlgError on a
-    non-finite y.
-    """
-    if y.shape == (4, 4):
-        (a, b, z0, z1), (c, d, z2, z3), (z4, z5, e, f), (z6, z7, g, h) = y.tolist()
-        # x * 0.0 is 0.0 for finite x only: a non-finite y goes on to eigvals, which
-        # raises, and no NaN reaches _block_spectrum, where max() would pass it over
-        finite = (a + b + c + d + e + f + g + h) * 0.0 == 0.0
-        if finite and not (z0 or z1 or z2 or z3 or z4 or z5 or z6 or z7):
-            first, second = _block_spectrum(a, b, c, d), _block_spectrum(e, f, g, h)
-            if first and second:
-                return max(first[0], second[0]), max(first[1], second[1])
-    eigs = np.linalg.eigvals(y)
-    return float(eigs.real.max()), float(abs(eigs.imag).max())
 
 
 def steady_state_lyapunov(
@@ -166,10 +92,11 @@ def steady_state_lyapunov(
     oscillation.  Both read Y's spectrum from `_drift_spectrum`: in closed form
     from the two 2x2 blocks of a block-diagonal Y, with no `np.linalg` call,
     and from `np.linalg.eigvals` for any other Y, so a non-finite Y raises
-    numpy's LinAlgError.
+    numpy's LinAlgError.  A complex or non-4x4 Y or D, or a non-finite D, is
+    a ValueError before the solve.
     """
-    y = np.asarray(y, dtype=float)
-    d = np.asarray(d, dtype=float)
+    y = _as_real(y, "drift matrix")
+    d = _read_covariance(d, name="diffusion matrix")[0]
     slowest, oscillation = _drift_spectrum(y)
     if not slowest < 0.0:
         raise NotHurwitzError(
@@ -254,10 +181,12 @@ def propagate(
     sigma_inf is taken as an argument so one steady-state solve can be
     reused across a whole time grid; an array of times gives the stack
     [..., 4, 4] of covariances.  At t = 0 the result is the symmetrized
-    sigma0 itself, untouched by the propagator's rounding.
+    sigma0 itself, untouched by the propagator's rounding.  A sigma0 or
+    sigma_inf that is complex, not 4x4 or not finite, and a y off
+    `build_drift_matrix`'s layout, is a ValueError.
     """
-    sigma0 = np.asarray(sigma0, dtype=float)
-    sigma_inf = np.asarray(sigma_inf, dtype=float)
+    sigma0 = _read_covariance(sigma0)[0]
+    sigma_inf = _read_covariance(sigma_inf)[0]
     params = _drift_parameters(y)
     _check_times(t)
     mt = _damped_rotations(*params, t)

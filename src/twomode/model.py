@@ -4,6 +4,8 @@ All matrices use the phase-space ordering (x, p_x, y, p_y) and hbar = 1.
 Types are immutable after construction and every operation is a pure
 function, so everything here is safe for unrestricted concurrent use; the
 one cache, `_violations`'s last result, is replaced by a single assignment.
+The drift matrix's layout is known here alone: `build_drift_matrix` writes it
+and `_drift_blocks` reads it back, for `_drift_parameters` and `_drift_spectrum`.
 """
 
 from __future__ import annotations
@@ -151,21 +153,29 @@ def _nearly_equal(a, b, rtol: float = 1e-12):
 _TRANSPOSED = operator.itemgetter(*(4 * j + i for i in range(4) for j in range(4)))
 
 
-def _read_covariance(sigma, atol: float | None = None) -> tuple[NDArray[np.float64], list]:
-    """sigma as a 4x4 float array and its 16 entries as Python floats, row-major.
+def _as_real(a, name: str, any_shape: bool = False) -> NDArray[np.float64]:
+    """a as a float array; ValueError naming the matrix when a is complex (refused
+    before the cast would drop its imaginary parts) or, unless any_shape, not 4x4."""
+    out = np.asarray(a)
+    if out.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got a complex dtype")
+    out = np.asarray(out, dtype=float)
+    if not (any_shape or out.shape == (4, 4)):
+        raise ValueError(f"{name} must be 4x4, got shape {out.shape}")
+    return out
 
-    A complex sigma is refused before the cast would drop its imaginary parts.
+
+def _read_covariance(sigma, atol: float | None = None, name: str = "covariance matrix") -> tuple:
+    """sigma as a real 4x4 float array (`_as_real`) and its 16 entries as Python floats, row-major.
+
     The entries are read once, with one `tolist()`, and checked on floats:
     finite, and given atol, symmetric to atol * max(1, max |entry|).
     """
-    if np.iscomplexobj(sigma):
-        raise ValueError("covariance matrix must be real, got a complex dtype")
-    sig = np.asarray(sigma, dtype=float)
-    if sig.shape != (4, 4):
-        raise ValueError(f"covariance matrix must be 4x4, got shape {sig.shape}")
+    sig = _as_real(sigma, name)
     flat = sig.ravel().tolist()
-    if not all(map(math.isfinite, flat)):
-        raise ValueError("covariance matrix entries must be finite")
+    # a finite sum has finite terms; an infinite one may have overflowed
+    if not (math.isfinite(sum(flat)) or all(map(math.isfinite, flat))):
+        raise ValueError(f"{name} entries must be finite")
     if atol is not None:
         skew = max(map(abs, map(operator.sub, flat, _TRANSPOSED(flat))))
         if skew > atol * max(1.0, max(map(abs, flat))):
@@ -209,6 +219,73 @@ def build_drift_matrix(
     out[:2, :2] = blk
     out[2:, 2:] = blk
     return out
+
+
+def _drift_blocks(y: NDArray[np.float64]) -> tuple[tuple, tuple] | None:
+    """y's diagonal 2x2 blocks [[a, b], [c, d]] as [a, b, c, d], read with one `tolist()`;
+    None unless y is a finite 4x4 float array whose off-diagonal blocks are exact zeros."""
+    if y.shape == (4, 4):
+        (a, b, z0, z1), (c, d, z2, z3), (z4, z5, e, f), (z6, z7, g, h) = y.tolist()
+        zeros = not (z0 or z1 or z2 or z3 or z4 or z5 or z6 or z7)  # a NaN is true
+        # x * 0.0 is 0.0 for finite x only, and a sum of zeros cannot overflow
+        finite = a * 0.0 + b * 0.0 + c * 0.0 + d * 0.0 + e * 0.0 + f * 0.0 + g * 0.0 + h * 0.0
+        if zeros and finite == 0.0:
+            return (a, b, c, d), (e, f, g, h)
+    return None
+
+
+def _drift_parameters(y) -> tuple[float, float, float]:
+    """(m, omega, lam) of a drift matrix in exactly `build_drift_matrix`'s layout: real, 4x4,
+    finite, off-diagonal blocks of exact zeros, and two identical blocks [[-lam, 1/m],
+    [-m omega^2, -lam]] with 1/m > 0 > -m omega^2.  Any other y is a ValueError."""
+    blocks = _drift_blocks(_as_real(y, "drift matrix"))
+    if blocks and blocks[0] == blocks[1]:
+        a, b, c, d = blocks[0]
+        if a == d and b > 0.0 > c:
+            return 1.0 / b, math.sqrt(-c * b), -a
+    raise ValueError("drift matrix is not of the two-oscillator damped form")
+
+
+# A 2x2 block whose largest |entry| lies in this range has products and sums
+# of its entries in the normal range of doubles: none overflows or underflows.
+_BLOCK_LOW, _BLOCK_HIGH = 1e-150, 1e150
+
+
+def _block_spectrum(a: float, b: float, c: float, d: float) -> tuple[float, float] | None:
+    """(largest real part, largest |imaginary part|) of the eigenvalues of [[a, b], [c, d]].
+
+    The eigenvalues are h +- sqrt(g^2 + b c) with h = (a + d)/2, g = (a - d)/2,
+    exactly a and d for a triangular block.  A real pair's larger root h + r
+    cancels where h < 0; it is (a d - b c) / (h - r) there.  None when a block
+    that is not triangular has its largest |entry| outside [_BLOCK_LOW, _BLOCK_HIGH].
+    """
+    if b == 0.0 or c == 0.0:
+        return max(a, d), 0.0
+    if not _BLOCK_LOW <= max(abs(a), abs(b), abs(c), abs(d)) <= _BLOCK_HIGH:
+        return None
+    half, gap = 0.5 * (a + d), 0.5 * (a - d)
+    radicand = gap * gap + b * c
+    if radicand < 0.0:
+        return half, math.sqrt(-radicand)
+    root = math.sqrt(radicand)
+    return (half + root if half >= 0.0 else (a * d - b * c) / (half - root)), 0.0
+
+
+def _drift_spectrum(y: NDArray[np.float64]) -> tuple[float, float]:
+    """(largest real part, largest |imaginary part|) of the eigenvalues of a float array y.
+
+    A y that `_drift_blocks` reads, as every built drift matrix, has the
+    eigenvalues of its two diagonal blocks, which `_block_spectrum` takes in
+    closed form.  Any other y, and a block out of that range, goes through
+    `np.linalg.eigvals`, which raises LinAlgError on a non-finite y.
+    """
+    blocks = _drift_blocks(y)
+    if blocks:
+        first, second = _block_spectrum(*blocks[0]), _block_spectrum(*blocks[1])
+        if first and second:
+            return max(first[0], second[0]), max(first[1], second[1])
+    eigs = np.linalg.eigvals(y)
+    return float(eigs.real.max()), float(abs(eigs.imag).max())
 
 
 def build_diffusion_matrix(env: EnvironmentParams) -> NDArray[np.float64]:
@@ -376,13 +453,11 @@ def validate_environment(
 def is_hurwitz(y: NDArray[np.float64]) -> bool:
     """True iff every eigenvalue of y has strictly negative real part.
 
-    The largest real part comes from `dynamics._drift_spectrum`: in closed form
-    for a block-diagonal 4x4 y, such as `build_drift_matrix` makes, and from
-    `numpy.linalg.eigvals` for any other y.
+    The largest real part comes from `_drift_spectrum`: in closed form for a
+    block-diagonal 4x4 y, such as `build_drift_matrix` makes, and from
+    `numpy.linalg.eigvals` for any other square y.  A complex y is a ValueError.
     """
-    from .dynamics import _drift_spectrum  # dynamics imports this module
-
-    return _drift_spectrum(np.asarray(y, dtype=float))[0] < 0.0
+    return _drift_spectrum(_as_real(y, "drift matrix", any_shape=True))[0] < 0.0
 
 
 def make_vacuum_covariance(osc: OscillatorParams) -> NDArray[np.float64]:

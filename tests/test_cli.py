@@ -795,8 +795,15 @@ CONFIG_ERRORS = [
     pytest.param(
         "validate",
         malformed(initial_state=[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, "1"]]),
-        "error: initial_state: expected numeric entries, got '1'",
+        "error: initial_state: expected a number, got '1'",
         id="initial-state-entry",
+    ),
+    pytest.param(
+        "validate",
+        # the first failing entry in row-major order is the one reported
+        malformed(initial_state=[[1, 10**400, "1", 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        "error: initial_state: integer too large for a float",
+        id="initial-state-first-failing-entry",
     ),
     pytest.param(
         "validate",

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twomode import (
@@ -26,7 +26,7 @@ from twomode import (
     steady_state_lyapunov,
 )
 
-from twomode.dynamics import _drift_spectrum
+from twomode.model import _drift_parameters, _drift_spectrum
 
 from support import (
     matched_env,
@@ -39,6 +39,30 @@ from support import (
 
 def drift(m=1.0, omega=1.0, lam=1.0):
     return build_drift_matrix(OscillatorParams(m, omega), EnvironmentParams(lam=lam))
+
+
+def _drift_with(entries, m=1.0):
+    y = drift(m)
+    for where, value in entries.items():
+        y[where] = value
+    return y
+
+
+_ONE_ULP_LESS = np.nextafter(-1.0, 0.0)
+
+# Drift matrices off the layout build_drift_matrix writes.  The first three lie within
+# 1e-12 max(1, max|Y|) of it: a reader with that tolerance exponentiates them as another
+# matrix (for the first, M[0, 2] = 0.0 where scipy's expm gives 0.1504).
+_OFF_LAYOUT = {
+    "tiny_mass_off_block": _drift_with({(0, 2): 0.9, (2, 2): -1.9, (3, 3): -1.9}, m=1e-12),
+    "second_lambda_one_ulp": _drift_with({(2, 2): _ONE_ULP_LESS, (3, 3): _ONE_ULP_LESS}),
+    "off_block_entry": _drift_with({(0, 2): 1e-300}),
+    "unequal_diagonal": _drift_with({(0, 0): _ONE_ULP_LESS, (2, 2): _ONE_ULP_LESS}),
+    "inf_inverse_mass": _drift_with({(0, 1): math.inf, (2, 3): math.inf}),
+    "nan_lambda": _drift_with({(i, i): math.nan for i in range(4)}),
+    "inf_off_block": _drift_with({(3, 0): -math.inf}),
+    "nan_off_block": _drift_with({(1, 2): math.nan}),
+}
 
 
 class TestMatrixExponential:
@@ -104,8 +128,79 @@ class TestMatrixExponential:
         with pytest.raises(ValueError):
             matrix_exponential(-np.eye(4), 1.0)
 
+    @pytest.mark.parametrize("y", _OFF_LAYOUT.values(), ids=_OFF_LAYOUT.keys())
+    def test_refuses_a_drift_matrix_off_the_layout(self, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^drift matrix is not of the two-oscillator"):
+                matrix_exponential(y, 1.0)
+            with pytest.raises(ValueError, match="^drift matrix is not of the two-oscillator"):
+                propagate(np.eye(4), np.eye(4), y, 1.0)
+
+    def test_refuses_a_complex_drift_matrix(self):
+        y = drift() * (1 + 1j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^drift matrix must be real"):
+                matrix_exponential(y, 1.0)
+            with pytest.raises(ValueError, match="^drift matrix must be real"):
+                propagate(np.eye(4), np.eye(4), y, 1.0)
+            with pytest.raises(ValueError, match="^drift matrix must be real"):
+                is_hurwitz(y)
+        assert is_hurwitz(-np.eye(3))  # any square y
+
+
+_LAMBDAS = st.sampled_from([0.0, -0.0]) | st.floats(-1e300, -1e-300) | st.floats(1e-300, 1e300)
+
+
+@st.composite
+def _oscillators(draw):
+    """(m, omega) in [1e-300, 1e300], omega where omega^2 and m omega^2 are finite and nonzero."""
+    m = draw(st.floats(1e-300, 1e300))
+    root = math.sqrt(m)
+    return m, draw(st.floats(max(3e-162, 3e-162 / root), min(1.3e154, 1.3e154 / root)))
+
+
+class TestDriftParameters:
+    @settings(max_examples=300, deadline=None)
+    @given(osc=_oscillators(), lam=_LAMBDAS)
+    @example(osc=(1e-308, 1.0), lam=1.0)
+    def test_reads_every_built_drift_matrix_bit_for_bit(self, osc, lam):
+        try:
+            y = drift(*osc, lam)
+        except NonFiniteResultError:  # rounding at the edges of the drawn range
+            assume(False)
+        # (m, omega, lam) by numpy's arithmetic on y's entries
+        with np.errstate(over="ignore"):
+            want = (1 / y[0, 1], math.sqrt(-y[1, 0] * y[0, 1]), -y[0, 0])
+        assert [float(x).hex() for x in _drift_parameters(y)] == [float(x).hex() for x in want]
+
+    def test_tiny_mass(self):
+        # 1/m = 1e308 in both blocks: finite entries whose sum overflows
+        y = drift(1e-308, 1.0, 1.0)
+        assert matrix_exponential(y, 0.5).matrix[0, 0] == 0.5322807302156708
+
 
 class TestSteadyStateLyapunov:
+    @pytest.mark.parametrize(
+        "y, d, message",
+        [
+            (drift(), np.eye(3), r"^diffusion matrix must be 4x4, got shape \(3, 3\)$"),
+            (-np.eye(3), np.eye(3), r"^drift matrix must be 4x4, got shape \(3, 3\)$"),
+            (drift(), np.eye(4) * (1 + 1j), "^diffusion matrix must be real"),
+            (drift() * (1 + 1j), np.eye(4), "^drift matrix must be real"),
+            (drift(), np.full((4, 4), math.nan), "^diffusion matrix entries must be finite$"),
+            (drift(), np.diag([1.0, math.inf, 1.0, 1.0]), "^diffusion matrix entries must be"),
+        ],
+        ids=["d_3x3", "y_3x3", "d_complex", "y_complex", "d_nan", "d_inf"],
+    )
+    def test_reads_its_inputs_before_it_solves(self, y, d, message, monkeypatch):
+        monkeypatch.setattr(np.linalg, "solve", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                steady_state_lyapunov(y, d)
+
     def test_identity_drift(self):
         # generic solver path: -2 sigma = -2 D
         sigma = steady_state_lyapunov(-np.eye(4), np.eye(4))
@@ -387,6 +482,22 @@ class TestSteadyStateClosedForm:
 
 
 class TestPropagate:
+    @pytest.mark.parametrize(
+        "sigma0, sigma_inf, t, message",
+        [
+            (np.eye(4) * (1 + 1j), np.eye(4), 1.0, "^covariance matrix must be real"),
+            (np.full((4, 4), math.nan), np.eye(4), 1.0, "^covariance matrix entries must be"),
+            (np.eye(4), np.full((4, 4), math.nan), 0.0, "^covariance matrix entries must be"),
+            (np.eye(4), np.eye(3), 1.0, r"^covariance matrix must be 4x4, got shape \(3, 3\)$"),
+        ],
+        ids=["sigma0_complex", "sigma0_nan", "sigma_inf_nan_at_zero", "sigma_inf_3x3"],
+    )
+    def test_reads_its_covariances(self, sigma0, sigma_inf, t, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                propagate(sigma0, sigma_inf, drift(), t)
+
     def test_time_zero_is_exact(self, osc, reference_env, reference_sigma_inf):
         y = build_drift_matrix(osc, reference_env)
         sigma0 = make_vacuum_covariance(osc)
