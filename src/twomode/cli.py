@@ -182,6 +182,14 @@ def _parse_environment(obj) -> EnvironmentParams:
     return cls(lam=lam, **values)
 
 
+def _state_entry(value) -> float:
+    """One `initial_state` entry: a finite number (JSON's NaN and Infinity are refused)."""
+    value = _checked(value, "float", "initial_state")
+    if not math.isfinite(value):
+        raise ConfigError(f"initial_state: entries must be finite, got {value!r}")
+    return value
+
+
 def _parse_initial_state(value) -> str | tuple[tuple[float, ...], ...]:
     if value == "vacuum":
         return "vacuum"
@@ -190,8 +198,7 @@ def _parse_initial_state(value) -> str | tuple[tuple[float, ...], ...]:
             not isinstance(row, list) or len(row) != 4 for row in value
         ):
             raise ConfigError("initial_state: matrix must be 4x4 (row-major)")
-        rows = (tuple(_checked(entry, "float", "initial_state") for entry in row) for row in value)
-        return tuple(rows)
+        return tuple(tuple(map(_state_entry, row)) for row in value)
     raise ConfigError("initial_state: expected \"vacuum\" or a 4x4 array")
 
 

@@ -5,13 +5,17 @@ sigma(t) = M(t) (sigma(0) - sigma_inf) M(t)^T + sigma_inf with M(t) = exp(Y t),
 provided Y is Hurwitz; sigma_inf solves Y sigma + sigma Y^T = -2 D.
 
 Y's layout is known to `twomode.model` alone: `_drift_parameters` reads
-(m, omega, lam) back for the damped rotations of M(t), and `_drift_spectrum`
+(m, omega, lam) back for the damped rotations of M(t); `_drift_blocks` gives
+the two diagonal 2x2 blocks P and Q of a block-diagonal Y, for which the
+steady state splits into three 2x2 Sylvester equations solved on Python
+floats (a dense 16x16 solve is left for any other Y); and `_drift_spectrum`
 gives the Hurwitz test and the conditioning warning Y's largest real part and
 largest |imaginary part|.  No code here reads Y's layout itself.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -21,7 +25,7 @@ from numpy.typing import NDArray
 from .entanglement import _mirrored_closed_form
 from .errors import ConditioningWarning, NonFiniteResultError, NotHurwitzError
 from .model import EnvironmentParams, OscillatorParams, _as_real, _drift_parameters
-from .model import _drift_spectrum, _read_covariance, _stack
+from .model import _drift_blocks, _drift_spectrum, _read_covariance, _stack
 
 # sigma_inf entries scale like 1/lambda, so warn well before that blows up.
 _CONDITIONING_RATIO = 1e-6
@@ -74,35 +78,121 @@ def _warn_if_ill_conditioned(decay: float, oscillation: float) -> None:
         )
 
 
+_SINGULAR = (
+    "Lyapunov operator is singular in double precision; "
+    "the coefficients span too many orders of magnitude"
+)
+_OVERFLOW = (
+    "steady-state covariance overflows double precision; "
+    "lambda is too small for these diffusion coefficients"
+)
+
+
+def _sylvester(a: tuple, b: tuple, r: tuple) -> tuple:
+    """X of A X + X B^T = R for 2x2 A, B and R, each as its four entries row-major.
+
+    By Cayley-Hamilton (A^2 = tr(A) A - det(A) I, and so for B),
+        ((tr A + tr B) A + (det B - det A) I) X = A R - R B^T + tr(B) R,
+    whose left factor has determinant prod (alpha_i + beta_j) over the
+    eigenvalues of A and B.  For A = B the factor is exactly 2 tr(A) A, so it
+    does not cancel when tr(A) is tiny.  Both sides are scaled by the power
+    of two that brings the factor's largest |entry| into [0.5, 1), exactly,
+    so the determinant of Cramer's rule cannot underflow.  ZeroDivisionError
+    where that determinant is zero, OverflowError where the scale is not a double.
+    """
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    r0, r1, r2, r3 = r
+    trace_b = b0 + b3
+    trace = (a0 + a3) + trace_b
+    shift = (b0 * b3 - b1 * b2) - (a0 * a3 - a1 * a2)
+    m0, m1, m2, m3 = trace * a0 + shift, trace * a1, trace * a2, trace * a3 + shift
+    scale = math.ldexp(1.0, -math.frexp(max(abs(m0), abs(m1), abs(m2), abs(m3)))[1])
+    m0, m1, m2, m3 = m0 * scale, m1 * scale, m2 * scale, m3 * scale
+    s0 = ((a0 * r0 + a1 * r2) - (r0 * b0 + r1 * b1) + trace_b * r0) * scale
+    s1 = ((a0 * r1 + a1 * r3) - (r0 * b2 + r1 * b3) + trace_b * r1) * scale
+    s2 = ((a2 * r0 + a3 * r2) - (r2 * b0 + r3 * b1) + trace_b * r2) * scale
+    s3 = ((a2 * r1 + a3 * r3) - (r2 * b2 + r3 * b3) + trace_b * r3) * scale
+    det = m0 * m3 - m1 * m2
+    return (
+        (m3 * s0 - m1 * s2) / det,
+        (m3 * s1 - m1 * s3) / det,
+        (m0 * s2 - m2 * s0) / det,
+        (m0 * s3 - m2 * s1) / det,
+    )
+
+
+def _block_steady_state(p: tuple, q: tuple, d: list) -> list:
+    """sigma_inf's ten upper entries (row-major) for Y = diag(P, Q), from D's 16 entries.
+
+    sigma = [[X, C], [C^T, Z]] with P X + X P^T = -2 D11, Q Z + Z Q^T = -2 D22
+    and P C + C Q^T = -2 D12, each solved by `_sylvester`.  D's symmetric part
+    is used, as -(D_ij + D_ji), exactly -2 D_ij for a symmetric D.  C is solved
+    once for both off-diagonal blocks; X and Z are symmetrized.
+    """
+    x01, z01 = -(d[1] + d[4]), -(d[11] + d[14])
+    x0, x1, x2, x3 = _sylvester(p, p, (-2.0 * d[0], x01, x01, -2.0 * d[5]))
+    z0, z1, z2, z3 = _sylvester(q, q, (-2.0 * d[10], z01, z01, -2.0 * d[15]))
+    cross = -(d[2] + d[8]), -(d[3] + d[12]), -(d[6] + d[9]), -(d[7] + d[13])
+    c0, c1, c2, c3 = _sylvester(p, q, cross)
+    return [x0, 0.5 * x1 + 0.5 * x2, c0, c1, x3, c2, c3, z0, 0.5 * z1 + 0.5 * z2, z3]
+
+
 def steady_state_lyapunov(
     y: NDArray[np.float64], d: NDArray[np.float64]
 ) -> NDArray[np.float64]:
     """Solve Y sigma + sigma Y^T = -2 D for the asymptotic covariance matrix.
 
-    The equation is vectorized into a dense 16x16 linear system and solved
-    directly; the result is symmetrized.  The fixed tiny dimension makes a
-    Bartels-Stewart style solver unnecessary.  The operator I (x) Y + Y (x) I
-    is built as one broadcast product over [4, 4, 4, 4] reshaped to 16x16;
-    it makes the same products and sums as two `np.kron` calls, so it is
-    bit for bit the Kronecker-built operator, for any 4x4 Y.  The finiteness
-    check comes after the symmetrization, whose sum can overflow too.
+    A block-diagonal Y = diag(P, Q), as every drift matrix the package builds
+    is, splits the equation into three 2x2 Sylvester equations, which
+    `_block_steady_state` solves on Python floats with no `np.linalg` call.
+    Any other Y goes through the equation vectorized into a dense 16x16
+    linear system: the operator I (x) Y + Y (x) I is built as one broadcast
+    product over [4, 4, 4, 4], bit for bit the Kronecker-built one, solved by
+    `np.linalg.solve` and symmetrized; the finiteness check comes after the
+    symmetrization, whose sum can overflow too.  Either way the result is
+    the solution for D's symmetric part.  A singular operator, or a result
+    that overflows, is a NonFiniteResultError.
 
     Y must be Hurwitz (NotHurwitzError otherwise), and a ConditioningWarning
     is issued when its slowest decay rate is below 1e-6 times its fastest
     oscillation.  Both read Y's spectrum from `_drift_spectrum`: in closed form
-    from the two 2x2 blocks of a block-diagonal Y, with no `np.linalg` call,
-    and from `np.linalg.eigvals` for any other Y, so a non-finite Y raises
-    numpy's LinAlgError.  A complex or non-4x4 Y or D, or a non-finite D, is
-    a ValueError before the solve.
+    from the two 2x2 blocks of a block-diagonal Y, and from
+    `np.linalg.eigvals` for any other Y, so a non-finite Y raises numpy's
+    LinAlgError.  A complex or non-4x4 Y or D, or a non-finite D, is a
+    ValueError before the solve.
     """
     y = _as_real(y, "drift matrix")
-    d = _read_covariance(d, name="diffusion matrix")[0]
-    slowest, oscillation = _drift_spectrum(y)
+    d, entries = _read_covariance(d, name="diffusion matrix")
+    blocks = _drift_blocks(y)
+    slowest, oscillation = _drift_spectrum(y, blocks)
     if not slowest < 0.0:
         raise NotHurwitzError(
             "drift matrix has an eigenvalue with non-negative real part; "
             "no steady state exists"
         )
+    if blocks:
+        try:
+            upper = _block_steady_state(*blocks, entries)
+        except ZeroDivisionError:
+            raise NonFiniteResultError(_SINGULAR) from None
+        except OverflowError:
+            raise NonFiniteResultError(_OVERFLOW) from None
+        # a finite sum has finite terms; an infinite or NaN one is checked term by term
+        if not (math.isfinite(sum(upper)) or all(map(math.isfinite, upper))):
+            raise NonFiniteResultError(_OVERFLOW)
+        s00, s01, s02, s03, s11, s12, s13, s22, s23, s33 = upper
+        # filled in place: the result owns its data, with no base array kept alive
+        sigma = np.empty((4, 4))
+        sigma.flat = [s00, s01, s02, s03, s01, s11, s12, s13, s02, s12, s22, s23, s03, s13, s23, s33]
+    else:
+        sigma = _dense_steady_state(y, d)
+    _warn_if_ill_conditioned(-slowest, oscillation)
+    return sigma
+
+
+def _dense_steady_state(y: NDArray[np.float64], d: NDArray[np.float64]) -> NDArray[np.float64]:
+    """sigma_inf for any Hurwitz 4x4 Y, from the dense 16x16 Lyapunov operator."""
     coefficient = (
         _EYE4[:, None, :, None] * y[None, :, None, :]
         + y[:, None, :, None] * _EYE4[None, :, None, :]
@@ -110,17 +200,10 @@ def steady_state_lyapunov(
     try:
         sigma = np.linalg.solve(coefficient, -2.0 * d.reshape(-1)).reshape(4, 4)
     except np.linalg.LinAlgError:
-        raise NonFiniteResultError(
-            "Lyapunov operator is singular in double precision; "
-            "the coefficients span too many orders of magnitude"
-        ) from None
+        raise NonFiniteResultError(_SINGULAR) from None
     sigma = 0.5 * (sigma + sigma.T)
     if not np.isfinite(sigma).all():
-        raise NonFiniteResultError(
-            "steady-state covariance overflows double precision; "
-            "lambda is too small for these diffusion coefficients"
-        )
-    _warn_if_ill_conditioned(-slowest, oscillation)
+        raise NonFiniteResultError(_OVERFLOW)
     return sigma
 
 

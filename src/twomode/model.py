@@ -5,7 +5,8 @@ Types are immutable after construction and every operation is a pure
 function, so everything here is safe for unrestricted concurrent use; the
 one cache, `_violations`'s last result, is replaced by a single assignment.
 The drift matrix's layout is known here alone: `build_drift_matrix` writes it
-and `_drift_blocks` reads it back, for `_drift_parameters` and `_drift_spectrum`.
+and `_drift_blocks` reads it back, for `_drift_parameters`, `_drift_spectrum`
+and the steady-state solve of `twomode.dynamics`.
 """
 
 from __future__ import annotations
@@ -271,15 +272,22 @@ def _block_spectrum(a: float, b: float, c: float, d: float) -> tuple[float, floa
     return (half + root if half >= 0.0 else (a * d - b * c) / (half - root)), 0.0
 
 
-def _drift_spectrum(y: NDArray[np.float64]) -> tuple[float, float]:
+# `_drift_spectrum`'s default: the caller has not read y's blocks.
+_UNREAD = object()
+
+
+def _drift_spectrum(y: NDArray[np.float64], blocks=_UNREAD) -> tuple[float, float]:
     """(largest real part, largest |imaginary part|) of the eigenvalues of a float array y.
 
     A y that `_drift_blocks` reads, as every built drift matrix, has the
     eigenvalues of its two diagonal blocks, which `_block_spectrum` takes in
     closed form.  Any other y, and a block out of that range, goes through
-    `np.linalg.eigvals`, which raises LinAlgError on a non-finite y.
+    `np.linalg.eigvals`, which raises LinAlgError on a non-finite y.  A caller
+    that has read the blocks passes them, `_drift_blocks(y)` None included, so
+    y is read once.
     """
-    blocks = _drift_blocks(y)
+    if blocks is _UNREAD:
+        blocks = _drift_blocks(y)
     if blocks:
         first, second = _block_spectrum(*blocks[0]), _block_spectrum(*blocks[1])
         if first and second:

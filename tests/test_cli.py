@@ -607,6 +607,17 @@ class TestErrorContract:
         assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
         assert "double" in captured.err and "precision" in captured.err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_steady_state_overflowing_invariants(self, tmp_path, capsys, fmt):
+        # sigma_inf is finite (sigma_xy = 1e308, C solved once, no symmetrized
+        # sum); the report's invariants are not
+        environment = {"lambda": 0.3, "D_xpy": 1e307}
+        payload = dict(REFERENCE_CONFIG, oscillator={"m": 1.0, "omega": 0.1}, environment=environment)
+        code = main(["steady-state", "--config", write_config(tmp_path, payload), "--format", fmt])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: covariance invariants overflow double precision\n"
+
     def test_steady_state_tiny_lambda(self, tmp_path, capsys):
         # lambda^2 underflows to zero inside the closed forms
         environment = {"lambda": 1e-170, "D_xx": 0.6, "D_pxpx": 0.6, "D_xpy": 0.3}
@@ -804,6 +815,25 @@ CONFIG_ERRORS = [
         malformed(initial_state=[[1, 10**400, "1", 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
         "error: initial_state: integer too large for a float",
         id="initial-state-first-failing-entry",
+    ),
+    pytest.param(
+        "evolve",
+        # json.loads takes the NaN and Infinity literals; the reader refuses them
+        malformed(
+            initial_state=[[1, 0, 0, 0], [0, math.nan, 0, 0], [0, 0, "1", 0], [0, 0, 0, 1]],
+            time_grid=GRID,
+        ),
+        "error: initial_state: entries must be finite, got nan",
+        id="initial-state-nan",
+    ),
+    pytest.param(
+        "evolve",
+        malformed(
+            initial_state=[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -math.inf]],
+            time_grid=GRID,
+        ),
+        "error: initial_state: entries must be finite, got -inf",
+        id="initial-state-infinity",
     ),
     pytest.param(
         "validate",

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,6 +27,7 @@ from twomode import (
     steady_state_lyapunov,
 )
 
+from twomode import dynamics, model
 from twomode.model import _drift_parameters, _drift_spectrum
 
 from support import (
@@ -181,6 +183,13 @@ class TestDriftParameters:
         assert matrix_exponential(y, 0.5).matrix[0, 0] == 0.5322807302156708
 
 
+def _kronecker_solve(y, d):
+    """The dense solve: the np.kron-built 16x16 operator, then symmetrization."""
+    eye = np.eye(4)
+    sigma = np.linalg.solve(np.kron(eye, y) + np.kron(y, eye), -2.0 * d.reshape(-1)).reshape(4, 4)
+    return 0.5 * (sigma + sigma.T)
+
+
 class TestSteadyStateLyapunov:
     @pytest.mark.parametrize(
         "y, d, message",
@@ -249,13 +258,26 @@ class TestSteadyStateLyapunov:
         np.testing.assert_allclose(sigma, -2.0 * d / (rates[:, None] + rates[None, :]), rtol=1e-14)
 
     def test_overflow_in_the_symmetrization_is_an_error(self):
-        # the solve gives finite entries near 3e307 whose symmetrized sum
+        # the dense solve gives finite entries near 3e307 whose symmetrized sum
         # overflows: the result used to carry inf, and analyze then raised
-        # ValueError out of `twomode steady-state`
+        # ValueError out of `twomode steady-state`.  Y and D are permuted to the
+        # order (x, y, p_x, p_y), which leaves Y's off-diagonal blocks non-zero.
         osc, env = OscillatorParams(1.0, 0.1), SymmetricEnvironmentParams(lam=0.3, d_xpy=1e307)
-        y, d = build_drift_matrix(osc, env), build_diffusion_matrix(env)
+        order = [0, 2, 1, 3]
+        y = build_drift_matrix(osc, env)[np.ix_(order, order)]
+        d = build_diffusion_matrix(env)[np.ix_(order, order)]
+        assert y[:2, 2:].any()
         with np.errstate(over="ignore"), pytest.raises(NonFiniteResultError, match="overflows"):
             steady_state_lyapunov(y, d)
+
+    def test_block_path_has_no_symmetrization_to_overflow(self):
+        # the same environment in the model's order: C is solved once for both
+        # off-diagonal blocks, so sigma_xy = 1e308 is no sum of two halves
+        osc, env = OscillatorParams(1.0, 0.1), SymmetricEnvironmentParams(lam=0.3, d_xpy=1e307)
+        sigma = steady_state_lyapunov(build_drift_matrix(osc, env), build_diffusion_matrix(env))
+        closed = steady_state_closed_form(osc, env)
+        assert abs(sigma - closed).max() <= 1e-15 * abs(closed).max()
+        assert sigma[0, 2] == sigma[2, 0] and sigma[0, 2] > 1e307
 
     def test_real_eigenvalue_zero_is_not_hurwitz(self):
         with pytest.raises(NotHurwitzError):
@@ -263,8 +285,9 @@ class TestSteadyStateLyapunov:
 
     @pytest.mark.parametrize("structured", [True, False])
     def test_equals_kronecker_solve(self, structured):
-        # The broadcast-built operator must be the np.kron-built one bit for
-        # bit, for the model's drift matrices and for any dense Hurwitz Y.
+        # For a dense Hurwitz Y the broadcast-built operator must be the
+        # np.kron-built one bit for bit.  A block-diagonal Y never builds it:
+        # its solve is checked against scipy only.
         rng = np.random.default_rng(11 if structured else 12)
         eye = np.eye(4)
         for _ in range(100):
@@ -276,14 +299,142 @@ class TestSteadyStateLyapunov:
                 y -= (np.linalg.eigvals(y).real.max() + rng.uniform(0.1, 2.0)) * eye
             d = rng.normal(size=(4, 4))
             d = d @ d.T
-            expected = np.linalg.solve(
-                np.kron(eye, y) + np.kron(y, eye), -2.0 * d.reshape(-1)
-            ).reshape(4, 4)
-            expected = 0.5 * (expected + expected.T)
             ours = steady_state_lyapunov(y, d)
-            assert ours.tobytes() == expected.tobytes()
+            if not structured:
+                assert ours.tobytes() == _kronecker_solve(y, d).tobytes()
             reference = scipy.linalg.solve_continuous_lyapunov(y, -2.0 * d)
             np.testing.assert_allclose(ours, reference, rtol=1e-8, atol=1e-10)
+
+
+def _mp_drift_steady_state(y, d):
+    """sigma_inf of a built drift matrix and a symmetric D, in 40-digit mpmath.
+
+    Y's blocks are [[-lam, 1/m], [-m w^2, -lam]] with b = 1/m and c = -m w^2 as
+    written in doubles, so m = 1/b and w^2 = -b c to 40 digits.  Each 2x2 block of
+    sigma solves P X + X P^T = -2 D_blk: the symmetric part of D_blk gives the
+    entries of `steady_state_closed_form`, and an antisymmetric part k J gives
+    -2 k J / tr(P), as P J + J P^T = tr(P) J.
+    """
+    with mpmath.workdps(40):
+        lam, b, c = -mpmath.mpf(y[0, 0]), mpmath.mpf(y[0, 1]), mpmath.mpf(y[1, 0])
+        m, w2 = 1 / b, -b * c
+        s2 = lam * lam + w2
+        dm = [[mpmath.mpf(v) for v in row] for row in d.tolist()]
+
+        def block(i, j):
+            dq, dqp, dpq, dp = dm[i][j], dm[i][j + 1], dm[i + 1][j], dm[i + 1][j + 1]
+            sym, skew = (dqp + dpq) / 2, (dqp - dpq) / (2 * lam)
+            qq = (m * m * (2 * lam * lam + w2) * dq + 2 * m * lam * sym + dp) / (2 * m * m * lam * s2)
+            qp = (-m * m * w2 * dq + 2 * m * lam * sym + dp) / (2 * m * s2)
+            pp = (m * m * w2 * w2 * dq - 2 * m * w2 * lam * sym + (2 * lam * lam + w2) * dp) / (
+                2 * lam * s2
+            )
+            return [[qq, qp + skew], [qp - skew, pp]]
+
+        x, z, cross = block(0, 0), block(2, 2), block(0, 2)
+        crosst = [[cross[0][0], cross[1][0]], [cross[0][1], cross[1][1]]]
+        return [x[0] + cross[0], x[1] + cross[1], crosst[0] + z[0], crosst[1] + z[1]]
+
+
+def _mp_kronecker_solve(y, d):
+    """sigma_inf of any 4x4 Y from the 16x16 Kronecker system in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        ym = mpmath.matrix(y.tolist())
+        eye = mpmath.eye(4)
+        operator = mpmath.matrix(16, 16)
+        for i, j, k, l in np.ndindex(4, 4, 4, 4):
+            operator[4 * i + j, 4 * k + l] = eye[i, k] * ym[j, l] + ym[i, k] * eye[j, l]
+        rhs = mpmath.matrix([-2 * mpmath.mpf(v) for v in d.ravel().tolist()])
+        solution = mpmath.lu_solve(operator, rhs)
+        return [[solution[4 * i + j] for j in range(4)] for i in range(4)]
+
+
+def _relative_error(sigma, exact):
+    """max |sigma - exact| / max |exact|, the difference taken in mpmath."""
+    with mpmath.workdps(40):
+        flat = [v for row in exact for v in row]
+        gap = max(abs(mpmath.mpf(float(s)) - v) for s, v in zip(np.ravel(sigma), flat))
+        return float(gap / max(abs(v) for v in flat))
+
+
+class TestBlockSteadyState:
+    """The three 2x2 Sylvester solves of a block-diagonal Y, against 40-digit oracles."""
+
+    @pytest.mark.parametrize("lam", [10.0**-k for k in range(0, 151, 10)] + [1e-170, 1e-300])
+    def test_drift_environments_against_mpmath(self, lam):
+        rng = np.random.default_rng(round(-math.log10(lam)))
+        for _ in range(5):
+            osc = random_oscillator(rng, 0.1, 10.0)
+            coefficients = rng.uniform(-1.0, 1.0, size=10).tolist()
+            env = EnvironmentParams(lam, *coefficients)
+            y, d = build_drift_matrix(osc, env), build_diffusion_matrix(env)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConditioningWarning)
+                sigma = steady_state_lyapunov(y, d)
+            assert _relative_error(sigma, _mp_drift_steady_state(y, d)) <= 1e-13
+            assert (sigma == sigma.T).all()
+
+    def test_distinct_blocks_no_worse_than_the_dense_solve(self):
+        rng = np.random.default_rng(15)
+        ours, dense = [], []
+        for _ in range(60):
+            y = np.zeros((4, 4))
+            for k in (0, 2):
+                block = rng.normal(size=(2, 2))
+                block -= (np.linalg.eigvals(block).real.max() + 10 ** rng.uniform(-6, 0)) * np.eye(2)
+                y[k : k + 2, k : k + 2] = block
+            d = rng.normal(size=(4, 4))
+            d = d @ d.T
+            exact = _mp_kronecker_solve(y, d)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConditioningWarning)
+                ours.append(_relative_error(steady_state_lyapunov(y, d), exact))
+            dense.append(_relative_error(_kronecker_solve(y, d), exact))
+        assert max(ours) <= max(dense)
+        assert np.median(ours) <= np.median(dense)
+
+    def test_built_drift_matrix_needs_no_linalg(self, osc, reference_env, reference_sigma_inf, monkeypatch):
+        y, d = build_drift_matrix(osc, reference_env), build_diffusion_matrix(reference_env)
+        monkeypatch.setattr(np.linalg, "solve", None)
+        monkeypatch.setattr(np.linalg, "eigvals", None)
+        sigma = steady_state_lyapunov(y, d)
+        np.testing.assert_allclose(sigma, reference_sigma_inf, rtol=0, atol=1e-15)
+        assert sigma.base is None  # a view would keep a second array alive per result
+
+    @pytest.mark.parametrize(
+        "m, omega, lam, diffusion, message",
+        [
+            (1.0, 1.0, 1e-300, 1e300, "overflows"),  # Cramer's rule gives inf
+            (1.0, 1.0, 5e-324, 1.0, "overflows"),  # the left factor's scale is beyond the doubles
+            (1e-57, 1e-59, 1e-180, 1.0, "singular"),  # the left factor underflows to rank one
+        ],
+    )
+    def test_non_finite_results_are_errors(self, m, omega, lam, diffusion, message):
+        env = SymmetricEnvironmentParams(lam, diffusion, 0.0, diffusion)
+        y, d = build_drift_matrix(OscillatorParams(m, omega), env), build_diffusion_matrix(env)
+        with pytest.raises(NonFiniteResultError, match=message):
+            steady_state_lyapunov(y, d)
+
+    def test_reads_the_drift_matrix_once(self, osc, reference_env, monkeypatch):
+        y, d = build_drift_matrix(osc, reference_env), build_diffusion_matrix(reference_env)
+        read, calls = model._drift_blocks, []
+
+        def counted(y):
+            calls.append(y)
+            return read(y)
+
+        monkeypatch.setattr(model, "_drift_blocks", counted)
+        monkeypatch.setattr(dynamics, "_drift_blocks", counted)
+        steady_state_lyapunov(y, d)
+        assert len(calls) == 1
+
+    def test_tiny_lambda_does_not_underflow(self):
+        # det of the left factor 2 tr(P) P is 16 lam^2 (lam^2 + w^2), 1.6e-339 unscaled
+        osc, env = OscillatorParams(1.0, 1.0), SymmetricEnvironmentParams(1e-170, 0.6, 0.0, 0.6, 0.0, 0.3)
+        y, d = build_drift_matrix(osc, env), build_diffusion_matrix(env)
+        with pytest.warns(ConditioningWarning):
+            sigma = steady_state_lyapunov(y, d)
+        assert _relative_error(sigma, _mp_drift_steady_state(y, d)) <= 1e-15
 
 
 def _eigvals_extent(y):
