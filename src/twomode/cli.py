@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
-    _closed_form_entries,
+    closed_form_entries,
     propagate,
     steady_state_closed_form,
     steady_state_lyapunov,
@@ -31,11 +31,11 @@ from .dynamics import (
 from .entanglement import analyze, report
 from .errors import ConditioningWarning, NonFiniteResultError, NonPositiveLambdaError, TwoModeError
 from .model import (
+    MIRROR,
     Coefficients,
     EnvironmentParams,
     OscillatorParams,
     SymmetricEnvironmentParams,
-    _MIRROR,
     build_diffusion_matrix,
     build_drift_matrix,
     check_state_covariance,
@@ -53,7 +53,7 @@ class ConfigError(Exception):
 _ENV_KEYS = {
     "lambda" if f.name == "lam" else "D" + f.name[1:]: f.name for f in fields(EnvironmentParams)
 }
-_Y_DUPLICATE_KEYS = tuple("D" + y[1:] for y in _MIRROR)
+_Y_DUPLICATE_KEYS = tuple("D" + y[1:] for y in MIRROR)
 _REDUCED_KEYS = ("D_xx", "D_xpx", "D_pxpx", "D_xy", "D_xpy", "D_pxpy")
 _FULL_KEYS = tuple(_ENV_KEYS)[1:]
 
@@ -278,8 +278,8 @@ def parse_config(data: dict) -> RunConfig:
 def load_config(path: str) -> RunConfig:
     """Read and parse a JSON configuration file."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -571,7 +571,7 @@ def _sweep_environments(cfg: RunConfig) -> tuple[dict, Coefficients]:
     else:
         values[_ENV_KEYS[sweep.axis1.coefficient]] = a1
         values[_ENV_KEYS[sweep.axis2.coefficient]] = a2
-    values.update({y: values[x] for y, x in _MIRROR.items()})
+    values.update({y: values[x] for y, x in MIRROR.items()})
     grid = {"axis1": a1, "axis2": a2, **values}
     if not all(np.isfinite(x).all() for x in (lam, *grid.values())):
         raise NonFiniteResultError("sweep grid overflows double precision")
@@ -588,7 +588,7 @@ def _sweep_table(cfg: RunConfig) -> dict:
     """
     osc = cfg.oscillator
     grid, env = _sweep_environments(cfg)
-    sxx, sxpx, spxpx, sxy, sxpy, spxpy = _closed_form_entries(osc, env)
+    sxx, sxpx, spxpx, sxy, sxpy, spxpy = closed_form_entries(osc, env)
     at = report((sxx, sxpx, sxy, sxpy, spxpx, sxpy, spxpy, sxx, sxpx, spxpx), osc, env)
     return {
         "axis1": grid["axis1"],

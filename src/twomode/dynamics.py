@@ -4,13 +4,14 @@ The evolution d(sigma)/dt = Y sigma + sigma Y^T + 2 D has the solution
 sigma(t) = M(t) (sigma(0) - sigma_inf) M(t)^T + sigma_inf with M(t) = exp(Y t),
 provided Y is Hurwitz; sigma_inf solves Y sigma + sigma Y^T = -2 D.
 
-Y's layout is known to `twomode.model` alone: `_drift_parameters` reads
-(m, omega, lam) back for the damped rotations of M(t); `_drift_blocks` gives
-the two diagonal 2x2 blocks P and Q of a block-diagonal Y, for which the
-steady state splits into three 2x2 Sylvester equations solved on Python
-floats (a dense 16x16 solve is left for any other Y); and `_drift_spectrum`
-gives the Hurwitz test and the conditioning warning Y's largest real part and
-largest |imaginary part|.  No code here reads Y's layout itself.
+Y's layout is known to `twomode.model` alone, and every function here takes
+only that layout, diag(P, P) with P = [[-lam, 1/m], [-m omega^2, -lam]]:
+`_drift_parameters` reads (m, omega, lam) back for the damped rotations of
+M(t), and `_drift_block` gives P's entries to the steady state, which splits
+into three 2x2 Sylvester equations with one shared left factor, solved on
+Python floats.  Y's eigenvalues are -lam +- i omega, so the Hurwitz test is
+lam > 0 and the conditioning test lam < 1e-6 omega.  Any other Y is a
+ValueError.  No code here reads Y's layout itself.
 """
 
 from __future__ import annotations
@@ -24,14 +25,11 @@ from numpy.typing import NDArray
 
 from .entanglement import _mirrored_closed_form
 from .errors import ConditioningWarning, NonFiniteResultError, NotHurwitzError
-from .model import EnvironmentParams, OscillatorParams, _as_real, _drift_parameters
-from .model import _drift_blocks, _drift_spectrum, _read_covariance, _stack
+from .model import EnvironmentParams, OscillatorParams, _drift_block, _drift_parameters
+from .model import _read_covariance, _stack
 
 # sigma_inf entries scale like 1/lambda, so warn well before that blows up.
 _CONDITIONING_RATIO = 1e-6
-
-_EYE4 = np.eye(4)
-_EYE4.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,53 +86,46 @@ _OVERFLOW = (
 )
 
 
-def _sylvester(a: tuple, b: tuple, r: tuple) -> tuple:
-    """X of A X + X B^T = R for 2x2 A, B and R, each as its four entries row-major.
+def _steady_state(a: float, b: float, c: float, d: list) -> list:
+    """sigma_inf's ten upper entries (row-major) for Y = diag(P, P), P = [[a, b], [c, a]],
+    from D's 16 entries.
 
-    By Cayley-Hamilton (A^2 = tr(A) A - det(A) I, and so for B),
-        ((tr A + tr B) A + (det B - det A) I) X = A R - R B^T + tr(B) R,
-    whose left factor has determinant prod (alpha_i + beta_j) over the
-    eigenvalues of A and B.  For A = B the factor is exactly 2 tr(A) A, so it
-    does not cancel when tr(A) is tiny.  Both sides are scaled by the power
-    of two that brings the factor's largest |entry| into [0.5, 1), exactly,
-    so the determinant of Cramer's rule cannot underflow.  ZeroDivisionError
-    where that determinant is zero, OverflowError where the scale is not a double.
+    sigma = [[X, C], [C^T, Z]] with P S + S P^T = R for each block S, where
+    R is -2 D11, -2 D22 and -2 D12 for X, Z and C.  D's symmetric part is
+    used, as -(D_ij + D_ji), exactly -2 D_ij for a symmetric D.  By
+    Cayley-Hamilton (P^2 = tr(P) P - det(P) I) each equation becomes
+        2 tr(P) P S = P R - R P^T + tr(P) R,
+    whose left factor does not cancel when tr(P) is tiny.  The factor, the
+    power of two that brings its largest |entry| into [0.5, 1), exactly, and
+    its determinant, which that scale keeps from underflowing, are shared
+    by the three right-hand sides, each solved by Cramer's rule.  C is
+    solved once for both off-diagonal blocks; X and Z are symmetrized.
+    ZeroDivisionError where the determinant is zero, OverflowError where the
+    scale is not a double.
     """
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    r0, r1, r2, r3 = r
-    trace_b = b0 + b3
-    trace = (a0 + a3) + trace_b
-    shift = (b0 * b3 - b1 * b2) - (a0 * a3 - a1 * a2)
-    m0, m1, m2, m3 = trace * a0 + shift, trace * a1, trace * a2, trace * a3 + shift
-    scale = math.ldexp(1.0, -math.frexp(max(abs(m0), abs(m1), abs(m2), abs(m3)))[1])
-    m0, m1, m2, m3 = m0 * scale, m1 * scale, m2 * scale, m3 * scale
-    s0 = ((a0 * r0 + a1 * r2) - (r0 * b0 + r1 * b1) + trace_b * r0) * scale
-    s1 = ((a0 * r1 + a1 * r3) - (r0 * b2 + r1 * b3) + trace_b * r1) * scale
-    s2 = ((a2 * r0 + a3 * r2) - (r2 * b0 + r3 * b1) + trace_b * r2) * scale
-    s3 = ((a2 * r1 + a3 * r3) - (r2 * b2 + r3 * b3) + trace_b * r3) * scale
-    det = m0 * m3 - m1 * m2
-    return (
-        (m3 * s0 - m1 * s2) / det,
-        (m3 * s1 - m1 * s3) / det,
-        (m0 * s2 - m2 * s0) / det,
-        (m0 * s3 - m2 * s1) / det,
-    )
+    trace = a + a
+    twice = trace + trace
+    m0, m1, m2 = twice * a, twice * b, twice * c  # 2 tr(P) P = [[m0, m1], [m2, m0]]
+    scale = math.ldexp(1.0, -math.frexp(max(abs(m0), abs(m1), abs(m2)))[1])
+    m0, m1, m2 = m0 * scale, m1 * scale, m2 * scale
+    det = m0 * m0 - m1 * m2
 
+    def solve(r0, r1, r2, r3):
+        s0 = ((a * r0 + b * r2) - (r0 * a + r1 * b) + trace * r0) * scale
+        s1 = ((a * r1 + b * r3) - (r0 * c + r1 * a) + trace * r1) * scale
+        s2 = ((c * r0 + a * r2) - (r2 * a + r3 * b) + trace * r2) * scale
+        s3 = ((c * r1 + a * r3) - (r2 * c + r3 * a) + trace * r3) * scale
+        return (
+            (m0 * s0 - m1 * s2) / det,
+            (m0 * s1 - m1 * s3) / det,
+            (m0 * s2 - m2 * s0) / det,
+            (m0 * s3 - m2 * s1) / det,
+        )
 
-def _block_steady_state(p: tuple, q: tuple, d: list) -> list:
-    """sigma_inf's ten upper entries (row-major) for Y = diag(P, Q), from D's 16 entries.
-
-    sigma = [[X, C], [C^T, Z]] with P X + X P^T = -2 D11, Q Z + Z Q^T = -2 D22
-    and P C + C Q^T = -2 D12, each solved by `_sylvester`.  D's symmetric part
-    is used, as -(D_ij + D_ji), exactly -2 D_ij for a symmetric D.  C is solved
-    once for both off-diagonal blocks; X and Z are symmetrized.
-    """
     x01, z01 = -(d[1] + d[4]), -(d[11] + d[14])
-    x0, x1, x2, x3 = _sylvester(p, p, (-2.0 * d[0], x01, x01, -2.0 * d[5]))
-    z0, z1, z2, z3 = _sylvester(q, q, (-2.0 * d[10], z01, z01, -2.0 * d[15]))
-    cross = -(d[2] + d[8]), -(d[3] + d[12]), -(d[6] + d[9]), -(d[7] + d[13])
-    c0, c1, c2, c3 = _sylvester(p, q, cross)
+    x0, x1, x2, x3 = solve(-2.0 * d[0], x01, x01, -2.0 * d[5])
+    z0, z1, z2, z3 = solve(-2.0 * d[10], z01, z01, -2.0 * d[15])
+    c0, c1, c2, c3 = solve(-(d[2] + d[8]), -(d[3] + d[12]), -(d[6] + d[9]), -(d[7] + d[13]))
     return [x0, 0.5 * x1 + 0.5 * x2, c0, c1, x3, c2, c3, z0, 0.5 * z1 + 0.5 * z2, z3]
 
 
@@ -143,67 +134,38 @@ def steady_state_lyapunov(
 ) -> NDArray[np.float64]:
     """Solve Y sigma + sigma Y^T = -2 D for the asymptotic covariance matrix.
 
-    A block-diagonal Y = diag(P, Q), as every drift matrix the package builds
-    is, splits the equation into three 2x2 Sylvester equations, which
-    `_block_steady_state` solves on Python floats with no `np.linalg` call.
-    Any other Y goes through the equation vectorized into a dense 16x16
-    linear system: the operator I (x) Y + Y (x) I is built as one broadcast
-    product over [4, 4, 4, 4], bit for bit the Kronecker-built one, solved by
-    `np.linalg.solve` and symmetrized; the finiteness check comes after the
-    symmetrization, whose sum can overflow too.  Either way the result is
-    the solution for D's symmetric part.  A singular operator, or a result
-    that overflows, is a NonFiniteResultError.
-
-    Y must be Hurwitz (NotHurwitzError otherwise), and a ConditioningWarning
-    is issued when its slowest decay rate is below 1e-6 times its fastest
-    oscillation.  Both read Y's spectrum from `_drift_spectrum`: in closed form
-    from the two 2x2 blocks of a block-diagonal Y, and from
-    `np.linalg.eigvals` for any other Y, so a non-finite Y raises numpy's
-    LinAlgError.  A complex or non-4x4 Y or D, or a non-finite D, is a
-    ValueError before the solve.
+    Y must be in `build_drift_matrix`'s layout, diag(P, P) with
+    P = [[-lam, 1/m], [-m omega^2, -lam]]; any other Y is the ValueError of
+    `propagate`.  The equation splits into three 2x2 Sylvester equations,
+    which `_steady_state` solves on Python floats with no `np.linalg` call;
+    the result is the solution for D's symmetric part.  Y's eigenvalues are
+    -lam +- i omega, so Y is Hurwitz iff lam > 0 (NotHurwitzError otherwise),
+    and a ConditioningWarning is issued when lam < 1e-6 omega.  A singular
+    operator, or a result that overflows, is a NonFiniteResultError.  A
+    complex or non-4x4 Y or D, or a non-finite D, is a ValueError before the
+    solve.
     """
-    y = _as_real(y, "drift matrix")
-    d, entries = _read_covariance(d, name="diffusion matrix")
-    blocks = _drift_blocks(y)
-    slowest, oscillation = _drift_spectrum(y, blocks)
-    if not slowest < 0.0:
+    a, b, c = _drift_block(y)  # a = -lam
+    entries = _read_covariance(d, name="diffusion matrix")[1]
+    if not -a > 0.0:
         raise NotHurwitzError(
             "drift matrix has an eigenvalue with non-negative real part; "
             "no steady state exists"
         )
-    if blocks:
-        try:
-            upper = _block_steady_state(*blocks, entries)
-        except ZeroDivisionError:
-            raise NonFiniteResultError(_SINGULAR) from None
-        except OverflowError:
-            raise NonFiniteResultError(_OVERFLOW) from None
-        # a finite sum has finite terms; an infinite or NaN one is checked term by term
-        if not (math.isfinite(sum(upper)) or all(map(math.isfinite, upper))):
-            raise NonFiniteResultError(_OVERFLOW)
-        s00, s01, s02, s03, s11, s12, s13, s22, s23, s33 = upper
-        # filled in place: the result owns its data, with no base array kept alive
-        sigma = np.empty((4, 4))
-        sigma.flat = [s00, s01, s02, s03, s01, s11, s12, s13, s02, s12, s22, s23, s03, s13, s23, s33]
-    else:
-        sigma = _dense_steady_state(y, d)
-    _warn_if_ill_conditioned(-slowest, oscillation)
-    return sigma
-
-
-def _dense_steady_state(y: NDArray[np.float64], d: NDArray[np.float64]) -> NDArray[np.float64]:
-    """sigma_inf for any Hurwitz 4x4 Y, from the dense 16x16 Lyapunov operator."""
-    coefficient = (
-        _EYE4[:, None, :, None] * y[None, :, None, :]
-        + y[:, None, :, None] * _EYE4[None, :, None, :]
-    ).reshape(16, 16)
     try:
-        sigma = np.linalg.solve(coefficient, -2.0 * d.reshape(-1)).reshape(4, 4)
-    except np.linalg.LinAlgError:
+        upper = _steady_state(a, b, c, entries)
+    except ZeroDivisionError:
         raise NonFiniteResultError(_SINGULAR) from None
-    sigma = 0.5 * (sigma + sigma.T)
-    if not np.isfinite(sigma).all():
+    except OverflowError:
+        raise NonFiniteResultError(_OVERFLOW) from None
+    # a finite sum has finite terms; an infinite or NaN one is checked term by term
+    if not (math.isfinite(sum(upper)) or all(map(math.isfinite, upper))):
         raise NonFiniteResultError(_OVERFLOW)
+    s00, s01, s02, s03, s11, s12, s13, s22, s23, s33 = upper
+    # filled in place: the result owns its data, with no base array kept alive
+    sigma = np.empty((4, 4))
+    sigma.flat = [s00, s01, s02, s03, s01, s11, s12, s13, s02, s12, s22, s23, s03, s13, s23, s33]
+    _warn_if_ill_conditioned(-a, math.sqrt(-c * b))
     return sigma
 
 
@@ -226,13 +188,13 @@ def steady_state_closed_form(
     (D_xy, D_xpy, D_pxpy) replaced by (D_xx, D_xpx, D_pxpx).  Errors: see `twomode.entanglement`;
     a finite result at lam < 1e-6 omega comes with a ConditioningWarning.
     """
-    xx, xpx, pxpx, xy, xpy, pxpy = _mirrored_closed_form(_closed_form_entries, osc, env)
+    xx, xpx, pxpx, xy, xpy, pxpy = _mirrored_closed_form(closed_form_entries, osc, env)
     _warn_if_ill_conditioned(env.lam, osc.omega)
     rows = [[xx, xpx, xy, xpy], [xpx, pxpx, xpy, pxpy], [xy, xpy, xx, xpx], [xpy, pxpy, xpx, pxpx]]
     return _stack(rows)
 
 
-def _closed_form_entries(osc: OscillatorParams, env: EnvironmentParams) -> tuple:
+def closed_form_entries(osc: OscillatorParams, env: EnvironmentParams) -> tuple:
     """sigma_xx, sigma_xpx, sigma_pxpx, sigma_xy, sigma_xpy, sigma_pxpy of
     `steady_state_closed_form`, unchecked and elementwise for coefficient arrays."""
     m, w, lam = osc.m, osc.omega, env.lam

@@ -5,8 +5,12 @@ Types are immutable after construction and every operation is a pure
 function, so everything here is safe for unrestricted concurrent use; the
 one cache, `_violations`'s last result, is replaced by a single assignment.
 The drift matrix's layout is known here alone: `build_drift_matrix` writes it
-and `_drift_blocks` reads it back, for `_drift_parameters`, `_drift_spectrum`
-and the steady-state solve of `twomode.dynamics`.
+and `_drift_block` reads it back, exactly, for `_drift_parameters`,
+`is_hurwitz` and the steady-state solve of `twomode.dynamics`.  Any other
+matrix is a ValueError, except in `is_hurwitz`, which takes it to eigvals.
+Strict validation's Gram spectrum is a closed form for a mirrored
+environment and one power-of-two-scaled `eigvalsh` otherwise, its scale
+taken on Python floats for one environment and on arrays for a stack.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ J.flags.writeable = False
 PSD_TOLERANCE = 1e-10
 
 #: y-mode field -> the x-mode field it equals in a symmetric environment (field order).
-_MIRROR = {"d_ypx": "d_xpy", "d_yy": "d_xx", "d_ypy": "d_xpx", "d_pypy": "d_pxpx"}
+MIRROR = {"d_ypx": "d_xpy", "d_yy": "d_xx", "d_ypy": "d_xpx", "d_pypy": "d_pxpx"}
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,7 @@ class SymmetricEnvironmentParams(EnvironmentParams):
     """Environment whose y-mode noise mirrors the x-mode noise.
 
     Constructed from the reduced coefficient set; the duplicates are filled
-    in from `_MIRROR` (d_yy = d_xx, d_ypy = d_xpx, d_pypy = d_pxpx and
+    in from `MIRROR` (d_yy = d_xx, d_ypy = d_xpx, d_pypy = d_pxpx and
     d_ypx = d_xpy), which makes both reduced one-mode covariance matrices
     equal and the cross-correlation block symmetric.  The duplicates are not
     arguments, so `dataclasses.replace` mirrors a changed x-mode field and
@@ -105,7 +109,7 @@ class SymmetricEnvironmentParams(EnvironmentParams):
         d_pxpy: float = 0.0,
     ) -> None:
         given = dict(d_xx=d_xx, d_xpx=d_xpx, d_pxpx=d_pxpx, d_xy=d_xy, d_xpy=d_xpy, d_pxpy=d_pxpy)
-        super().__init__(lam, **given, **{y: given[x] for y, x in _MIRROR.items()})
+        super().__init__(lam, **given, **{y: given[x] for y, x in MIRROR.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +197,7 @@ def _stack(rows, dtype=float) -> NDArray:
 def is_symmetric_environment(env: EnvironmentParams, rtol: float = 1e-12) -> bool:
     """True when the y-mode coefficients mirror the x-mode ones (elementwise for arrays)."""
     mirrored = True
-    for y, x in _MIRROR.items():
+    for y, x in MIRROR.items():
         mirrored &= _nearly_equal(getattr(env, y), getattr(env, x), rtol)
     return mirrored
 
@@ -222,78 +226,25 @@ def build_drift_matrix(
     return out
 
 
-def _drift_blocks(y: NDArray[np.float64]) -> tuple[tuple, tuple] | None:
-    """y's diagonal 2x2 blocks [[a, b], [c, d]] as [a, b, c, d], read with one `tolist()`;
-    None unless y is a finite 4x4 float array whose off-diagonal blocks are exact zeros."""
-    if y.shape == (4, 4):
-        (a, b, z0, z1), (c, d, z2, z3), (z4, z5, e, f), (z6, z7, g, h) = y.tolist()
-        zeros = not (z0 or z1 or z2 or z3 or z4 or z5 or z6 or z7)  # a NaN is true
-        # x * 0.0 is 0.0 for finite x only, and a sum of zeros cannot overflow
-        finite = a * 0.0 + b * 0.0 + c * 0.0 + d * 0.0 + e * 0.0 + f * 0.0 + g * 0.0 + h * 0.0
-        if zeros and finite == 0.0:
-            return (a, b, c, d), (e, f, g, h)
-    return None
-
-
-def _drift_parameters(y) -> tuple[float, float, float]:
-    """(m, omega, lam) of a drift matrix in exactly `build_drift_matrix`'s layout: real, 4x4,
-    finite, off-diagonal blocks of exact zeros, and two identical blocks [[-lam, 1/m],
-    [-m omega^2, -lam]] with 1/m > 0 > -m omega^2.  Any other y is a ValueError."""
-    blocks = _drift_blocks(_as_real(y, "drift matrix"))
-    if blocks and blocks[0] == blocks[1]:
-        a, b, c, d = blocks[0]
-        if a == d and b > 0.0 > c:
-            return 1.0 / b, math.sqrt(-c * b), -a
+def _drift_block(y) -> tuple[float, float, float]:
+    """(a, b, c) of the block [[a, b], [c, a]] that a drift matrix in exactly
+    `build_drift_matrix`'s layout repeats on its diagonal, read with one `tolist()`:
+    real, 4x4, finite, off-diagonal blocks of exact zeros and two identical blocks
+    with b > 0 > c.  Any other y is a ValueError."""
+    rows = _as_real(y, "drift matrix").tolist()
+    (a, b, z0, z1), (c, d, z2, z3), (z4, z5, e, f), (z6, z7, g, h) = rows
+    zeros = not (z0 or z1 or z2 or z3 or z4 or z5 or z6 or z7)  # a NaN is true
+    finite = a * 0.0 + b * 0.0 + c * 0.0 == 0.0  # x * 0.0 is 0.0 for finite x only
+    if zeros and finite and (a, b, c, d) == (e, f, g, h) and a == d and b > 0.0 > c:
+        return a, b, c
     raise ValueError("drift matrix is not of the two-oscillator damped form")
 
 
-# A 2x2 block whose largest |entry| lies in this range has products and sums
-# of its entries in the normal range of doubles: none overflows or underflows.
-_BLOCK_LOW, _BLOCK_HIGH = 1e-150, 1e150
-
-
-def _block_spectrum(a: float, b: float, c: float, d: float) -> tuple[float, float] | None:
-    """(largest real part, largest |imaginary part|) of the eigenvalues of [[a, b], [c, d]].
-
-    The eigenvalues are h +- sqrt(g^2 + b c) with h = (a + d)/2, g = (a - d)/2,
-    exactly a and d for a triangular block.  A real pair's larger root h + r
-    cancels where h < 0; it is (a d - b c) / (h - r) there.  None when a block
-    that is not triangular has its largest |entry| outside [_BLOCK_LOW, _BLOCK_HIGH].
-    """
-    if b == 0.0 or c == 0.0:
-        return max(a, d), 0.0
-    if not _BLOCK_LOW <= max(abs(a), abs(b), abs(c), abs(d)) <= _BLOCK_HIGH:
-        return None
-    half, gap = 0.5 * (a + d), 0.5 * (a - d)
-    radicand = gap * gap + b * c
-    if radicand < 0.0:
-        return half, math.sqrt(-radicand)
-    root = math.sqrt(radicand)
-    return (half + root if half >= 0.0 else (a * d - b * c) / (half - root)), 0.0
-
-
-# `_drift_spectrum`'s default: the caller has not read y's blocks.
-_UNREAD = object()
-
-
-def _drift_spectrum(y: NDArray[np.float64], blocks=_UNREAD) -> tuple[float, float]:
-    """(largest real part, largest |imaginary part|) of the eigenvalues of a float array y.
-
-    A y that `_drift_blocks` reads, as every built drift matrix, has the
-    eigenvalues of its two diagonal blocks, which `_block_spectrum` takes in
-    closed form.  Any other y, and a block out of that range, goes through
-    `np.linalg.eigvals`, which raises LinAlgError on a non-finite y.  A caller
-    that has read the blocks passes them, `_drift_blocks(y)` None included, so
-    y is read once.
-    """
-    if blocks is _UNREAD:
-        blocks = _drift_blocks(y)
-    if blocks:
-        first, second = _block_spectrum(*blocks[0]), _block_spectrum(*blocks[1])
-        if first and second:
-            return max(first[0], second[0]), max(first[1], second[1])
-    eigs = np.linalg.eigvals(y)
-    return float(eigs.real.max()), float(abs(eigs.imag).max())
+def _drift_parameters(y) -> tuple[float, float, float]:
+    """(m, omega, lam) of a drift matrix in `build_drift_matrix`'s layout, whose blocks
+    are [[-lam, 1/m], [-m omega^2, -lam]]; any other y is `_drift_block`'s ValueError."""
+    a, b, c = _drift_block(y)
+    return 1.0 / b, math.sqrt(-c * b), -a
 
 
 def build_diffusion_matrix(env: EnvironmentParams) -> NDArray[np.float64]:
@@ -308,6 +259,10 @@ def build_diffusion_matrix(env: EnvironmentParams) -> NDArray[np.float64]:
     )
 
 
+#: The ten diffusion coefficients' field names, in field order.
+_DIFFUSION = tuple(f.name for f in fields(EnvironmentParams) if f.name != "lam")
+
+
 def build_gram_matrix(env: EnvironmentParams) -> NDArray[np.complex128]:
     """Hermitian Gram matrix of the environment coupling vectors (hbar = 1).
 
@@ -317,13 +272,18 @@ def build_gram_matrix(env: EnvironmentParams) -> NDArray[np.complex128]:
     builds it only for environments that are not exactly mirrored; for the
     mirrored ones it uses the closed-form spectrum (`_min_gram_eigenvalue`).
     """
-    half = 0.5j * env.lam
+    return _gram(*[getattr(env, name) for name in _DIFFUSION], 0.5 * env.lam)
+
+
+def _gram(xx, xpx, xy, xpy, ypx, pxpx, yy, ypy, pxpy, pypy, half) -> NDArray[np.complex128]:
+    """The Gram matrix of the ten coefficients, in `_DIFFUSION`'s order, and half = lam/2."""
+    half = 1j * half
     return _stack(
         [
-            [env.d_xx, -env.d_xpx - half, env.d_xy, -env.d_xpy],
-            [-env.d_xpx + half, env.d_pxpx, -env.d_ypx, env.d_pxpy],
-            [env.d_xy, -env.d_ypx, env.d_yy, -env.d_ypy - half],
-            [-env.d_xpy, env.d_pxpy, -env.d_ypy + half, env.d_pypy],
+            [xx, -xpx - half, xy, -xpy],
+            [-xpx + half, pxpx, -ypx, pxpy],
+            [xy, -ypx, yy, -ypy - half],
+            [-xpy, pxpy, -ypy + half, pypy],
         ],
         complex,
     )
@@ -352,7 +312,7 @@ Coefficients = namedtuple("Coefficients", [f.name for f in fields(EnvironmentPar
 def _min_gram_eigenvalue(env: EnvironmentParams):
     """Smallest eigenvalue of the Gram matrix, elementwise for coefficient arrays.
 
-    When every `_MIRROR` pair is exactly equal (at every point of a stack),
+    When every `MIRROR` pair is exactly equal (at every point of a stack),
     the Gram matrix is [[P, Q], [Q, P]] with
         P = [[D_xx, -D_xpx - i lam/2], [-D_xpx + i lam/2, D_pxpx]],
         Q = [[D_xy, -D_xpy], [-D_xpy, D_pxpy]]   (real and symmetric),
@@ -369,29 +329,36 @@ def _min_gram_eigenvalue(env: EnvironmentParams):
     eigenvalue is below the double range.  Scalars go through math.hypot,
     several times cheaper than the ufunc on them, arrays through np.hypot;
     the two may differ in the last bit.  Any other environment, mirrored
-    only to a tolerance included, goes through `eigvalsh` of
-    `build_gram_matrix`, each matrix scaled by a power of two to a largest
-    real or imaginary part in [0.5, 1): exact, and unscaled with ldexp, as
-    2.0**1024 overflows.  Unscaled, eigvalsh lost digits on entries of
-    extreme magnitude (-6.2323e135 for -6.2348e135).
+    only to a tolerance included, goes through one `eigvalsh` of the Gram
+    matrix built from its coefficients and lam/2 scaled by the power of two
+    that brings the largest of their |values| into [0.5, 1): exact, unless a
+    value far below the largest turns subnormal.  The smallest eigenvalue is
+    unscaled with ldexp, as 2.0**1024 overflows; an eigenvalue beyond the
+    double range is +-inf.  Unscaled, eigvalsh lost digits on entries of
+    extreme magnitude (-6.2323e135 for -6.2348e135).  Like hypot, frexp and
+    ldexp come from math for one environment and from numpy for a stack.
     """
     mirrored = functools.reduce(
-        operator.and_, [getattr(env, y) == getattr(env, x) for y, x in _MIRROR.items()]
+        operator.and_, [getattr(env, y) == getattr(env, x) for y, x in MIRROR.items()]
     )
     stacked = isinstance(mirrored, np.ndarray)
+    lib, minimum = (np, np.minimum) if stacked else (math, min)
     if not (mirrored.all() if stacked else mirrored):
-        gram = build_gram_matrix(env)
-        peak = np.maximum(abs(gram.real), abs(gram.imag)).max(axis=(-2, -1))
-        exponent = np.frexp(peak)[1]
-        scale = -exponent[..., None, None]
-        gram.real, gram.imag = np.ldexp(gram.real, scale), np.ldexp(gram.imag, scale)
-        low = np.ldexp(np.linalg.eigvalsh(gram)[..., 0], exponent)
-        return low if stacked else float(low)
-    hypot, minimum = (np.hypot, np.minimum) if stacked else (math.hypot, min)
+        values = [getattr(env, name) for name in _DIFFUSION]
+        values.append(0.5 * env.lam)
+        magnitudes = map(abs, values)
+        peak = functools.reduce(np.maximum, magnitudes) if stacked else max(magnitudes)
+        exponent = lib.frexp(peak)[1]
+        gram = _gram(*[lib.ldexp(v, -exponent) for v in values])
+        low = np.linalg.eigvalsh(gram)[..., 0]
+        try:
+            return lib.ldexp(low, exponent)
+        except OverflowError:  # math.ldexp's, where np.ldexp gives inf
+            return math.copysign(math.inf, low)
     xx, xy, pp, py = 0.25 * env.d_xx, 0.25 * env.d_xy, 0.25 * env.d_pxpx, 0.25 * env.d_pxpy
     xp, xq, lam = 0.5 * env.d_xpx, 0.5 * env.d_xpy, 0.25 * env.lam
     halves = [
-        (a + d) - hypot(a - d, hypot(b, lam))
+        (a + d) - lib.hypot(a - d, lib.hypot(b, lam))
         for a, d, b in ((xx + xy, pp + py, xp + xq), (xx - xy, pp - py, xp - xq))
     ]
     return 2.0 * minimum(*halves)
@@ -461,11 +428,16 @@ def validate_environment(
 def is_hurwitz(y: NDArray[np.float64]) -> bool:
     """True iff every eigenvalue of y has strictly negative real part.
 
-    The largest real part comes from `_drift_spectrum`: in closed form for a
-    block-diagonal 4x4 y, such as `build_drift_matrix` makes, and from
-    `numpy.linalg.eigvals` for any other square y.  A complex y is a ValueError.
+    A drift matrix in `build_drift_matrix`'s layout has the eigenvalues
+    -lam +- i omega, so it is Hurwitz iff lam > 0 (`_drift_block`); any other
+    square y goes through `numpy.linalg.eigvals`, which raises LinAlgError on a
+    non-finite y.  A complex y is a ValueError.
     """
-    return _drift_spectrum(_as_real(y, "drift matrix", any_shape=True))[0] < 0.0
+    y = _as_real(y, "drift matrix", any_shape=True)
+    try:
+        return -_drift_block(y)[0] > 0.0
+    except ValueError:  # off the layout
+        return float(np.linalg.eigvals(y).real.max()) < 0.0
 
 
 def make_vacuum_covariance(osc: OscillatorParams) -> NDArray[np.float64]:

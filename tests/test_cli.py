@@ -522,6 +522,28 @@ class TestUsageErrors:
     def test_unreadable_config(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("command", ["validate", "steady-state", "evolve", "sweep"])
+    def test_config_that_is_not_utf8(self, tmp_path, capsys, command):
+        # a \xff byte is no UTF-8; the file is read as UTF-8 whatever the locale
+        path = tmp_path / "config.json"
+        data = b'{"oscillator": {"m": 1.0, "omega": 1.0}, "note": "\xff"}'
+        path.write_bytes(data)
+        assert main([command, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot read config file {str(path)!r}: 'utf-8' codec can't decode "
+            f"byte 0xff in position {data.index(0xFF)}: invalid start byte\n"
+        )
+
+    def test_config_in_utf8_is_read_as_utf8(self, tmp_path, capsys):
+        # a non-ASCII key is read as written: the error names it
+        path = tmp_path / "config.json"
+        payload = dict(REFERENCE_CONFIG, environment={"lambda": 1.0, "D_\u00e9": 0.5})
+        path.write_bytes(json.dumps(payload, ensure_ascii=False).encode("utf-8"))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert "D_\u00e9" in capsys.readouterr().err
+
 
 class TestErrorContract:
     """Inputs that used to escape as a raw exception: one `error:` line, no traceback."""

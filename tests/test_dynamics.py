@@ -28,7 +28,7 @@ from twomode import (
 )
 
 from twomode import dynamics, model
-from twomode.model import _drift_parameters, _drift_spectrum
+from twomode.model import _drift_parameters
 
 from support import (
     matched_env,
@@ -184,7 +184,7 @@ class TestDriftParameters:
 
 
 def _kronecker_solve(y, d):
-    """The dense solve: the np.kron-built 16x16 operator, then symmetrization."""
+    """A reference solve for any 4x4 Y: the np.kron-built 16x16 operator, then symmetrization."""
     eye = np.eye(4)
     sigma = np.linalg.solve(np.kron(eye, y) + np.kron(y, eye), -2.0 * d.reshape(-1)).reshape(4, 4)
     return 0.5 * (sigma + sigma.T)
@@ -210,10 +210,13 @@ class TestSteadyStateLyapunov:
             with pytest.raises(ValueError, match=message):
                 steady_state_lyapunov(y, d)
 
-    def test_identity_drift(self):
-        # generic solver path: -2 sigma = -2 D
-        sigma = steady_state_lyapunov(-np.eye(4), np.eye(4))
-        np.testing.assert_allclose(sigma, np.eye(4), atol=1e-14)
+    def test_identity_drift(self, monkeypatch):
+        # -I is Hurwitz, and its steady state is D, but it is no drift matrix the
+        # model builds: the solve refuses it as propagate does, without eigvals
+        assert is_hurwitz(-np.eye(4))
+        monkeypatch.setattr(np.linalg, "eigvals", None)
+        with pytest.raises(ValueError, match="^drift matrix is not of the two-oscillator"):
+            steady_state_lyapunov(-np.eye(4), np.eye(4))
 
     def test_reference_environment(self, osc, reference_env, reference_sigma_inf):
         y = build_drift_matrix(osc, reference_env)
@@ -246,28 +249,27 @@ class TestSteadyStateLyapunov:
         assert len(record) == 1
 
     def test_real_spectrum(self):
-        # eigvals of a diagonal Y is a float array, with no imaginary part
+        # eigvals of a diagonal Y is a float array, with no imaginary part: is_hurwitz
+        # reads it, and the solve refuses the matrix, with no warning
         y = np.diag([-1.0, -2.0, -3.0, -4.0])
         assert np.linalg.eigvals(y).dtype == np.float64
         d = np.arange(16.0).reshape(4, 4)
         d = d + d.T
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sigma = steady_state_lyapunov(y, d)
-        rates = np.diag(y)
-        np.testing.assert_allclose(sigma, -2.0 * d / (rates[:, None] + rates[None, :]), rtol=1e-14)
+            assert is_hurwitz(y)
+            with pytest.raises(ValueError, match="^drift matrix is not of the two-oscillator"):
+                steady_state_lyapunov(y, d)
 
-    def test_overflow_in_the_symmetrization_is_an_error(self):
-        # the dense solve gives finite entries near 3e307 whose symmetrized sum
-        # overflows: the result used to carry inf, and analyze then raised
-        # ValueError out of `twomode steady-state`.  Y and D are permuted to the
-        # order (x, y, p_x, p_y), which leaves Y's off-diagonal blocks non-zero.
+    def test_refuses_a_permuted_drift_matrix(self):
+        # a built Y and D permuted to the order (x, y, p_x, p_y): Y's off-diagonal
+        # blocks are non-zero, and the solve takes only the model's own order
         osc, env = OscillatorParams(1.0, 0.1), SymmetricEnvironmentParams(lam=0.3, d_xpy=1e307)
         order = [0, 2, 1, 3]
         y = build_drift_matrix(osc, env)[np.ix_(order, order)]
         d = build_diffusion_matrix(env)[np.ix_(order, order)]
-        assert y[:2, 2:].any()
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteResultError, match="overflows"):
+        assert y[:2, 2:].any() and is_hurwitz(y)
+        with pytest.raises(ValueError, match="^drift matrix is not of the two-oscillator"):
             steady_state_lyapunov(y, d)
 
     def test_block_path_has_no_symmetrization_to_overflow(self):
@@ -280,30 +282,36 @@ class TestSteadyStateLyapunov:
         assert sigma[0, 2] == sigma[2, 0] and sigma[0, 2] > 1e307
 
     def test_real_eigenvalue_zero_is_not_hurwitz(self):
-        with pytest.raises(NotHurwitzError):
-            steady_state_lyapunov(np.diag([-1.0, 0.0, -3.0, -4.0]), np.eye(4))
+        y = np.diag([-1.0, 0.0, -3.0, -4.0])
+        assert not is_hurwitz(y)
+        with pytest.raises(ValueError, match="^drift matrix is not of the two-oscillator"):
+            steady_state_lyapunov(y, np.eye(4))
 
-    @pytest.mark.parametrize("structured", [True, False])
-    def test_equals_kronecker_solve(self, structured):
-        # For a dense Hurwitz Y the broadcast-built operator must be the
-        # np.kron-built one bit for bit.  A block-diagonal Y never builds it:
-        # its solve is checked against scipy only.
-        rng = np.random.default_rng(11 if structured else 12)
-        eye = np.eye(4)
+    def test_equals_kronecker_solve(self):
+        # built drift matrices with a random lambda, against the np.kron-built
+        # 16x16 solve and scipy's
+        rng = np.random.default_rng(11)
         for _ in range(100):
-            if structured:
-                y = build_drift_matrix(random_oscillator(rng), EnvironmentParams(lam=1.0))
-                y[[0, 1, 2, 3], [0, 1, 2, 3]] = -rng.uniform(0.05, 3.0)
-            else:
-                y = rng.normal(size=(4, 4))
-                y -= (np.linalg.eigvals(y).real.max() + rng.uniform(0.1, 2.0)) * eye
+            y = build_drift_matrix(random_oscillator(rng), EnvironmentParams(lam=1.0))
+            y[[0, 1, 2, 3], [0, 1, 2, 3]] = -rng.uniform(0.05, 3.0)
             d = rng.normal(size=(4, 4))
             d = d @ d.T
             ours = steady_state_lyapunov(y, d)
-            if not structured:
-                assert ours.tobytes() == _kronecker_solve(y, d).tobytes()
+            np.testing.assert_allclose(ours, _kronecker_solve(y, d), rtol=1e-8, atol=1e-10)
             reference = scipy.linalg.solve_continuous_lyapunov(y, -2.0 * d)
             np.testing.assert_allclose(ours, reference, rtol=1e-8, atol=1e-10)
+
+    def test_refuses_a_dense_drift_matrix(self):
+        # dense Hurwitz Y, which the model never builds: is_hurwitz takes them to
+        # eigvals, the solve refuses them
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            y = rng.normal(size=(4, 4))
+            y -= (np.linalg.eigvals(y).real.max() + rng.uniform(0.1, 2.0)) * np.eye(4)
+            d = rng.normal(size=(4, 4))
+            assert is_hurwitz(y)
+            with pytest.raises(ValueError, match="^drift matrix is not of the two-oscillator"):
+                steady_state_lyapunov(y, d @ d.T)
 
 
 def _mp_drift_steady_state(y, d):
@@ -336,19 +344,6 @@ def _mp_drift_steady_state(y, d):
         return [x[0] + cross[0], x[1] + cross[1], crosst[0] + z[0], crosst[1] + z[1]]
 
 
-def _mp_kronecker_solve(y, d):
-    """sigma_inf of any 4x4 Y from the 16x16 Kronecker system in 40-digit mpmath."""
-    with mpmath.workdps(40):
-        ym = mpmath.matrix(y.tolist())
-        eye = mpmath.eye(4)
-        operator = mpmath.matrix(16, 16)
-        for i, j, k, l in np.ndindex(4, 4, 4, 4):
-            operator[4 * i + j, 4 * k + l] = eye[i, k] * ym[j, l] + ym[i, k] * eye[j, l]
-        rhs = mpmath.matrix([-2 * mpmath.mpf(v) for v in d.ravel().tolist()])
-        solution = mpmath.lu_solve(operator, rhs)
-        return [[solution[4 * i + j] for j in range(4)] for i in range(4)]
-
-
 def _relative_error(sigma, exact):
     """max |sigma - exact| / max |exact|, the difference taken in mpmath."""
     with mpmath.workdps(40):
@@ -358,7 +353,8 @@ def _relative_error(sigma, exact):
 
 
 class TestBlockSteadyState:
-    """The three 2x2 Sylvester solves of a block-diagonal Y, against 40-digit oracles."""
+    """The three 2x2 Sylvester solves of a built drift matrix, against 40-digit oracles;
+    a block-diagonal Y of any other form is refused."""
 
     @pytest.mark.parametrize("lam", [10.0**-k for k in range(0, 151, 10)] + [1e-170, 1e-300])
     def test_drift_environments_against_mpmath(self, lam):
@@ -374,24 +370,23 @@ class TestBlockSteadyState:
             assert _relative_error(sigma, _mp_drift_steady_state(y, d)) <= 1e-13
             assert (sigma == sigma.T).all()
 
-    def test_distinct_blocks_no_worse_than_the_dense_solve(self):
+    def test_refuses_distinct_blocks(self, monkeypatch):
+        # block-diagonal Hurwitz Y whose blocks differ, or are not of the damped
+        # form [[-lam, 1/m], [-m omega^2, -lam]]: refused before any linalg call
         rng = np.random.default_rng(15)
-        ours, dense = [], []
+        blocks = []
         for _ in range(60):
-            y = np.zeros((4, 4))
-            for k in (0, 2):
-                block = rng.normal(size=(2, 2))
-                block -= (np.linalg.eigvals(block).real.max() + 10 ** rng.uniform(-6, 0)) * np.eye(2)
-                y[k : k + 2, k : k + 2] = block
-            d = rng.normal(size=(4, 4))
-            d = d @ d.T
-            exact = _mp_kronecker_solve(y, d)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ConditioningWarning)
-                ours.append(_relative_error(steady_state_lyapunov(y, d), exact))
-            dense.append(_relative_error(_kronecker_solve(y, d), exact))
-        assert max(ours) <= max(dense)
-        assert np.median(ours) <= np.median(dense)
+            block = rng.normal(size=(2, 2))
+            block -= (np.linalg.eigvals(block).real.max() + 10 ** rng.uniform(-6, 0)) * np.eye(2)
+            blocks.append(block)
+        damped = drift(1.3, 0.7, 0.9)[:2, :2]
+        pairs = list(zip(blocks[::2], blocks[1::2])) + [(b, b) for b in blocks[:10]]
+        pairs += [(damped, damped * 1.5), (damped, damped.T), (damped.T, damped.T)]
+        d = np.eye(4)
+        monkeypatch.setattr(np.linalg, "eigvals", None)
+        for first, second in pairs:
+            with pytest.raises(ValueError, match="^drift matrix is not of the two-oscillator"):
+                steady_state_lyapunov(_block_diagonal(first, second), d)
 
     def test_built_drift_matrix_needs_no_linalg(self, osc, reference_env, reference_sigma_inf, monkeypatch):
         y, d = build_drift_matrix(osc, reference_env), build_diffusion_matrix(reference_env)
@@ -417,16 +412,29 @@ class TestBlockSteadyState:
 
     def test_reads_the_drift_matrix_once(self, osc, reference_env, monkeypatch):
         y, d = build_drift_matrix(osc, reference_env), build_diffusion_matrix(reference_env)
-        read, calls = model._drift_blocks, []
+        read, calls = model._drift_block, []
 
         def counted(y):
             calls.append(y)
             return read(y)
 
-        monkeypatch.setattr(model, "_drift_blocks", counted)
-        monkeypatch.setattr(dynamics, "_drift_blocks", counted)
+        monkeypatch.setattr(model, "_drift_block", counted)
+        monkeypatch.setattr(dynamics, "_drift_block", counted)
         steady_state_lyapunov(y, d)
         assert len(calls) == 1
+
+    def test_shares_one_left_factor(self, osc, reference_env, monkeypatch):
+        # the three Sylvester equations share 2 tr(P) P, its scale and its
+        # determinant: one frexp and one ldexp per solve
+        y, d = build_drift_matrix(osc, reference_env), build_diffusion_matrix(reference_env)
+        calls = []
+        for name in ("frexp", "ldexp"):
+            original = getattr(math, name)
+            monkeypatch.setattr(
+                dynamics.math, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
+            )
+        steady_state_lyapunov(y, d)
+        assert calls == ["frexp", "ldexp"]
 
     def test_tiny_lambda_does_not_underflow(self):
         # det of the left factor 2 tr(P) P is 16 lam^2 (lam^2 + w^2), 1.6e-339 unscaled
@@ -482,22 +490,25 @@ def _block_diagonal(first, second):
 
 
 class TestDriftSpectrum:
-    """The closed-form spectrum of block-diagonal drift matrices against eigvals."""
+    """The sign of the drift spectrum: is_hurwitz reads lam > 0 off a built drift
+    matrix and takes any other square matrix to eigvals; the solve refuses the latter."""
 
     @settings(max_examples=500, deadline=None)
-    @given(first=_blocks(), second=_blocks())
-    def test_matches_eigvals(self, first, second):
+    @given(first=_blocks(), second=_blocks(), repeated=st.booleans())
+    def test_matches_eigvals(self, first, second, repeated):
+        if repeated:
+            second = first
         y = _block_diagonal(first[0], second[0])
         want = _eigvals_extent(y)
+        eigvals, calls = np.linalg.eigvals, []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(np.linalg, "eigvals", None)  # the closed form never calls it
-            real, imag = _drift_spectrum(y)
-        # a repeated root moves by sqrt(eps) under rounding, in either computation
-        tol = 1e-7 * max(1.0, float(np.abs(y).max()))
-        assert abs(real - want[0]) <= tol and abs(imag - want[1]) <= tol, (real, imag, want)
+            patch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
+            hurwitz = is_hurwitz(y)
+        (a, b), (c, d) = first[0]
+        built = first[0] == second[0] and a == d and b > 0.0 > c  # the model's layout
+        assert len(calls) == (0 if built else 1)
         if first[1] and second[1]:
-            assert (real < 0.0) == (want[0] < 0.0)
-            assert is_hurwitz(y) == (want[0] < 0.0)
+            assert hurwitz == (want[0] < 0.0)
 
     @pytest.mark.parametrize(
         "y, hurwitz",
@@ -511,15 +522,17 @@ class TestDriftSpectrum:
         ],
     )
     def test_exact_cases(self, y, hurwitz):
-        assert _drift_spectrum(y) == _eigvals_extent(y)
+        assert (_eigvals_extent(y)[0] < 0.0) is hurwitz
         assert is_hurwitz(y) is hurwitz
 
     def test_small_real_root_keeps_its_digits(self):
-        # h + r cancels to a relative 4e-5 here (eigvals is off by 1e-4); the larger
-        # root is -9.8999999999999900808e-13 (40-digit mpmath)
+        # h + r cancels to a relative 4e-5 here and eigvals is off by 1e-4; the larger
+        # root is -9.8999999999999900808e-13 (40-digit mpmath), and at +1e-12 on the
+        # diagonal it is +1.01e-12: enough digits for its sign either way
         y = _block_diagonal([[-1e-12, 1e-7], [1e-7, -1.0]], -3.0 * np.eye(2))
-        want = -9.8999999999999900808e-13
-        assert abs(_drift_spectrum(y)[0] - want) <= 1e-14 * abs(want)
+        assert is_hurwitz(y)
+        y[0, 0] = 1e-12
+        assert not is_hurwitz(y)
 
     @pytest.mark.parametrize(
         "y",
@@ -527,8 +540,8 @@ class TestDriftSpectrum:
             np.arange(16.0).reshape(4, 4) - 20.0 * np.eye(4),  # dense
             drift() + np.diag([0.0, 1e-300, 0.0], 1),  # one off-block entry, upper right
             drift() + np.diag([0.0, -0.5, 0.0], -1),  # lower left
-            _block_diagonal([[-1e200, 1e200], [-1e200, -1e200]], -np.eye(2)),  # beyond its range
-            _block_diagonal([[-1e-200, 1e-200], [-1e-200, -1e-200]], -np.eye(2)),  # below it
+            _block_diagonal([[-1e200, 1e200], [-1e200, -1e200]], -np.eye(2)),  # distinct blocks
+            _block_diagonal([[-1e-200, 1e-200], [-1e-200, -1e-200]], -np.eye(2)),
             -np.eye(3),  # not 4x4
         ],
     )
@@ -536,20 +549,26 @@ class TestDriftSpectrum:
         want = _eigvals_extent(y)
         eigvals, calls = np.linalg.eigvals, []
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
-        assert _drift_spectrum(y) == want
+        assert is_hurwitz(y) == (want[0] < 0.0)
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="^drift matrix (is not of|must be 4x4)"):
+            steady_state_lyapunov(y, np.eye(4))
         assert len(calls) == 1
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1), (3, 2), (0, 2)])
     def test_non_finite_drift_raises_linalg_error(self, bad, where, monkeypatch):
+        # is_hurwitz takes a non-finite y to eigvals, which raises; the solve
+        # refuses it as off the layout, with no eigvals call
         y = drift()
         y[where] = bad
         eigvals, calls = np.linalg.eigvals, []
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
-        for function in (_drift_spectrum, is_hurwitz, lambda y: steady_state_lyapunov(y, np.eye(4))):
-            with pytest.raises(np.linalg.LinAlgError):
-                function(y)
-        assert len(calls) == 3
+        with pytest.raises(np.linalg.LinAlgError):
+            is_hurwitz(y)
+        with pytest.raises(ValueError, match="^drift matrix is not of the two-oscillator"):
+            steady_state_lyapunov(y, np.eye(4))
+        assert len(calls) == 1
 
     def test_barely_damped_warns_once_without_eigvals(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvals", None)

@@ -51,7 +51,7 @@ from twomode.entanglement import (
     _XPX,
     report,
 )
-from twomode.dynamics import _closed_form_entries
+from twomode.dynamics import closed_form_entries
 from twomode.model import Coefficients, _validity
 
 from support import (
@@ -640,7 +640,7 @@ def _assert_closed_forms_match_stacked(osc, envs):
     """
     stack = _stacked(envs)
     with np.errstate(all="ignore"):  # arrays overflow silently, as the CLI runs the sweep
-        xx, xpx, pxpx, xy, xpy, pxpy = _closed_form_entries(osc, stack)
+        xx, xpx, pxpx, xy, xpy, pxpy = closed_form_entries(osc, stack)
         entries = np.array([xx, xpx, xy, xpy, pxpx, xpy, pxpy, xx, xpx, pxpx])
         stacked = report(entries, osc, stack)
     reports = []

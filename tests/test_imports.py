@@ -65,3 +65,33 @@ def test_model_imports_only_errors():
 def test_the_cycle_finder_finds_a_cycle():
     graph = {"__init__": {"model"}, "model": {"dynamics", "errors"}, "dynamics": {"model"}}
     assert _cycle(graph) == ["model", "dynamics", "model"]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _package_names_imported_by(module: str) -> set[str]:
+    """The names module imports from the twomode package, at any level of its source."""
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level == 1 or (node.module or "").startswith("twomode")
+        ):
+            names |= {alias.name for alias in node.names}
+            names |= {node.module.split(".")[-1]} if node.module else set()
+    return names
+
+
+def test_cli_imports_no_private_name():
+    # the CLI is a client of the library's public names, dunders such as __version__ included
+    imported = _package_names_imported_by("cli")
+    assert "analyze" in imported and "__version__" in imported
+    assert sorted(filter(_private, imported)) == []
+
+
+def test_the_private_name_check_finds_one():
+    assert [name for name in ("_MIRROR", "__version__", "MIRROR", "_x") if _private(name)] == [
+        "_MIRROR",
+        "_x",
+    ]

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twomode import (
@@ -21,7 +21,7 @@ from twomode import (
     make_vacuum_covariance,
     validate_environment,
 )
-from twomode.model import PSD_TOLERANCE, _min_gram_eigenvalue, _validity
+from twomode.model import PSD_TOLERANCE, Coefficients, _min_gram_eigenvalue, _validity
 
 from support import random_symmetric_env
 
@@ -441,6 +441,40 @@ class TestClosedFormGramSpectrum:
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         for env in (reference_env, SymmetricEnvironmentParams(0.5, 0.25, 0.01, 0.25, 0.02, 0.2)):
             assert isinstance(validate_environment(env, "strict").min_gram_eigenvalue, float)
+
+
+# A coefficient of either sign with a magnitude from 1e-300 to 1e300, or a zero.
+_WIDE = st.sampled_from([0.0, -0.0]) | st.builds(
+    lambda sign, exponent: sign * 10.0**exponent, st.sampled_from([1.0, -1.0]), st.floats(-300, 300)
+)
+
+
+class TestGramRule:
+    """One rule for the Gram spectrum of an environment that is not mirrored: floats
+    for one environment, arrays for a stack, the same bits either way."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(_WIDE, min_size=11, max_size=11),
+        others=st.lists(st.lists(_WIDE, min_size=11, max_size=11), min_size=1, max_size=3),
+        index=st.integers(0, 3),
+    )
+    @example(  # lam/2 600 decades below the largest coefficient
+        values=[1e-300, 1e300, 0.5, -2.0, 3.0, 0.0, 1e300, 7.0, 1e-200, -0.0, 1e299],
+        others=[[1.0] * 11],
+        index=1,
+    )
+    def test_one_environment_equals_its_point_of_a_stack(self, values, others, index):
+        env = EnvironmentParams(*values)
+        assume(not all(getattr(env, y) == getattr(env, x) for y, x in MIRRORED_PAIRS))
+        index = min(index, len(others))
+        rows = others[:index] + [values] + others[index:]
+        stack = Coefficients(*[np.array(column) for column in zip(*rows)])
+        single = _min_gram_eigenvalue(env)
+        assert type(single) is float
+        assert single.hex() == float(_min_gram_eigenvalue(stack)[index]).hex()
+        # and the scale taken on the built matrix gives the same bits
+        assert single.hex() == float(_gram_oracle(env)[0]).hex()
 
 
 class TestHurwitz:
