@@ -562,12 +562,10 @@ def _sweep_environments(cfg: RunConfig) -> tuple[dict, Coefficients]:
     a2 = np.linspace(sweep.axis2.min, sweep.axis2.max, sweep.axis2.n)[None, :]
     zero = np.zeros((1, 1))
     values = {_ENV_KEYS[k]: zero + getattr(env, _ENV_KEYS[k]) for k in _REDUCED_KEYS}
-    if sweep.scaling == "scaled":
-        # The base's d_xpx, d_xy and d_pxpy are zero to 1e-12; the grid uses 0.
+    if sweep.scaling == "scaled":  # on a base whose d_xpx, d_xy and d_pxpy are 0 (cmd_sweep)
         d_xx = a1 * lam / (m * w)
         d_xpy = a2 * math.sqrt(lam * lam + w * w)
-        values.update(d_xx=d_xx, d_xpx=zero, d_pxpx=(m * w) * (m * w) * d_xx, d_xy=zero)
-        values.update(d_xpy=d_xpy, d_pxpy=zero)
+        values.update(d_xx=d_xx, d_pxpx=(m * w) * (m * w) * d_xx, d_xpy=d_xpy)
     else:
         values[_ENV_KEYS[sweep.axis1.coefficient]] = a1
         values[_ENV_KEYS[sweep.axis2.coefficient]] = a2
@@ -614,7 +612,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             "sweep requires a symmetric base environment "
             "(mirrored y-mode coefficients)"
         )
-    if abs(env.d_xy) > 1e-12:
+    if env.d_xy != 0.0:
         raise ConfigError("sweep requires D_xy = 0 in the base environment")
     if sweep.scaling == "scaled":
         if (sweep.axis1.coefficient, sweep.axis2.coefficient) != ("D_xx", "D_xpy"):
@@ -622,7 +620,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                 "scaled sweeps run over axis1=D_xx and axis2=D_xpy "
                 f"(got {sweep.axis1.coefficient!r}, {sweep.axis2.coefficient!r})"
             )
-        if abs(env.d_xpx) > 1e-12 or abs(env.d_pxpy) > 1e-12:
+        if env.d_xpx != 0.0 or env.d_pxpy != 0.0:
             raise ConfigError(
                 "scaled sweeps require D_xpx = 0 and D_pxpy = 0 in the base "
                 "environment"

@@ -3,7 +3,8 @@
 Simon's PPT criterion decides separability (S >= 0 iff separable), and the
 logarithmic negativity E = -1/2 log2[4 f(sigma)] quantifies entanglement for
 E > 0.  Closed forms are provided for the matched-noise coefficient class
-m^2 w^2 D_xx = D_pxpx, D_xpx = 0, m^2 w^2 D_xy = D_pxpy.
+m^2 w^2 D_xx = D_pxpx, D_xpx = 0, m^2 w^2 D_xy = D_pxpy of mirrored environments:
+mirrored and the zeros exact, the two equalities to `_unequal`'s rounding rule.
 
 One kernel, `_kernel`, evaluates S, f, E and Simon's verdict from the ten
 upper entries of sigma, Python floats for one matrix or arrays for a stack.
@@ -40,7 +41,6 @@ from .model import (
     BlockDecomposition,
     EnvironmentParams,
     OscillatorParams,
-    _nearly_equal,
     _read_covariance,
     _validity,
     is_symmetric_environment,
@@ -90,6 +90,11 @@ _TINY = float(np.finfo(float).tiny)  # the smallest normal double
 def _denoised(difference, size):
     """difference, or 0 where |difference| < _NOISE * size (strict: inf - inf stays)."""
     return difference * ((abs(difference) < _NOISE * size) ^ True)
+
+
+def _unequal(a, b):
+    """a != b beyond rounding: a - b is not `_denoised` to 0 against |a| + |b|."""
+    return _denoised(a - b, abs(a) + abs(b)) != 0.0
 
 
 def _kernel(s00, s01, s02, s03, s11, s12, s13, s22, s23, s33, det_sigma=None) -> _Invariants:
@@ -319,15 +324,15 @@ def _closed_forms(osc: OscillatorParams, env: EnvironmentParams) -> _ClosedForms
     matched = _first_failure(
         0,
         (_MIRRORED, is_symmetric_environment(env) ^ True),
-        (_PXPX, _nearly_equal(mw2 * env.d_xx, env.d_pxpx) ^ True),
-        (_XPX, _nearly_equal(env.d_xpx, 0.0) ^ True),
-        (_PXPY, _nearly_equal(mw2 * env.d_xy, env.d_pxpy) ^ True),
+        (_PXPX, _unequal(mw2 * env.d_xx, env.d_pxpx)),
+        (_XPX, env.d_xpx != 0.0),
+        (_PXPY, _unequal(mw2 * env.d_xy, env.d_pxpy)),
     )
     # the ndarray test comes first: an array's truth value is ambiguous
     if not isinstance(matched, np.ndarray) and matched:
         return _ClosedForms(math.nan, math.nan, (math.nan, math.nan), matched, matched, matched)
     positive = (_LAMBDA, (env.lam > 0.0) ^ True)
-    zero_cross = _first_failure(matched, (_CROSS, _nearly_equal(env.d_xy, 0.0) ^ True), positive)
+    zero_cross = _first_failure(matched, (_CROSS, env.d_xy != 0.0), positive)
     lam2 = env.lam * env.lam  # S_special divides by lam^2 (lam^2 + w^2): NaN where that is 0
     s_special = _s_special(osc, env) if lam2 * (lam2 + osc.omega * osc.omega) > 0.0 else math.nan
     u, v, root = _scaled_coordinates(osc, env)
@@ -445,7 +450,7 @@ def analyze(
     where the coefficient class admits them.  Individual failures never abort
     the report; the affected fields stay None and a note explains why.
     sigma is read once, with one `tolist()`: its Python floats serve the
-    finiteness check, the symmetry check (to 1e-10 max(1, max |entry|)) and
+    finiteness check, the symmetry check (to 1e-10 max |entry|) and
     the kernel's ten upper entries.  Raises ValueError for a complex sigma, a
     shape other than 4x4, a non-finite entry or an asymmetric sigma, in that
     order, and NonFiniteResultError when sigma's invariants overflow double precision.

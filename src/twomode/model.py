@@ -8,9 +8,9 @@ The drift matrix's layout is known here alone: `build_drift_matrix` writes it
 and `_drift_block` reads it back, exactly, for `_drift_parameters`,
 `is_hurwitz` and the steady-state solve of `twomode.dynamics`.  Any other
 matrix is a ValueError, except in `is_hurwitz`, which takes it to eigvals.
-Strict validation's Gram spectrum is a closed form for a mirrored
-environment and one power-of-two-scaled `eigvalsh` otherwise, its scale
-taken on Python floats for one environment and on arrays for a stack.
+Mirrored means exactly equal: `is_symmetric_environment` is the one rule.
+Strict validation's Gram spectrum is a closed form for a mirrored environment
+and one power-of-two-scaled `eigvalsh` otherwise, scaled on floats or arrays.
 """
 
 from __future__ import annotations
@@ -148,12 +148,6 @@ class ValidationReport:
     min_gram_eigenvalue: float | None
 
 
-def _nearly_equal(a, b, rtol: float = 1e-12):
-    """|a - b| <= rtol max(|a|, |b|, 1), elementwise for arrays."""
-    gap = abs(a - b)
-    return (gap <= rtol) | (gap <= rtol * abs(a)) | (gap <= rtol * abs(b))
-
-
 #: The row-major entries of a 4x4 matrix's transpose, from its own row-major entries.
 _TRANSPOSED = operator.itemgetter(*(4 * j + i for i in range(4) for j in range(4)))
 
@@ -174,7 +168,7 @@ def _read_covariance(sigma, atol: float | None = None, name: str = "covariance m
     """sigma as a real 4x4 float array (`_as_real`) and its 16 entries as Python floats, row-major.
 
     The entries are read once, with one `tolist()`, and checked on floats:
-    finite, and given atol, symmetric to atol * max(1, max |entry|).
+    finite, and given atol, symmetric to atol * max |entry|, with no floor.
     """
     sig = _as_real(sigma, name)
     flat = sig.ravel().tolist()
@@ -183,7 +177,7 @@ def _read_covariance(sigma, atol: float | None = None, name: str = "covariance m
         raise ValueError(f"{name} entries must be finite")
     if atol is not None:
         skew = max(map(abs, map(operator.sub, flat, _TRANSPOSED(flat))))
-        if skew > atol * max(1.0, max(map(abs, flat))):
+        if skew > atol * max(map(abs, flat)):
             raise ValueError("covariance matrix must be symmetric")
     return sig, flat
 
@@ -194,12 +188,12 @@ def _stack(rows, dtype=float) -> NDArray:
     return out if out.ndim == 2 else np.moveaxis(out, (0, 1), (-2, -1))
 
 
-def is_symmetric_environment(env: EnvironmentParams, rtol: float = 1e-12) -> bool:
-    """True when the y-mode coefficients mirror the x-mode ones (elementwise for arrays)."""
-    mirrored = True
-    for y, x in MIRROR.items():
-        mirrored &= _nearly_equal(getattr(env, y), getattr(env, x), rtol)
-    return mirrored
+def is_symmetric_environment(env: EnvironmentParams) -> bool:
+    """True when each y-mode coefficient equals its `MIRROR` x-mode one exactly (`==`, so
+    whatever the unit of time), elementwise for arrays."""
+    return functools.reduce(
+        operator.and_, [getattr(env, y) == getattr(env, x) for y, x in MIRROR.items()]
+    )
 
 
 def build_drift_matrix(
@@ -276,17 +270,16 @@ def build_gram_matrix(env: EnvironmentParams) -> NDArray[np.complex128]:
 
 
 def _gram(xx, xpx, xy, xpy, ypx, pxpx, yy, ypy, pxpy, pypy, half) -> NDArray[np.complex128]:
-    """The Gram matrix of the ten coefficients, in `_DIFFUSION`'s order, and half = lam/2."""
-    half = 1j * half
-    return _stack(
-        [
-            [xx, -xpx - half, xy, -xpy],
-            [-xpx + half, pxpx, -ypx, pxpy],
-            [xy, -ypx, yy, -ypy - half],
-            [-xpy, pxpy, -ypy + half, pypy],
-        ],
-        complex,
-    )
+    """The Gram matrix of the ten coefficients, in `_DIFFUSION`'s order, and half = lam/2.
+
+    Real and imaginary parts are written, not summed (-0.0 + 0j has real part +0.0), so
+    scaled inputs scale every entry exactly, signed zeros too, which eigvalsh can tell apart.
+    """
+    gram = _stack([[xx, -xpx, xy, -xpy], [-xpx, pxpx, -ypx, pxpy], [xy, -ypx, yy, -ypy],
+                   [-xpy, pxpy, -ypy, pypy]], complex)
+    gram.imag[..., 0, 1] = gram.imag[..., 2, 3] = -half
+    gram.imag[..., 1, 0] = gram.imag[..., 3, 2] = half
+    return gram
 
 
 # Cauchy-Schwarz constraints on the diffusion coefficients; each entry maps a
@@ -312,8 +305,8 @@ Coefficients = namedtuple("Coefficients", [f.name for f in fields(EnvironmentPar
 def _min_gram_eigenvalue(env: EnvironmentParams):
     """Smallest eigenvalue of the Gram matrix, elementwise for coefficient arrays.
 
-    When every `MIRROR` pair is exactly equal (at every point of a stack),
-    the Gram matrix is [[P, Q], [Q, P]] with
+    When the environment is mirrored (`is_symmetric_environment`, at every
+    point of a stack), the Gram matrix is [[P, Q], [Q, P]] with
         P = [[D_xx, -D_xpx - i lam/2], [-D_xpx + i lam/2, D_pxpx]],
         Q = [[D_xy, -D_xpy], [-D_xpy, D_pxpy]]   (real and symmetric),
     and the unitary (1/sqrt 2)[[I, I], [I, -I]] block-diagonalises it into
@@ -328,26 +321,29 @@ def _min_gram_eigenvalue(env: EnvironmentParams):
     overflow, so the result is never inf - inf; it is -inf only where the
     eigenvalue is below the double range.  Scalars go through math.hypot,
     several times cheaper than the ufunc on them, arrays through np.hypot;
-    the two may differ in the last bit.  Any other environment, mirrored
-    only to a tolerance included, goes through one `eigvalsh` of the Gram
-    matrix built from its coefficients and lam/2 scaled by the power of two
-    that brings the largest of their |values| into [0.5, 1): exact, unless a
-    value far below the largest turns subnormal.  The smallest eigenvalue is
-    unscaled with ldexp, as 2.0**1024 overflows; an eigenvalue beyond the
-    double range is +-inf.  Unscaled, eigvalsh lost digits on entries of
-    extreme magnitude (-6.2323e135 for -6.2348e135).  Like hypot, frexp and
-    ldexp come from math for one environment and from numpy for a stack.
+    the two may differ in the last bit.  Any other environment goes through
+    one `eigvalsh` of the Gram matrix built from its coefficients and lam/2
+    scaled by the power of two that brings the largest of their |values|
+    into [0.5, 1): exact, unless a value far below the largest turns
+    subnormal.  The smallest eigenvalue is unscaled with ldexp, as 2.0**1024
+    overflows; an eigenvalue beyond the double range is +-inf.  Unscaled,
+    eigvalsh lost digits on entries of extreme magnitude (-6.2323e135 for
+    -6.2348e135).  Like hypot, frexp and ldexp come from math for one
+    environment and from numpy for a stack, whose overflow is not warned of.
     """
-    mirrored = functools.reduce(
-        operator.and_, [getattr(env, y) == getattr(env, x) for y, x in MIRROR.items()]
-    )
-    stacked = isinstance(mirrored, np.ndarray)
-    lib, minimum = (np, np.minimum) if stacked else (math, min)
-    if not (mirrored.all() if stacked else mirrored):
-        values = [getattr(env, name) for name in _DIFFUSION]
-        values.append(0.5 * env.lam)
+    mirrored = is_symmetric_environment(env)
+    if not isinstance(mirrored, np.ndarray):
+        return _gram_floor(env, mirrored, math)
+    with np.errstate(over="ignore"):
+        return _gram_floor(env, mirrored.all(), np)
+
+
+def _gram_floor(env: EnvironmentParams, mirrored: bool, lib):
+    """`_min_gram_eigenvalue` with hypot, frexp and ldexp from lib: math or numpy."""
+    if not mirrored:
+        values = [getattr(env, name) for name in _DIFFUSION] + [0.5 * env.lam]
         magnitudes = map(abs, values)
-        peak = functools.reduce(np.maximum, magnitudes) if stacked else max(magnitudes)
+        peak = functools.reduce(np.maximum, magnitudes) if lib is np else max(magnitudes)
         exponent = lib.frexp(peak)[1]
         gram = _gram(*[lib.ldexp(v, -exponent) for v in values])
         low = np.linalg.eigvalsh(gram)[..., 0]
@@ -361,7 +357,7 @@ def _min_gram_eigenvalue(env: EnvironmentParams):
         (a + d) - lib.hypot(a - d, lib.hypot(b, lam))
         for a, d, b in ((xx + xy, pp + py, xp + xq), (xx - xy, pp - py, xp - xq))
     ]
-    return 2.0 * minimum(*halves)
+    return 2.0 * (np.minimum if lib is np else min)(*halves)
 
 
 # (env, strict, result) of the last _violations call on an EnvironmentParams.

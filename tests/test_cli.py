@@ -1010,11 +1010,26 @@ CONFIG_ERRORS = [
         "error: sweep requires a symmetric base environment (mirrored y-mode coefficients)",
         id="sweep-asymmetric-base",
     ),
+    pytest.param(  # mirrored means exactly equal: no absolute floor below 1
+        "sweep",
+        malformed(
+            environment={**ENV, "D_ypx": 0.3, "D_yy": 0.6000000000001, "D_ypy": 0.0, "D_pypy": 0.6},
+            sweep={},
+        ),
+        "error: sweep requires a symmetric base environment (mirrored y-mode coefficients)",
+        id="sweep-nearly-mirrored-base",
+    ),
     pytest.param(
         "sweep",
         malformed(environment={**ENV, "D_xy": 0.1}, sweep={}),
         "error: sweep requires D_xy = 0 in the base environment",
         id="sweep-position-cross",
+    ),
+    pytest.param(
+        "sweep",
+        malformed(environment={**ENV, "D_xy": 1e-13}, sweep={}),
+        "error: sweep requires D_xy = 0 in the base environment",
+        id="sweep-tiny-position-cross",
     ),
     pytest.param(
         "sweep",
@@ -1027,6 +1042,12 @@ CONFIG_ERRORS = [
         malformed(environment={**ENV, "D_xpx": 0.1}, sweep={}),
         "error: scaled sweeps require D_xpx = 0 and D_pxpy = 0 in the base environment",
         id="sweep-scaled-base",
+    ),
+    pytest.param(
+        "sweep",
+        malformed(environment={**ENV, "D_pxpy": 1e-13}, sweep={}),
+        "error: scaled sweeps require D_xpx = 0 and D_pxpy = 0 in the base environment",
+        id="sweep-tiny-scaled-base",
     ),
     pytest.param(
         "sweep",

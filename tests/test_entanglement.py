@@ -25,6 +25,8 @@ from twomode import (
     UncertaintyViolationError,
     analyze,
     block_decompose,
+    build_diffusion_matrix,
+    build_drift_matrix,
     check_state_covariance,
     det_c_closed_form,
     entanglement_window,
@@ -35,6 +37,7 @@ from twomode import (
     simon_s,
     simon_s_special,
     steady_state_closed_form,
+    steady_state_lyapunov,
     validate_environment,
 )
 
@@ -1059,14 +1062,22 @@ class TestCovarianceRead:
 
     @pytest.mark.parametrize("scale", [1.0, 1e6, 1e-6])
     def test_asymmetry_beyond_tolerance(self, scale):
-        # the tolerance is 1e-10 max(1, max |entry|)
+        # the tolerance is 1e-10 max |entry|, with no floor
         sigma = scale * VACUUM
-        sigma[0, 1] = 2e-10 * max(1.0, 0.5 * scale)
+        sigma[0, 1] = 2e-10 * 0.5 * scale
         with pytest.raises(ValueError, match="^covariance matrix must be symmetric$"):
             analyze(sigma)
-        sigma[0, 1] = 0.5e-10 * max(1.0, 0.5 * scale)
+        sigma[0, 1] = 0.5e-10 * 0.5 * scale
         assert analyze(sigma).verdict == "separable"
         assert math.isfinite(log_negativity(sigma))
+
+    def test_tiny_antisymmetric_matrix_is_refused(self):
+        # 1e-12 I with s01 = -s10 = 1e-12 is as far from symmetric as a matrix gets
+        sigma = 1e-12 * np.eye(4)
+        sigma[0, 1], sigma[1, 0] = 1e-12, -1e-12
+        for function in (analyze, check_state_covariance):
+            with pytest.raises(ValueError, match="^covariance matrix must be symmetric$"):
+                function(sigma)
 
     def test_overflowing_asymmetry(self):
         sigma = np.full((4, 4), 1e308)
@@ -1114,3 +1125,94 @@ class TestCovarianceRead:
         want = analyze(sigma.astype(float), osc, reference_env)
         assert repr(analyze(sigma, osc, reference_env)) == repr(want)
         assert log_negativity(sigma) == log_negativity(sigma.astype(float))
+
+
+# (m, omega) and the environment of four steady states: one whose y-mode noise is
+# not mirrored, only close at small scales (D_yy = D_pypy = 0.9 against 0.6), the
+# golden steady_ten and steady_symmetric cases, and a matched one with m omega = 2.
+_TIME_UNIT_CASES = {
+    "unmirrored": ((1.0, 1.0), EnvironmentParams(
+        lam=1.0, d_xx=0.6, d_pxpx=0.6, d_xpy=0.3, d_ypx=0.3, d_yy=0.9, d_pypy=0.9
+    )),
+    "steady_ten": ((1.3, 0.7), EnvironmentParams(
+        lam=0.9, d_xx=0.7, d_xpx=0.02, d_xy=0.05, d_xpy=0.1, d_ypx=0.12,
+        d_pxpx=0.8, d_yy=0.75, d_ypy=0.03, d_pxpy=0.04, d_pypy=0.85,
+    )),
+    "steady_symmetric": ((1.0, 1.0), SymmetricEnvironmentParams(
+        lam=1.0, d_xx=0.6, d_pxpx=0.6, d_xpy=0.3
+    )),
+    "matched": ((4.0, 0.5), SymmetricEnvironmentParams(lam=0.8, d_xx=0.5, d_pxpx=2.0, d_xpy=1.0)),
+}
+
+
+def _rescaled(env, k):
+    """env with time rescaled by k: lambda and every D times k.  With omega times k and
+    m over k, H scales by k and the physics, sigma_inf included, stays as it is."""
+    return EnvironmentParams(**{name: value * k for name, value in asdict(env).items()})
+
+
+class TestUnitsOfTime:
+    """Every decision and value is the same in any power-of-two unit of time."""
+
+    @staticmethod
+    def _steady_report(case, k):
+        (m, omega), env = _TIME_UNIT_CASES[case]
+        osc, env = OscillatorParams(m / k, omega * k), _rescaled(env, k)
+        sigma = steady_state_lyapunov(build_drift_matrix(osc, env), build_diffusion_matrix(env))
+        return sigma, analyze(sigma, osc, env)
+
+    @pytest.mark.parametrize(
+        "k", [2.0**-60, 2.0**-40, 2.0**-20, 2.0**20, 2.0**40, 2.0**60],
+        ids=lambda k: f"2^{math.frexp(k)[1] - 1}",
+    )
+    @pytest.mark.parametrize("case", list(_TIME_UNIT_CASES))
+    def test_steady_state_report_is_units_free(self, case, k):
+        sigma1, want = self._steady_report(case, 1.0)
+        sigma, got = self._steady_report(case, k)
+        assert sigma.tobytes() == sigma1.tobytes()
+        assert (got.notes, got.verdict, got.valid_lenient) == (
+            want.notes, want.verdict, want.valid_lenient
+        )
+        assert (got.s_general, got.e_general) == (want.s_general, want.e_general)
+        assert (got.s_special, got.e_closed) == (want.s_special, want.e_closed)
+        # the window is a range of D_xpy, which scales with k
+        scaled_window = None if want.window is None else tuple(k * edge for edge in want.window)
+        assert got.window == scaled_window
+        assert (want.window is None) == (case in ("unmirrored", "steady_ten"))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 8: strict validity compares the minimum Gram eigenvalue, "
+        "which scales with k, with the absolute floor PSD_TOLERANCE = 1e-10; "
+        "perfbench/oracle.py pins the same floor as PSD_FLOOR",
+    )
+    @pytest.mark.parametrize("k", [2.0**-30, 2.0**-40, 2.0**-60], ids=["2^-30", "2^-40", "2^-60"])
+    def test_strict_validity_is_units_free(self, k):
+        # validate_fail's environment: its eigenvalue -0.07 k clears -1e-10 below k = 2^-30
+        env = SymmetricEnvironmentParams(lam=0.5, d_xx=0.25, d_pxpx=0.25, d_xpy=0.2)
+        assert validate_environment(_rescaled(env, k)).failed == validate_environment(env).failed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: RADICAND_TOLERANCE is an absolute 1e-12 on a radicand of "
+    "fourth degree in sigma, far below its rounding noise at entries near 100",
+)
+def test_equal_partial_transpose_eigenvalues_keep_e():
+    # sigma = P (nu S S^T) P, with P flipping p_y and S a beam splitter after two
+    # squeezers: its partial transpose nu S S^T has both symplectic eigenvalues nu,
+    # so the radicand is 0 and E = -log2(2 nu)
+    rng = np.random.default_rng(2024)
+    nu, flip = 100.0, np.diag([1.0, 1.0, 1.0, -1.0])
+    missed = []
+    for _ in range(200):
+        phi = rng.uniform(0.0, math.pi)
+        c, s = math.cos(phi), math.sin(phi)
+        splitter = np.array([[c, 0, s, 0], [0, c, 0, s], [-s, 0, c, 0], [0, -s, 0, c]])
+        r1, r2 = rng.uniform(-1.0, 1.0, 2)
+        symplectic = splitter @ np.diag(np.exp([r1, -r1, r2, -r2]))
+        sigma = flip @ (nu * symplectic @ symplectic.T) @ flip
+        e = analyze(0.5 * (sigma + sigma.T)).e_general
+        if e is None or abs(e + math.log2(2.0 * nu)) > 1e-6:
+            missed.append(e)
+    assert missed == []

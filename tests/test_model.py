@@ -464,6 +464,11 @@ class TestGramRule:
         others=[[1.0] * 11],
         index=1,
     )
+    @example(  # -d_xpx scales to -0.0; summed as -0.0 + 0j it was +0.0, and eigvalsh moved a bit
+        values=[0.0, 0.0, 1e-202, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1e122, 0.0],
+        others=[[0.0] * 11],
+        index=0,
+    )
     def test_one_environment_equals_its_point_of_a_stack(self, values, others, index):
         env = EnvironmentParams(*values)
         assume(not all(getattr(env, y) == getattr(env, x) for y, x in MIRRORED_PAIRS))
@@ -475,6 +480,17 @@ class TestGramRule:
         assert single.hex() == float(_min_gram_eigenvalue(stack)[index]).hex()
         # and the scale taken on the built matrix gives the same bits
         assert single.hex() == float(_gram_oracle(env)[0]).hex()
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_stack_beyond_the_double_range_is_silent(self, mirrored):
+        # -inf with no RuntimeWarning (an error under the suite's filter), as for one environment
+        values = dict(lam=1.0, d_xx=-1.7e308, d_pxpx=1.7e308, d_xy=1.7e308)
+        if mirrored:
+            values.update(d_yy=-1.7e308, d_pypy=1.7e308)
+        one = EnvironmentParams(**values)
+        stack = Coefficients(*[np.array([getattr(one, f.name)]) for f in fields(one)])
+        assert _min_gram_eigenvalue(one) == -math.inf
+        assert _min_gram_eigenvalue(stack).tolist() == [-math.inf]
 
 
 class TestHurwitz:
