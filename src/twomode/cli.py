@@ -304,8 +304,10 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return out
 
 
-# Rows formatted, joined and written at a time; the full output is never built.
-_BLOCK_ROWS = 4096
+# Rows whose computed columns are evaluated at a time, and rows formatted, joined
+# and written at a time: neither the report of the whole grid nor the output is built.
+_COMPUTE_ROWS = 4096
+_WRITE_ROWS = 1024
 # Columns whose non-finite cells are empty ("" in CSV, null in JSON): undefined,
 # suppressed or overflowed values.
 _OPTIONAL_COLUMNS = frozenset({"S_general", "S_special", "E_general", "E_closed"})
@@ -382,22 +384,27 @@ def _format_column(values: np.ndarray, optional: bool, as_json: bool) -> list[st
     return cells
 
 
-def _write_table(command: str, cfg: RunConfig, args, table: dict) -> None:
-    """Write `table` ({name: column}) as CSV or JSON rows, _BLOCK_ROWS at a time.
+def _write_table(command: str, cfg: RunConfig, args, table: dict, compute) -> None:
+    """Write `table` ({name: column}) as CSV or JSON rows.
 
-    The columns broadcast to one shape, and a row is one element of it, in
-    row-major order.  A column smaller than that shape (a grid axis) has each
-    of its values formatted once.  Every check runs before the first byte is
-    written, so a failed run writes nothing.
+    The given columns broadcast to one shape, and a row is one element of
+    it, in row-major order.  A column given as None is computed:
+    `compute(lo, hi)` returns {name: 1-D array} of rows lo..hi of those
+    columns, _COMPUTE_ROWS rows at a time.  They are optional floats, bools
+    or strings, so every check runs on the given columns before the first
+    byte is written, and a failed run writes nothing.  Rows are formatted
+    and written _WRITE_ROWS at a time; a given column smaller than the shape
+    (a grid axis) has each of its values formatted once.
     """
     as_json = args.format == "json"
-    shape = np.broadcast_shapes(*(column.shape for column in table.values()))
+    given = {name: column for name, column in table.items() if column is not None}
+    shape = np.broadcast_shapes(*(column.shape for column in given.values()))
     n_rows = math.prod(shape)
     # The first non-finite value of a column that has no empty cells, in
     # document order, raises: in JSON as json.dumps of the whole document would.
     # A column is broadcast to the rows only to find that value.
     firsts = []
-    for position, (name, column) in enumerate(table.items()):
+    for position, (name, column) in enumerate(given.items()):
         if column.dtype.kind == "f" and name not in _OPTIONAL_COLUMNS:
             if not np.isfinite(column).all():
                 flat = np.broadcast_to(column, shape).reshape(-1)
@@ -422,7 +429,7 @@ def _write_table(command: str, cfg: RunConfig, args, table: dict) -> None:
         start, end, tail = "", "\n", ""
 
     def cells_of(name: str, column: np.ndarray):
-        """(lo, hi) -> the cells of rows lo..hi of `column`."""
+        """(lo, hi) -> the cells of rows lo..hi of the given `column`."""
         optional = name in _OPTIONAL_COLUMNS
         if column.size == n_rows:
             flat = column.reshape(-1)
@@ -431,14 +438,23 @@ def _write_table(command: str, cfg: RunConfig, args, table: dict) -> None:
         grid = np.broadcast_to(texts.reshape(column.shape), shape)
         return lambda lo, hi: grid.flat[lo:hi].tolist()
 
-    sources = [cells_of(name, column) for name, column in table.items()]
+    sources = {name: cells_of(name, column) for name, column in given.items()}
 
     def chunks():
         yield head
-        for lo in range(0, n_rows, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, n_rows)
-            rows = map(cell_sep.join, zip(*(cells(lo, hi) for cells in sources)))
-            yield (block_sep if lo else "") + start + row_sep.join(rows) + end
+        for first in range(0, n_rows, _COMPUTE_ROWS):
+            last = min(first + _COMPUTE_ROWS, n_rows)
+            block = compute(first, last)
+            for lo in range(first, last, _WRITE_ROWS):
+                hi = min(lo + _WRITE_ROWS, last)
+                columns = (
+                    sources[name](lo, hi) if name in sources else _format_column(
+                        block[name][lo - first:hi - first], name in _OPTIONAL_COLUMNS, as_json
+                    )
+                    for name in table
+                )
+                rows = map(cell_sep.join, zip(*columns, strict=True))
+                yield (block_sep if lo else "") + start + row_sep.join(rows) + end
         yield tail
 
     _emit(args, chunks())
@@ -527,34 +543,38 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
     osc, env = cfg.oscillator, cfg.environment
     y = build_drift_matrix(osc, env)
     d = build_diffusion_matrix(env)
-    _write_table("evolve", cfg, args, _evolve_table(cfg, y, steady_state_lyapunov(y, d)))
+    _write_table("evolve", cfg, args, *_evolve_table(cfg, y, steady_state_lyapunov(y, d)))
     return 0
 
 
-def _evolve_table(cfg: RunConfig, y: np.ndarray, sigma_inf: np.ndarray) -> dict:
-    """The evolve table: t, the entries of sigma(t), S, E and the distance to sigma_inf."""
+def _evolve_table(cfg: RunConfig, y: np.ndarray, sigma_inf: np.ndarray) -> tuple:
+    """The evolve table: t, the entries of sigma(t), S, E and the distance to sigma_inf.
+
+    sigma(t) is propagated _COMPUTE_ROWS times at a time; S and E are
+    computed columns (see _write_table).
+    """
     sigma0 = _initial_covariance(cfg)
     grid = np.linspace(cfg.time_grid.t_start, cfg.time_grid.t_end, cfg.time_grid.n_points)
-    sigmas = propagate(sigma0, sigma_inf, y, grid)
-    max_abs_dev = np.abs(sigmas - sigma_inf).max(axis=(-2, -1))
-    upper = sigmas[:, _UPPER[0], _UPPER[1]].T
-    del sigmas  # freed before the kernel runs: evolve's peak RSS is about 1 MB lower
-    at = report(upper)
-    return {
-        "t": grid,
-        **dict(zip(_SIGMA_COLUMNS, upper)),
-        "S_general": at.s,
-        "E_general": at.e,
-        "max_abs_dev": max_abs_dev,
-    }
+    upper, max_abs_dev = np.empty((10, grid.size)), np.empty(grid.size)
+    for lo in range(0, grid.size, _COMPUTE_ROWS):
+        rows = slice(lo, lo + _COMPUTE_ROWS)
+        sigmas = propagate(sigma0, sigma_inf, y, grid[rows])
+        max_abs_dev[rows] = np.abs(sigmas - sigma_inf).max(axis=(-2, -1))
+        upper[:, rows] = sigmas[:, _UPPER[0], _UPPER[1]].T
+
+    def compute(lo: int, hi: int) -> dict:
+        at = report(upper[:, lo:hi])
+        return {"S_general": at.s, "E_general": at.e}
+
+    columns = {"t": grid, **dict(zip(_SIGMA_COLUMNS, upper)), "S_general": None, "E_general": None}
+    return {**columns, "max_abs_dev": max_abs_dev}, compute
 
 
-def _sweep_environments(cfg: RunConfig) -> tuple[dict, Coefficients]:
-    """The grid's coefficients and an environment of their values.
+def _sweep_grid(cfg: RunConfig) -> dict:
+    """The grid's axes and the environment's diffusion coefficients on it.
 
-    Each coefficient broadcasts to the grid's shape (axis1.n, axis2.n) and
-    varies along the axes it depends on only; the environment's diffusion
-    coefficients are read-only views of them in the grid's shape.
+    Each broadcasts to the grid's shape (axis1.n, axis2.n) and varies along
+    the axes it depends on only.
     """
     osc, env, sweep = cfg.oscillator, cfg.environment, cfg.sweep
     m, w, lam = osc.m, osc.omega, env.lam
@@ -573,34 +593,41 @@ def _sweep_environments(cfg: RunConfig) -> tuple[dict, Coefficients]:
     grid = {"axis1": a1, "axis2": a2, **values}
     if not all(np.isfinite(x).all() for x in (lam, *grid.values())):
         raise NonFiniteResultError("sweep grid overflows double precision")
-    shape = (a1.size, a2.size)
-    return grid, Coefficients(lam=lam, **{k: np.broadcast_to(x, shape) for k, x in values.items()})
+    return grid
 
 
-def _sweep_table(cfg: RunConfig) -> dict:
+def _sweep_table(cfg: RunConfig) -> tuple:
     """The sweep table: `report`'s fields on the closed-form sigma_inf at each point.
 
+    The report's fields are computed columns (see _write_table), evaluated
+    on the flat rows lo..hi of the grid, so no grid-sized array is built.
     The sweep's own rule: where the report is gated, below the single-mode
     uncertainty bound, the state is unphysical and the negativity cells are
     empty.  So are non-finite numbers, and the verdict where S is not finite.
     """
-    osc = cfg.oscillator
-    grid, env = _sweep_environments(cfg)
-    sxx, sxpx, spxpx, sxy, sxpy, spxpy = closed_form_entries(osc, env)
-    at = report((sxx, sxpx, sxy, sxpy, spxpx, sxpy, spxpy, sxx, sxpx, spxpx), osc, env)
-    return {
-        "axis1": grid["axis1"],
-        "axis2": grid["axis2"],
-        "D_xx": grid["d_xx"],
-        "D_xpy": grid["d_xpy"],
-        "valid_strict": at.valid_strict,
-        "valid_lenient": at.valid_lenient,
-        "S_general": at.s,
-        "S_special": at.forms.s_special,
-        "E_general": np.where(at.gated, np.nan, at.e),
-        "E_closed": np.where(at.gated, np.nan, at.forms.e_closed),
-        "verdict": at.verdict,
-    }
+    osc, lam = cfg.oscillator, cfg.environment.lam
+    grid = _sweep_grid(cfg)
+    shape = (grid["axis1"].size, grid["axis2"].size)
+
+    def compute(lo: int, hi: int) -> dict:
+        flat = {k: np.broadcast_to(grid[k], shape).flat[lo:hi] for k in Coefficients._fields[1:]}
+        env = Coefficients(lam=lam, **flat)
+        sxx, sxpx, spxpx, sxy, sxpy, spxpy = closed_form_entries(osc, env)
+        at = report((sxx, sxpx, sxy, sxpy, spxpx, sxpy, spxpy, sxx, sxpx, spxpx), osc, env)
+        return {
+            "valid_strict": at.valid_strict,
+            "valid_lenient": at.valid_lenient,
+            "S_general": at.s,
+            "S_special": at.forms.s_special,
+            "E_general": np.where(at.gated, np.nan, at.e),
+            "E_closed": np.where(at.gated, np.nan, at.forms.e_closed),
+            "verdict": at.verdict,
+        }
+
+    fixed = {"axis1": grid["axis1"], "axis2": grid["axis2"]}
+    fixed.update(D_xx=grid["d_xx"], D_xpy=grid["d_xpy"])
+    computed = "valid_strict valid_lenient S_general S_special E_general E_closed verdict".split()
+    return {**fixed, **dict.fromkeys(computed)}, compute
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
@@ -635,7 +662,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     if not env.lam > 0.0:
         message = f"sweep requires a positive dissipation constant, got {env.lam!r}"
         raise NonPositiveLambdaError(message)
-    _write_table("sweep", cfg, args, _sweep_table(cfg))
+    _write_table("sweep", cfg, args, *_sweep_table(cfg))
     return 0
 
 

@@ -10,7 +10,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,9 +22,12 @@ from hypothesis import strategies as st
 
 from support import csv_cell, json_cell
 from twomode import NonFiniteResultError, __version__
+from twomode import cli
 from twomode.cli import (
-    _BLOCK_ROWS,
+    _COMPUTE_ROWS,
     _OPTIONAL_COLUMNS,
+    _WRITE_ROWS,
+    MAX_GRID_POINTS,
     _format_column,
     _write_table,
     config_to_dict,
@@ -80,9 +85,22 @@ _CONFIG = parse_config(
 
 
 def written(table, fmt):
+    """The document of `table`, whose full-size columns without checks are computed."""
+    shape = np.broadcast_shapes(*(column.shape for column in table.values()))
+    computed = {
+        name: column.reshape(-1)
+        for name, column in table.items()
+        if column.shape == shape and (column.dtype.kind != "f" or name in _OPTIONAL_COLUMNS)
+    }
+    given = {name: None if name in computed else column for name, column in table.items()}
+
+    def compute(lo, hi):
+        assert 0 <= lo < hi <= min(lo + _COMPUTE_ROWS, math.prod(shape))
+        return {name: column[lo:hi] for name, column in computed.items()}
+
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        _write_table("sweep", _CONFIG, SimpleNamespace(format=fmt, output="-"), table)
+        _write_table("sweep", _CONFIG, SimpleNamespace(format=fmt, output="-"), given, compute)
     return out.getvalue()
 
 
@@ -117,12 +135,12 @@ def expected(table, fmt):
 
 @st.composite
 def tables(draw):
-    """A table around the block size: full columns of every kind, and grid axes."""
-    b = _BLOCK_ROWS
+    """A table around the block sizes: full columns of every kind, and grid axes."""
+    w, c = _WRITE_ROWS, _COMPUTE_ROWS
     shape = draw(
         st.sampled_from(
-            [(1, 1), (2, 1), (1, 2), (3, 63), (64, 64), (64, 65), (1, b - 1), (1, b), (1, b + 1),
-             (2, b + 1), (3, b // 2 + 1)]
+            [(1, 1), (2, 1), (1, 2), (3, 63), (64, 64), (64, 65), (1, w - 1), (1, w), (1, w + 1),
+             (3, w // 2 + 1), (1, c - 1), (1, c), (1, c + 1), (2, c + 1), (3, c // 2 + 1)]
         )
     )
     n1, n2 = shape
@@ -156,9 +174,11 @@ def test_writer_matches_the_per_row_document(table, fmt):
     assert written(table, fmt) == expected(table, fmt)
 
 
-@pytest.mark.parametrize("row", [0, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 5])
+@pytest.mark.parametrize(
+    "row", [0, _WRITE_ROWS - 1, _WRITE_ROWS, _COMPUTE_ROWS - 1, _COMPUTE_ROWS, _COMPUTE_ROWS + 5]
+)
 def test_first_non_finite_cell_in_document_order_raises(row):
-    n = _BLOCK_ROWS + 6
+    n = _COMPUTE_ROWS + 6
     table = {name: np.ones(n) for name in ("t", "a", "b", "S_general")}
     table["S_general"][:] = math.nan  # empty cells: never an error
     table["b"][row] = -math.inf
@@ -189,6 +209,20 @@ def run(tmp_path, capsys, command, payload, fmt):
     return capsys.readouterr().out
 
 
+def outputs(tmp_path, monkeypatch, command, payload, compute_rows, write_rows):
+    """The CSV and JSON bytes of a run with the given block sizes."""
+    monkeypatch.setattr(cli, "_COMPUTE_ROWS", compute_rows)
+    monkeypatch.setattr(cli, "_WRITE_ROWS", write_rows)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    texts = []
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"out.{fmt}"
+        assert main([command, "--config", str(path), "--format", fmt, "--output", str(out)]) == 0
+        texts.append(out.read_bytes())
+    return texts
+
+
 def check_blocks(text_csv, text_json, optional):
     """The JSON text as json.dumps(indent=2) writes it; every CSV cell round-trips."""
     assert text_json == json.dumps(strict_json(text_json), indent=2) + "\n"
@@ -211,7 +245,8 @@ def check_blocks(text_csv, text_json, optional):
 
 
 @pytest.mark.parametrize(
-    "n_points", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
+    "n_points",
+    [_WRITE_ROWS + 1, _COMPUTE_ROWS - 1, _COMPUTE_ROWS, _COMPUTE_ROWS + 1, 2 * _COMPUTE_ROWS + 1],
 )
 def test_evolve_rows_across_blocks(tmp_path, capsys, n_points):
     payload = {
@@ -227,8 +262,10 @@ def test_evolve_rows_across_blocks(tmp_path, capsys, n_points):
     assert [row[0] for row in json_rows] == times
 
 
-def test_raw_sweep_rows_across_blocks(tmp_path, capsys):
-    n1, n2 = 3, _BLOCK_ROWS // 2 + 1  # the second block starts inside the second axis1 value
+def test_raw_sweep_rows_across_blocks(tmp_path, capsys, monkeypatch):
+    # axis2 is longer than a compute block and no multiple of it, so the
+    # second and third blocks start inside the first and second axis1 value
+    n1, n2 = 2, _COMPUTE_ROWS + 3
     payload = {
         "oscillator": {"m": 1.0, "omega": 1.0},
         "environment": {"lambda": 1.0, "D_pxpx": 0.6},
@@ -246,3 +283,80 @@ def test_raw_sweep_rows_across_blocks(tmp_path, capsys):
     assert [(float(row[0]), float(row[1])) for row in rows] == grid
     assert [(row[0], row[1]) for row in json_rows] == grid
     assert [(float(row[2]), float(row[3])) for row in rows] == grid  # D_xx, D_xpy
+    whole = outputs(tmp_path, monkeypatch, "sweep", payload, MAX_GRID_POINTS, MAX_GRID_POINTS)
+    assert [text_csv.encode(), text_json.encode()] == whole
+
+
+_BASE = {
+    "oscillator": {"m": 1.3, "omega": 0.7},
+    "environment": {"lambda": 0.9, "D_xx": 0.6, "D_pxpx": 0.6 * 0.91**2, "D_xpy": 0.3},
+}
+# Small grids, so a block of one row stays cheap; the raw sweep's axis2 is longer
+# than a block of 7 rows and no multiple of it, so blocks start inside an axis1 value.
+_BLOCK_CASES = {
+    "sweep_scaled": (
+        "sweep",
+        {
+            **_BASE,
+            "sweep": {
+                "axis1": {"coefficient": "D_xx", "min": 0.25, "max": 1.5, "n": 4},
+                "axis2": {"coefficient": "D_xpy", "min": 0.0, "max": 2.0, "n": 9},
+            },
+        },
+    ),
+    "sweep_raw": (
+        "sweep",
+        {
+            "oscillator": _BASE["oscillator"],
+            "environment": {"lambda": 0.9, "D_xx": 0.6, "D_pxpx": 0.5, "D_xpx": 0.05},
+            "sweep": {
+                "axis1": {"coefficient": "D_xpy", "min": -0.5, "max": 1.2, "n": 3},
+                "axis2": {"coefficient": "D_pxpy", "min": -0.3, "max": 0.3, "n": 17},
+                "scaling": "raw",
+            },
+        },
+    ),
+    "evolve": (
+        "evolve",
+        {
+            **_BASE,
+            "initial_state": [[2, 0, 0.1, 0], [0, 2, 0, 0], [0.1, 0, 2, 0], [0, 0, 0, 2]],
+            "time_grid": {"t_start": 0.0, "t_end": 6.0, "n_points": 31},
+        },
+    ),
+}
+
+
+# A block of one row, of 7 rows, and one block for the whole table.
+@pytest.mark.parametrize("write_rows", [1, 7, MAX_GRID_POINTS])
+@pytest.mark.parametrize("compute_rows", [1, 7, MAX_GRID_POINTS])
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+def test_block_sizes_leave_the_output_unchanged(
+    tmp_path, monkeypatch, case, compute_rows, write_rows
+):
+    """Each row's computation and its text are the same in any block: bit for bit."""
+    command, payload = _BLOCK_CASES[case]
+    whole = outputs(tmp_path, monkeypatch, command, payload, MAX_GRID_POINTS, MAX_GRID_POINTS)
+    blocks = outputs(tmp_path, monkeypatch, command, payload, compute_rows, write_rows)
+    assert blocks == whole
+
+
+def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):
+    """A sweep holds one block of rows at a time: five times the points, the same peak."""
+
+    def traced_peak(n1, n2):
+        payload = {**_BASE, "sweep": {
+            "axis1": {"coefficient": "D_xx", "min": 0.25, "max": 1.5, "n": n1},
+            "axis2": {"coefficient": "D_xpy", "min": 0.0, "max": 2.0, "n": n2},
+        }}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--config", str(path), "--output", os.devnull]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = traced_peak(201, 201), traced_peak(201, 1005)
+    assert abs(large - small) <= 2**20, (small, large)
