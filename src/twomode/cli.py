@@ -304,10 +304,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return out
 
 
-# Rows whose computed columns are evaluated at a time, and rows formatted, joined
-# and written at a time: neither the report of the whole grid nor the output is built.
-_COMPUTE_ROWS = 4096
-_WRITE_ROWS = 1024
+# Rows computed, and rows formatted, joined and written, at a time (see _write_table).
+_COMPUTE_ROWS, _WRITE_ROWS = 4096, 1024
 # Columns whose non-finite cells are empty ("" in CSV, null in JSON): undefined,
 # suppressed or overflowed values.
 _OPTIONAL_COLUMNS = frozenset({"S_general", "S_special", "E_general", "E_closed"})
@@ -385,16 +383,14 @@ def _format_column(values: np.ndarray, optional: bool, as_json: bool) -> list[st
 
 
 def _write_table(command: str, cfg: RunConfig, args, table: dict, compute) -> None:
-    """Write `table` ({name: column}) as CSV or JSON rows.
+    """Write `table` ({name: column}) as CSV or JSON rows, _WRITE_ROWS at a time.
 
-    The given columns broadcast to one shape, and a row is one element of
-    it, in row-major order.  A column given as None is computed:
-    `compute(lo, hi)` returns {name: 1-D array} of rows lo..hi of those
-    columns, _COMPUTE_ROWS rows at a time.  They are optional floats, bools
-    or strings, so every check runs on the given columns before the first
-    byte is written, and a failed run writes nothing.  Rows are formatted
-    and written _WRITE_ROWS at a time; a given column smaller than the shape
-    (a grid axis) has each of its values formatted once.
+    The given columns broadcast to one shape, and a row is one element of it,
+    in row-major order; one smaller than it (a grid axis) has each of its
+    values formatted once.  A None column is computed: `compute(lo, hi)` returns
+    {name: 1-D array} of rows lo..hi, _COMPUTE_ROWS at a time.  Those are
+    optional floats, bools or strings, so every check runs before the first
+    byte is written, and a failed run writes nothing.
     """
     as_json = args.format == "json"
     given = {name: column for name, column in table.items() if column is not None}
@@ -548,11 +544,8 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
 
 
 def _evolve_table(cfg: RunConfig, y: np.ndarray, sigma_inf: np.ndarray) -> tuple:
-    """The evolve table: t, the entries of sigma(t), S, E and the distance to sigma_inf.
-
-    sigma(t) is propagated _COMPUTE_ROWS times at a time; S and E are
-    computed columns (see _write_table).
-    """
+    """The evolve table (t, sigma(t)'s entries, S, E, the distance to sigma_inf) and its
+    `compute` of S and E (see _write_table); sigma(t) is propagated a block at a time."""
     sigma0 = _initial_covariance(cfg)
     grid = np.linspace(cfg.time_grid.t_start, cfg.time_grid.t_end, cfg.time_grid.n_points)
     upper, max_abs_dev = np.empty((10, grid.size)), np.empty(grid.size)
@@ -597,21 +590,19 @@ def _sweep_grid(cfg: RunConfig) -> dict:
 
 
 def _sweep_table(cfg: RunConfig) -> tuple:
-    """The sweep table: `report`'s fields on the closed-form sigma_inf at each point.
+    """The sweep table and its `compute` (see _write_table) of `report`'s fields on the
+    closed-form sigma_inf at the grid's flat rows lo..hi.
 
-    The report's fields are computed columns (see _write_table), evaluated
-    on the flat rows lo..hi of the grid, so no grid-sized array is built.
     The sweep's own rule: where the report is gated, below the single-mode
     uncertainty bound, the state is unphysical and the negativity cells are
     empty.  So are non-finite numbers, and the verdict where S is not finite.
     """
     osc, lam = cfg.oscillator, cfg.environment.lam
     grid = _sweep_grid(cfg)
-    shape = (grid["axis1"].size, grid["axis2"].size)
+    shape, keys = (grid["axis1"].size, grid["axis2"].size), Coefficients._fields[1:]
 
     def compute(lo: int, hi: int) -> dict:
-        flat = {k: np.broadcast_to(grid[k], shape).flat[lo:hi] for k in Coefficients._fields[1:]}
-        env = Coefficients(lam=lam, **flat)
+        env = Coefficients(lam, *(np.broadcast_to(grid[k], shape).flat[lo:hi] for k in keys))
         sxx, sxpx, spxpx, sxy, sxpy, spxpy = closed_form_entries(osc, env)
         at = report((sxx, sxpx, sxy, sxpy, spxpx, sxpy, spxpy, sxx, sxpx, spxpx), osc, env)
         return {
@@ -624,8 +615,7 @@ def _sweep_table(cfg: RunConfig) -> tuple:
             "verdict": at.verdict,
         }
 
-    fixed = {"axis1": grid["axis1"], "axis2": grid["axis2"]}
-    fixed.update(D_xx=grid["d_xx"], D_xpy=grid["d_xpy"])
+    fixed = {name: grid[name.lower()] for name in ("axis1", "axis2", "D_xx", "D_xpy")}
     computed = "valid_strict valid_lenient S_general S_special E_general E_closed verdict".split()
     return {**fixed, **dict.fromkeys(computed)}, compute
 
