@@ -7,6 +7,10 @@ data).  Configuration is a JSON document; the fields of `OscillatorParams`,
 `TimeGrid` and `AxisSpec` are its sections' keys, and a malformed one exits
 1 with one `error: <json.path>: ...` line.  Output is CSV with a `#`
 metadata header, or JSON behind --format.
+
+The CLI runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is set:
+see the comment above the numpy import.  The library itself leaves BLAS
+threading alone.
 """
 
 from __future__ import annotations
@@ -14,10 +18,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+
+# Every matrix here is 4x4, too small for a second BLAS thread, yet OpenBLAS
+# starts one idle worker per extra CPU when numpy loads, and each spins for
+# about 0.1 s of CPU.  Set before numpy loads (`import twomode` loads none);
+# a user's own OPENBLAS_NUM_THREADS wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

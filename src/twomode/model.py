@@ -75,10 +75,10 @@ class EnvironmentParams:
     d_pypy: float = 0.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        # One pass over the values; `fields` only to name the first bad one.
+        if not all(map(math.isfinite, vars(self).values())):
+            name = next(f.name for f in fields(self) if not math.isfinite(getattr(self, f.name)))
+            raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True, init=False)

@@ -1,5 +1,11 @@
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import twomode
 
@@ -25,6 +31,8 @@ def _import_graph() -> dict[str, set[str]]:
                     if alias.name.split(".")[0] == "twomode":
                         edges.add((alias.name.split(".") + ["__init__"])[1])
         graph[name] = edges
+    # the package loads its modules by name, on first use of one of their names
+    graph["__init__"] |= set(twomode._EXPORTS)
     return graph
 
 
@@ -55,6 +63,10 @@ def _cycle(graph: dict[str, set[str]]) -> list[str] | None:
 
 def test_the_package_has_no_import_cycle():
     assert _cycle(_import_graph()) is None
+
+
+def test_the_package_namespace_is_an_edge_of_the_graph():
+    assert _import_graph()["__init__"] == {"model", "dynamics", "entanglement", "errors"}
 
 
 def test_model_imports_only_errors():
@@ -95,3 +107,60 @@ def test_the_private_name_check_finds_one():
         "_MIRROR",
         "_x",
     ]
+
+
+def _run_fresh(code: str, **env: str) -> list[str]:
+    """Lines printed by `code` in a fresh interpreter, with OPENBLAS_NUM_THREADS unset unless given."""
+    child = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    child["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), child.get("PYTHONPATH")]))
+    child.update(env)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=child, capture_output=True, text=True, check=True
+    )
+    return done.stdout.split()
+
+
+# Prints the variable and the process's thread count (-1 without /proc).
+_THREADS = (
+    "import os; print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'), "
+    "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else -1)"
+)
+
+
+class TestBlasThreads:
+    def test_the_cli_starts_no_blas_worker(self):
+        setting, threads = _run_fresh("import twomode.cli; " + _THREADS)
+        assert setting == "1"
+        if threads == "-1" or len(os.sched_getaffinity(0)) == 1:
+            pytest.skip("one CPU, or no /proc: OpenBLAS would start no worker anyway")
+        assert threads == "1"
+
+    def test_a_users_setting_wins(self):
+        assert _run_fresh("import twomode.cli; " + _THREADS, OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+    def test_the_library_leaves_blas_threading_alone(self):
+        assert _run_fresh("import twomode; twomode.analyze; " + _THREADS)[0] == "unset"
+
+
+class TestLazyNames:
+    def test_each_name_is_the_object_its_module_defines(self):
+        for module, names in twomode._EXPORTS.items():
+            defining = importlib.import_module(f"twomode.{module}")
+            for name in names:
+                assert getattr(twomode, name) is getattr(defining, name), name
+        assert set(twomode.__all__) == {*twomode._MODULE_OF, "__version__"}
+
+    def test_importing_the_package_loads_no_numpy(self):
+        assert _run_fresh("import sys, twomode; print('numpy' in sys.modules)") == ["False"]
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from twomode import *", namespace)
+        assert set(twomode.__all__) <= set(namespace)
+
+    def test_dir_lists_every_name(self):
+        assert set(twomode.__all__) <= set(dir(twomode))
+
+    def test_an_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match=r"^module 'twomode' has no attribute 'nope'$"):
+            twomode.nope

@@ -47,6 +47,14 @@ class TestParams:
         # lam <= 0 is a validation matter, not a construction error
         EnvironmentParams(lam=-1.0)
 
+    def test_the_first_non_finite_field_is_named(self):
+        # field order, not argument order: d_xpy comes before d_pypy
+        with pytest.raises(ValueError, match=r"^d_xpy must be finite, got nan$"):
+            EnvironmentParams(lam=1.0, d_pypy=math.inf, d_xpy=math.nan)
+        # a mirrored environment names the given field, not its mirror d_ypx
+        with pytest.raises(ValueError, match=r"^d_xpy must be finite, got -inf$"):
+            SymmetricEnvironmentParams(lam=1.0, d_xpy=-math.inf)
+
     def test_symmetric_environment_mirrors_exactly(self):
         env = SymmetricEnvironmentParams(
             lam=0.8, d_xx=0.2, d_xpx=0.05, d_pxpx=0.3, d_xy=0.01, d_xpy=0.07, d_pxpy=0.02
