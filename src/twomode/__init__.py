@@ -18,50 +18,25 @@ __version__ = "0.1.0"
 # module -> the public names it defines
 _EXPORTS = {
     "model": (
-        "J",
-        "BlockDecomposition",
-        "EnvironmentParams",
-        "OscillatorParams",
-        "SymmetricEnvironmentParams",
-        "ValidationReport",
-        "build_diffusion_matrix",
-        "build_drift_matrix",
-        "build_gram_matrix",
-        "check_state_covariance",
-        "is_hurwitz",
-        "is_symmetric_environment",
-        "make_vacuum_covariance",
+        "J", "BlockDecomposition", "EnvironmentParams", "OscillatorParams",
+        "SymmetricEnvironmentParams", "ValidationReport", "build_diffusion_matrix",
+        "build_drift_matrix", "build_gram_matrix", "check_state_covariance",
+        "is_hurwitz", "is_symmetric_environment", "make_vacuum_covariance",
         "validate_environment",
     ),
     "dynamics": (
-        "Propagator",
-        "matrix_exponential",
-        "propagate",
-        "steady_state_closed_form",
+        "Propagator", "matrix_exponential", "propagate", "steady_state_closed_form",
         "steady_state_lyapunov",
     ),
     "entanglement": (
-        "EntanglementReport",
-        "analyze",
-        "block_decompose",
-        "det_c_closed_form",
-        "entanglement_window",
-        "f_sigma",
-        "log_negativity",
-        "log_negativity_closed_form",
-        "simon_s",
-        "simon_s_special",
+        "EntanglementReport", "analyze", "block_decompose", "det_c_closed_form",
+        "entanglement_window", "f_sigma", "log_negativity",
+        "log_negativity_closed_form", "simon_s", "simon_s_special",
     ),
     "errors": (
-        "ClassViolationError",
-        "ConditioningWarning",
-        "DivergentNegativityError",
-        "NegativeRadicandError",
-        "NonPositiveFError",
-        "NonFiniteResultError",
-        "NonPositiveLambdaError",
-        "NotHurwitzError",
-        "TwoModeError",
+        "ClassViolationError", "ConditioningWarning", "DivergentNegativityError",
+        "NegativeRadicandError", "NonPositiveFError", "NonFiniteResultError",
+        "NonPositiveLambdaError", "NotHurwitzError", "TwoModeError",
         "UncertaintyViolationError",
     ),
 }

@@ -76,9 +76,15 @@ class EnvironmentParams:
 
     def __post_init__(self) -> None:
         # One pass over the values; `fields` only to name the first bad one.
-        if not all(map(math.isfinite, vars(self).values())):
+        if not all(map(math.isfinite, _environment_values(self))):
             name = next(f.name for f in fields(self) if not math.isfinite(getattr(self, f.name)))
             raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+
+
+# The eleven values in field order.  Not `vars(self)`: reading an instance's
+# __dict__ makes CPython build one, which costs memory and every later
+# attribute read.
+_environment_values = operator.attrgetter(*(f.name for f in fields(EnvironmentParams)))
 
 
 @dataclass(frozen=True, init=False)
