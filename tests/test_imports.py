@@ -110,7 +110,7 @@ def test_the_private_name_check_finds_one():
 
 
 def _run_fresh(code: str, **env: str) -> list[str]:
-    """Lines printed by `code` in a fresh interpreter, with OPENBLAS_NUM_THREADS unset unless given."""
+    """The words `code` prints in a fresh interpreter, with OPENBLAS_NUM_THREADS unset unless given."""
     child = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     child["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), child.get("PYTHONPATH")]))
     child.update(env)
