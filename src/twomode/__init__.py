@@ -46,6 +46,9 @@ __all__ = [*_MODULE_OF, "__version__"]
 
 
 def __getattr__(name):
+    if name in _EXPORTS:
+        # Importing a submodule binds it on the package, so this runs once.
+        return importlib.import_module(f".{name}", __name__)
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -55,4 +58,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -75,16 +75,10 @@ class EnvironmentParams:
     d_pypy: float = 0.0
 
     def __post_init__(self) -> None:
-        # One pass over the values; `fields` only to name the first bad one.
-        if not all(map(math.isfinite, _environment_values(self))):
-            name = next(f.name for f in fields(self) if not math.isfinite(getattr(self, f.name)))
-            raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-
-
-# The eleven values in field order.  Not `vars(self)`: reading an instance's
-# __dict__ makes CPython build one, which costs memory and every later
-# attribute read.
-_environment_values = operator.attrgetter(*(f.name for f in fields(EnvironmentParams)))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True, init=False)

@@ -152,13 +152,20 @@ class TestLazyNames:
     def test_importing_the_package_loads_no_numpy(self):
         assert _run_fresh("import sys, twomode; print('numpy' in sys.modules)") == ["False"]
 
+    def test_each_submodule_is_an_attribute(self):
+        # as when `__init__` imported them eagerly: the README's `twomode.entanglement.report`
+        assert _run_fresh(
+            "import twomode; twomode.entanglement.report; twomode.model.Coefficients; "
+            "print(twomode.errors is __import__('twomode.errors').errors)"
+        ) == ["True"]
+
     def test_star_import_binds_every_name(self):
         namespace = {}
         exec("from twomode import *", namespace)
         assert set(twomode.__all__) <= set(namespace)
 
     def test_dir_lists_every_name(self):
-        assert set(twomode.__all__) <= set(dir(twomode))
+        assert {*twomode.__all__, *twomode._EXPORTS} <= set(dir(twomode))
 
     def test_an_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match=r"^module 'twomode' has no attribute 'nope'$"):
