@@ -9,51 +9,78 @@ data).  Configuration is a JSON document; the fields of `OscillatorParams`,
 metadata header, or JSON behind --format.
 
 The CLI runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is set:
-see the comment above the numpy import.  The library itself leaves BLAS
-threading alone.
+see the comment above the numpy import.  Importing this module also pauses
+the garbage collector while its imports load, then collects once and
+freezes every object alive at that moment (`gc.freeze`), so no later
+collection, nor the final ones at shutdown, walks numpy's import-time
+objects: see the comment above the imports.  The library itself leaves
+BLAS threading and `gc` alone.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import math
-import os
-import sys
-import warnings
-from dataclasses import asdict, dataclass, fields
-from pathlib import Path
+import gc
 
-# Every matrix here is 4x4, too small for a second BLAS thread, yet OpenBLAS
-# starts one idle worker per extra CPU when numpy loads, and each spins for
-# about 0.1 s of CPU.  Set before numpy loads (`import twomode` loads none);
-# a user's own OPENBLAS_NUM_THREADS wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# The imports below build some 33,000 long-lived objects, nearly all numpy's,
+# and the cyclic garbage collector would walk them dozens of times while they
+# load, then again at every full collection and at interpreter shutdown.  So
+# it is paused while they load, and what they built is frozen (moved out of
+# its reach) after one collection, which frees the few hundred objects of
+# cyclic garbage numpy's import leaves; the caller's enabled state is
+# restored either way.
+_gc_was_enabled = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import json
+    import math
+    import os
+    import sys
+    import warnings
+    from dataclasses import asdict, dataclass, fields
+    from pathlib import Path
 
-import numpy as np
+    # Every matrix here is 4x4, too small for a second BLAS thread, yet OpenBLAS
+    # starts one idle worker per extra CPU when numpy loads, and each spins for
+    # about 0.1 s of CPU.  Set before numpy loads (`import twomode` loads none);
+    # a user's own OPENBLAS_NUM_THREADS wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import __version__
-from .dynamics import (
-    closed_form_entries,
-    propagate,
-    steady_state_closed_form,
-    steady_state_lyapunov,
-)
-from .entanglement import analyze, report
-from .errors import ConditioningWarning, NonFiniteResultError, NonPositiveLambdaError, TwoModeError
-from .model import (
-    MIRROR,
-    Coefficients,
-    EnvironmentParams,
-    OscillatorParams,
-    SymmetricEnvironmentParams,
-    build_diffusion_matrix,
-    build_drift_matrix,
-    check_state_covariance,
-    is_symmetric_environment,
-    make_vacuum_covariance,
-    validate_environment,
-)
+    import numpy as np
+
+    from . import __version__
+    from .dynamics import (
+        closed_form_entries,
+        propagate,
+        steady_state_closed_form,
+        steady_state_lyapunov,
+    )
+    from .entanglement import analyze, report
+    from .errors import (
+        ConditioningWarning,
+        NonFiniteResultError,
+        NonPositiveLambdaError,
+        TwoModeError,
+    )
+    from .model import (
+        MIRROR,
+        Coefficients,
+        EnvironmentParams,
+        OscillatorParams,
+        SymmetricEnvironmentParams,
+        build_diffusion_matrix,
+        build_drift_matrix,
+        check_state_covariance,
+        is_symmetric_environment,
+        make_vacuum_covariance,
+        validate_environment,
+    )
+
+    gc.collect()
+    gc.freeze()
+finally:
+    if _gc_was_enabled:
+        gc.enable()
 
 
 class ConfigError(Exception):

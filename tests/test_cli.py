@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twomode
 from twomode import ConditioningWarning
 from twomode.cli import MAX_GRID_POINTS, config_to_dict, load_config, main, parse_config
 
@@ -1121,6 +1125,45 @@ def run_to(command, path, fmt, target=None):
     written = target.read_text() if target.exists() else None
     target.unlink(missing_ok=True)
     return code, written, err.getvalue()
+
+
+# Both span several write blocks of 1,024 rows.
+_PROCESS_CONFIG = dict(
+    REFERENCE_CONFIG,
+    time_grid={"t_start": 0.0, "t_end": 5.0, "n_points": 1500},
+    sweep={
+        "axis1": {"coefficient": "D_xx", "min": 0.25, "max": 1.5, "n": 41},
+        "axis2": {"coefficient": "D_xpy", "min": 0.0, "max": 2.0, "n": 31},
+    },
+)
+
+
+class TestProcess:
+    """The CLI as its own process, in development mode, where an unclosed file
+    or an exception ignored at shutdown is written to stderr."""
+
+    @staticmethod
+    def spawn(argv):
+        env = dict(os.environ)
+        src = str(Path(twomode.__file__).parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "twomode.cli", *argv], env=env, capture_output=True
+        )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["sweep", "evolve"])
+    def test_a_pipe_and_a_file_get_the_same_bytes(self, tmp_path, command, fmt):
+        argv = [command, "--config", write_config(tmp_path, _PROCESS_CONFIG), "--format", fmt]
+        piped = self.spawn(argv)
+        target = tmp_path / f"out.{fmt}"
+        written = self.spawn([*argv, "--output", str(target)])
+        for done in (piped, written):
+            assert (done.returncode, done.stderr) == (0, b"")
+        assert written.stdout == b""
+        assert piped.stdout == target.read_bytes()
+        # and the bytes an in-process run writes
+        assert run_to(command, argv[2], fmt) == (0, piped.stdout.decode(), "")
 
 
 @settings(max_examples=60, deadline=None)

@@ -142,6 +142,47 @@ class TestBlasThreads:
         assert _run_fresh("import twomode; twomode.analyze; " + _THREADS)[0] == "unset"
 
 
+# Prints the generation of each collection started during `import twomode.cli`,
+# and the collector's state after it.  The package is compiled first, as an
+# install does: compiling cli.py from source runs before its first line.
+_GC_AFTER_CLI_IMPORT = (
+    "import compileall, gc, twomode; "
+    "compileall.compile_dir(twomode.__path__[0], quiet=1); starts = []; "
+    "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info)); "
+    "import twomode.cli; gc.callbacks.clear(); "
+    "print(','.join(str(info['generation']) for info in starts) or 'none', "
+    "gc.isenabled(), gc.get_freeze_count() > 0)"
+)
+
+
+class TestGarbageCollector:
+    def test_the_cli_import_collects_once_then_freezes_its_objects(self, tmp_path):
+        # the one full collection before the freeze, and none while the imports load
+        assert _run_fresh(_GC_AFTER_CLI_IMPORT, PYTHONPYCACHEPREFIX=str(tmp_path)) == [
+            "2",
+            "True",
+            "True",
+        ]
+
+    def test_a_callers_disabled_collector_stays_disabled(self):
+        assert _run_fresh("import gc; gc.disable(); import twomode.cli; print(gc.isenabled())") == [
+            "False"
+        ]
+
+    def test_a_failed_import_restores_the_collector(self):
+        code = (
+            "import gc, sys; sys.modules['numpy'] = None\n"
+            "try:\n    import twomode.cli\nexcept ImportError:\n"
+            "    print(gc.isenabled(), gc.get_freeze_count())"
+        )
+        assert _run_fresh(code) == ["True", "0"]
+
+    def test_the_library_leaves_the_collector_alone(self):
+        assert _run_fresh(
+            "import gc, twomode; twomode.analyze; print(gc.isenabled(), gc.get_freeze_count())"
+        ) == ["True", "0"]
+
+
 class TestLazyNames:
     def test_each_name_is_the_object_its_module_defines(self):
         for module, names in twomode._EXPORTS.items():
