@@ -349,14 +349,6 @@ _COMPUTE_ROWS, _WRITE_ROWS = 4096, 1024
 _OPTIONAL_COLUMNS = frozenset({"S_general", "S_special", "E_general", "E_closed"})
 
 
-def _strict_json(obj) -> str:
-    """`obj` as indented JSON; a non-finite number in it is a NonFiniteResultError."""
-    try:
-        return json.dumps(obj, indent=2, allow_nan=False)
-    except ValueError as exc:  # a non-finite number: strict JSON has no encoding for it
-        raise NonFiniteResultError(f"cannot write strict JSON: {exc}") from None
-
-
 def _csv_header(command: str, cfg: RunConfig) -> str:
     echo = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
     return (
@@ -366,9 +358,9 @@ def _csv_header(command: str, cfg: RunConfig) -> str:
 
 
 def _document(command: str, cfg: RunConfig, payload: dict) -> str:
-    return _strict_json(
-        {"command": command, "version": __version__, "config": config_to_dict(cfg), **payload}
-    )
+    """The indented JSON document; the caller has checked that its numbers are finite."""
+    document = {"command": command, "version": __version__, "config": config_to_dict(cfg)}
+    return json.dumps({**document, **payload}, indent=2, allow_nan=False)
 
 
 def _emit(args, chunks) -> None:
@@ -426,32 +418,14 @@ def _write_table(command: str, cfg: RunConfig, args, table: dict, compute) -> No
     The given columns broadcast to one shape, and a row is one element of it,
     in row-major order; one smaller than it (a grid axis) has each of its
     values formatted once.  A None column is computed: `compute(lo, hi)` returns
-    {name: 1-D array} of rows lo..hi, _COMPUTE_ROWS at a time.  Those are
-    optional floats, bools or strings, so every check runs before the first
-    byte is written, and a failed run writes nothing.
+    {name: 1-D array} of rows lo..hi, _COMPUTE_ROWS at a time.  The writer only
+    formats and writes: the caller has checked, before calling it, that every
+    float cell outside _OPTIONAL_COLUMNS is finite, so a failed run writes nothing.
     """
     as_json = args.format == "json"
     given = {name: column for name, column in table.items() if column is not None}
     shape = np.broadcast_shapes(*(column.shape for column in given.values()))
     n_rows = math.prod(shape)
-    # The first non-finite value of a column that has no empty cells, in
-    # document order, raises: in JSON as json.dumps of the whole document would.
-    # A column is broadcast to the rows only to find that value.
-    firsts = []
-    for position, (name, column) in enumerate(given.items()):
-        if column.dtype.kind == "f" and name not in _OPTIONAL_COLUMNS:
-            if not np.isfinite(column).all():
-                flat = np.broadcast_to(column, shape).reshape(-1)
-                row = int(np.isfinite(flat).argmin())
-                firsts.append((row, position, name, float(flat[row])))
-    if firsts:
-        row, _, name, value = min(firsts)
-        if as_json:
-            _strict_json(value)
-        raise NonFiniteResultError(
-            f"cannot write {name} = {value!r} in row {row + 1}: "
-            "the value overflows double precision"
-        )
     if as_json:
         head = _document(command, cfg, {"columns": list(table)})[:-2] + ',\n  "rows": [\n'
         # A row is "[cell, ...]" indented as json.dumps(indent=2) would write it.
@@ -510,16 +484,13 @@ def _require_finite(values, report: str) -> None:
 def cmd_validate(cfg: RunConfig, args) -> int:
     report = validate_environment(cfg.environment, cfg.validation)
     payload = asdict(report)
-
-    def csv_lines() -> list[str]:
-        _require_finite(payload.values(), "validation report")
-        return [
-            f"{key}: {','.join(value) if isinstance(value, tuple) else _format_cell(value)}"
-            for key, value in payload.items()
-            if value is not None
-        ]
-
-    _write("validate", cfg, args, lambda: {"report": payload}, csv_lines)
+    _require_finite(payload.values(), "validation report")
+    csv_lines = [
+        f"{key}: {','.join(value) if isinstance(value, tuple) else _format_cell(value)}"
+        for key, value in payload.items()
+        if value is not None
+    ]
+    _write("validate", cfg, args, lambda: {"report": payload}, lambda: csv_lines)
     return 0 if report.passed else 2
 
 
@@ -583,22 +554,39 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
 
 def _evolve_table(cfg: RunConfig, y: np.ndarray, sigma_inf: np.ndarray) -> tuple:
     """The evolve table (t, sigma(t)'s entries, S, E, the distance to sigma_inf) and its
-    `compute` of S and E (see _write_table); sigma(t) is propagated a block at a time."""
+    `compute` (see _write_table), which propagates sigma(t) a block at a time.
+
+    A first pass propagates every block and keeps nothing: it raises at the first
+    non-finite sigma entry or max_abs_dev in document order, so the table holds t
+    and one block, and the writer's second pass finds every cell it must write finite.
+    """
     sigma0 = _initial_covariance(cfg)
     grid = np.linspace(cfg.time_grid.t_start, cfg.time_grid.t_end, cfg.time_grid.n_points)
-    upper, max_abs_dev = np.empty((10, grid.size)), np.empty(grid.size)
+
+    def checked(lo: int, hi: int) -> dict:
+        """The columns without empty cells, sigma's entries and max_abs_dev, of rows lo..hi."""
+        sigmas = propagate(sigma0, sigma_inf, y, grid[lo:hi])
+        columns = dict(zip(_SIGMA_COLUMNS, sigmas[:, _UPPER[0], _UPPER[1]].T))
+        return {**columns, "max_abs_dev": np.abs(sigmas - sigma_inf).max(axis=(-2, -1))}
+
     for lo in range(0, grid.size, _COMPUTE_ROWS):
-        rows = slice(lo, lo + _COMPUTE_ROWS)
-        sigmas = propagate(sigma0, sigma_inf, y, grid[rows])
-        max_abs_dev[rows] = np.abs(sigmas - sigma_inf).max(axis=(-2, -1))
-        upper[:, rows] = sigmas[:, _UPPER[0], _UPPER[1]].T
+        columns = checked(lo, lo + _COMPUTE_ROWS)
+        bad = ~np.isfinite(np.array(list(columns.values())))
+        if bad.any():
+            row = int(bad.any(axis=0).argmax())
+            name = list(columns)[int(bad[:, row].argmax())]
+            raise NonFiniteResultError(
+                f"cannot write {name} = {float(columns[name][row])!r} in row {lo + row + 1}: "
+                "the value overflows double precision"
+            )
 
     def compute(lo: int, hi: int) -> dict:
-        at = report(upper[:, lo:hi])
-        return {"S_general": at.s, "E_general": at.e}
+        columns = checked(lo, hi)
+        at = report([columns[name] for name in _SIGMA_COLUMNS])
+        return {**columns, "S_general": at.s, "E_general": at.e}
 
-    columns = {"t": grid, **dict(zip(_SIGMA_COLUMNS, upper)), "S_general": None, "E_general": None}
-    return {**columns, "max_abs_dev": max_abs_dev}, compute
+    computed = (*_SIGMA_COLUMNS, "S_general", "E_general", "max_abs_dev")
+    return {"t": grid, **dict.fromkeys(computed)}, compute
 
 
 def _sweep_grid(cfg: RunConfig) -> dict:

@@ -110,7 +110,8 @@ def _kernel(s00, s01, s02, s03, s11, s12, s13, s22, s23, s33, det_sigma=None) ->
     radicand) where h > 0; where that det sigma is below the normal range (entries
     below about 1e-77), f = det A (det(B - C^T A^-1 C) / (h + sqrt of the radicand)),
     so det sigma never forms.  A difference within _NOISE of its terms counts as 0:
-    the radicand from a caller's det sigma, and the entries and determinant of the
+    S, which is then +0 with E = 0, so a state on the window's edge is separable;
+    the radicand from a caller's det sigma; and the entries and determinant of the
     Schur complement, so a singular sigma gets f = 0.  E is NaN where f <= 0 or the
     radicand is below -RADICAND_TOLERANCE, and the verdict "" where S is not finite.
     """
@@ -123,6 +124,8 @@ def _kernel(s00, s01, s02, s03, s11, s12, s13, s22, s23, s33, det_sigma=None) ->
     cross = cross + s11 * (s02 * bq0 + s03 * bq1)
     quarter = 0.25 - abs(det_c)
     s = det_a * det_b + quarter * quarter - cross - 0.25 * (det_a + det_b)
+    size = abs(det_a * det_b) + quarter * quarter + abs(cross) + 0.25 * (abs(det_a) + abs(det_b))
+    s = _denoised(s, size) + 0.0  # + 0.0: an S of rounding noise is 0, not -0.0
     head = 0.5 * (det_a + det_b) - det_c
     stacked = isinstance(head, np.ndarray)
     where, sqrt, log2, maximum = (
@@ -154,6 +157,8 @@ def _kernel(s00, s01, s02, s03, s11, s12, s13, s22, s23, s33, det_sigma=None) ->
         f = where(split & positive, det_a * (det_schur / where(positive, head + root, 1.0)), f)
     defined = (radicand >= -RADICAND_TOLERANCE) & (f > 0.0)
     e = -0.5 * log2(4.0 * where(defined, f, math.nan))
+    # S = 0 puts the partial transpose's smaller symplectic eigenvalue at 1/2: E is 0
+    e = where(s == 0.0, 0.0 * e + 0.0, e)
     verdict = where(_nonfinite(s), "", where(s < 0.0, "entangled", "separable"))
     return _Invariants(det_a, det_b, det_c, s, radicand, f, e, verdict)
 

@@ -380,6 +380,25 @@ class TestCriterionConsistency:
             e_closed = log_negativity_closed_form(osc, env)
             assert abs(e_general - e_closed) <= 1e-8
 
+    def test_window_edges_are_separable(self):
+        # The window is open, so a state on its edge, D_xpy = sqrt(lam^2 + w^2)
+        # (u +- 1/2), is separable: its S and E are rounding noise, written as
+        # +0.  Moved inward by 1e-6 sqrt(lam^2 + w^2), the state is entangled.
+        rng = np.random.default_rng(27)
+        for _ in range(1000):
+            m, omega, lam = np.exp(rng.uniform(-1.0, 1.0, size=3)).tolist()
+            u = float(rng.uniform(0.5, 3.0))
+            osc = OscillatorParams(m, omega)
+            for side in (-0.5, 0.5):
+                inward = u + side * (1 - 2e-6)
+                for v, verdict in ((u + side, "separable"), (inward, "entangled")):
+                    env = matched_env(m, omega, lam, u, v)
+                    rep = analyze(steady_state_closed_form(osc, env), osc, env)
+                    assert rep.verdict == verdict, (m, omega, lam, u, v, rep.s_general)
+                    if verdict == "separable":
+                        zeros = [math.copysign(1.0, x) for x in (rep.s_general, rep.e_general)]
+                        assert (rep.s_general, rep.e_general, zeros) == (0.0, 0.0, [1.0, 1.0])
+
     def test_local_squeezing_invariance(self, reference_sigma_inf):
         # x -> alpha x, p_x -> p_x/alpha applied to both modes is a local
         # symplectic transformation and must not change S or E

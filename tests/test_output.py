@@ -21,8 +21,16 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from support import csv_cell, json_cell
-from twomode import NonFiniteResultError, __version__
-from twomode import cli
+from twomode import (
+    OscillatorParams,
+    SymmetricEnvironmentParams,
+    __version__,
+    build_diffusion_matrix,
+    build_drift_matrix,
+    cli,
+    propagate,
+    steady_state_lyapunov,
+)
 from twomode.cli import (
     _COMPUTE_ROWS,
     _OPTIONAL_COLUMNS,
@@ -174,25 +182,60 @@ def test_writer_matches_the_per_row_document(table, fmt):
     assert written(table, fmt) == expected(table, fmt)
 
 
-@pytest.mark.parametrize(
-    "row", [0, _WRITE_ROWS - 1, _WRITE_ROWS, _COMPUTE_ROWS - 1, _COMPUTE_ROWS, _COMPUTE_ROWS + 5]
-)
-def test_first_non_finite_cell_in_document_order_raises(row):
-    n = _COMPUTE_ROWS + 6
-    table = {name: np.ones(n) for name in ("t", "a", "b", "S_general")}
-    table["S_general"][:] = math.nan  # empty cells: never an error
-    table["b"][row] = -math.inf
-    table["a"][row] = math.nan
-    table["b"][row - 1] = math.inf  # raises first: an earlier row
-    with pytest.raises(ValueError) as oracle:
-        expected(table, "json")
-    with pytest.raises(NonFiniteResultError) as raised:
-        written(table, "json")
-    assert str(raised.value) == f"cannot write strict JSON: {oracle.value}"
-    # CSV raises at the same cell, counting rows from 1 (row - 1 = -1 is the last row)
-    first = f"b = inf in row {row}" if row else "a = nan in row 1"
-    with pytest.raises(NonFiniteResultError, match=f"cannot write {first}:"):
-        written(table, "csv")
+# sigma(t) overflows, as CI's overflow_evolve.json: a huge initial state whose
+# momentum entries grow by (m omega)^2 = 1e6 within a quarter period.
+_OVERFLOW_EVOLVE = {
+    "oscillator": {"m": 1.0, "omega": 1000.0},
+    "environment": {"lambda": 1.0, "D_xx": 0.6, "D_pxpx": 0.6, "D_xpy": 0.3},
+    "initial_state": [[1e307 * (i == j) for j in range(4)] for i in range(4)],
+}
+
+
+def first_non_finite_cell(payload):
+    """(name, value, row from 1) of the first non-finite sigma entry or max_abs_dev in
+    document order, by a scan of the whole propagated stack."""
+    osc = OscillatorParams(**payload["oscillator"])
+    env = payload["environment"]
+    env = SymmetricEnvironmentParams(
+        lam=env["lambda"], d_xx=env["D_xx"], d_pxpx=env["D_pxpx"], d_xpy=env["D_xpy"]
+    )
+    y = build_drift_matrix(osc, env)
+    sigma_inf = steady_state_lyapunov(y, build_diffusion_matrix(env))
+    grid = payload["time_grid"]
+    times = np.linspace(grid["t_start"], grid["t_end"], grid["n_points"])
+    with np.errstate(all="ignore"):
+        sigmas = propagate(np.array(payload["initial_state"]), sigma_inf, y, times)
+        deviation = np.abs(sigmas - sigma_inf).max(axis=(-2, -1))
+    names = [*cli._SIGMA_COLUMNS, "max_abs_dev"]
+    for row, (sigma, dev) in enumerate(zip(sigmas.tolist(), deviation.tolist())):
+        cells = [sigma[i][j] for i in range(4) for j in range(i, 4)] + [dev]
+        for name, value in zip(names, cells):
+            if not math.isfinite(value):
+                return name, value, row + 1
+    raise AssertionError("no cell overflows")
+
+
+# The first bad cell: sigma_pxpx = inf in row 7, and sigma_xpx = -inf in row 2.
+@pytest.mark.parametrize("t_end, n_points, compute_rows", [(1e-5, 21, 4), (3e-3, 31, 1)])
+def test_evolve_names_the_first_non_finite_cell(
+    tmp_path, capsys, monkeypatch, t_end, n_points, compute_rows
+):
+    """evolve checks its rows in a first pass: one error line in either format, nothing written."""
+    grid = {"t_start": 0.0, "t_end": t_end, "n_points": n_points}
+    payload = {**_OVERFLOW_EVOLVE, "time_grid": grid}
+    name, value, row = first_non_finite_cell(payload)
+    assert row > compute_rows  # in a later block than the first
+    monkeypatch.setattr(cli, "_COMPUTE_ROWS", compute_rows)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    line = f"error: cannot write {name} = {value!r} in row {row}: "
+    line += "the value overflows double precision\n"
+    for fmt in ("csv", "json"):
+        for output in ("-", str(tmp_path / "out")):
+            argv = ["evolve", "--config", str(path), "--format", fmt, "--output", output]
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", line)
+            assert not (tmp_path / "out").exists()
 
 
 def strict_json(text):
@@ -360,3 +403,22 @@ def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):
 
     small, large = traced_peak(201, 201), traced_peak(201, 1005)
     assert abs(large - small) <= 2**20, (small, large)
+
+
+def test_evolve_memory_grows_by_its_time_grid_alone(tmp_path):
+    """evolve holds t and one block of rows: five times the points add 8 bytes a row."""
+
+    def traced_peak(n_points):
+        payload = {**_BASE, "time_grid": {"t_start": 0.0, "t_end": 5.0, "n_points": n_points}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        tracemalloc.start()
+        try:
+            assert main(["evolve", "--config", str(path), "--output", os.devnull]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n = 5_000
+    small, large = traced_peak(n), traced_peak(5 * n)
+    assert large - small <= 8 * 4 * n + 2**20, (small, large)
