@@ -8,9 +8,10 @@ The drift matrix's layout is known here alone: `build_drift_matrix` writes it
 and `_drift_block` reads it back, exactly, for `_drift_parameters`,
 `is_hurwitz` and the steady-state solve of `twomode.dynamics`.  Any other
 matrix is a ValueError, except in `is_hurwitz`, which takes it to eigvals.
-Mirrored means exactly equal: `is_symmetric_environment` is the one rule.
-Strict validation's Gram spectrum is a closed form for a mirrored environment
-and one power-of-two-scaled `eigvalsh` otherwise, scaled on floats or arrays.
+Mirrored means exactly equal: `is_symmetric_environment` is the one rule, which
+a `SymmetricEnvironmentParams` passes by construction.  Strict validation's Gram
+spectrum is a closed form for a mirrored environment and one power-of-two-scaled
+`eigvalsh` otherwise, scaled on floats or arrays.
 """
 
 from __future__ import annotations
@@ -75,10 +76,20 @@ class EnvironmentParams:
     d_pypy: float = 0.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        values = _field_values(self)
+        try:  # a finite sum has finite terms; fsum adds numpy scalars as floats, with no warning
+            finite = math.isfinite(math.fsum(values))
+        except (OverflowError, ValueError):  # finite terms that overflow, or inf - inf
+            finite = False
+        if not finite:
+            for name, value in zip(_FIELDS, values):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+#: The eleven field names in field order, and a reader of their values in one call.
+_FIELDS = tuple(f.name for f in fields(EnvironmentParams))
+_field_values = operator.attrgetter(*_FIELDS)
 
 
 @dataclass(frozen=True, init=False)
@@ -90,7 +101,7 @@ class SymmetricEnvironmentParams(EnvironmentParams):
     d_ypx = d_xpy), which makes both reduced one-mode covariance matrices
     equal and the cross-correlation block symmetric.  The duplicates are not
     arguments, so `dataclasses.replace` mirrors a changed x-mode field and
-    refuses a y-mode one.
+    refuses a y-mode one: being frozen, every such object is mirrored.
     """
 
     d_ypx: float = field(default=0.0, init=False)
@@ -108,8 +119,8 @@ class SymmetricEnvironmentParams(EnvironmentParams):
         d_xpy: float = 0.0,
         d_pxpy: float = 0.0,
     ) -> None:
-        given = dict(d_xx=d_xx, d_xpx=d_xpx, d_pxpx=d_pxpx, d_xy=d_xy, d_xpy=d_xpy, d_pxpy=d_pxpy)
-        super().__init__(lam, **given, **{y: given[x] for y, x in MIRROR.items()})
+        # the generated __init__, in field order, each y-mode field given its MIRROR x-mode value
+        super().__init__(lam, d_xx, d_xpx, d_xy, d_xpy, d_xpy, d_pxpx, d_xx, d_xpx, d_pxpy, d_pxpx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +201,10 @@ def _stack(rows, dtype=float) -> NDArray:
 
 def is_symmetric_environment(env: EnvironmentParams) -> bool:
     """True when each y-mode coefficient equals its `MIRROR` x-mode one exactly (`==`, so
-    whatever the unit of time), elementwise for arrays."""
+    whatever the unit of time), elementwise for arrays.  A `SymmetricEnvironmentParams`
+    is mirrored by construction and is not compared."""
+    if isinstance(env, SymmetricEnvironmentParams):
+        return True
     return functools.reduce(
         operator.and_, [getattr(env, y) == getattr(env, x) for y, x in MIRROR.items()]
     )
@@ -253,10 +267,6 @@ def build_diffusion_matrix(env: EnvironmentParams) -> NDArray[np.float64]:
     )
 
 
-#: The ten diffusion coefficients' field names, in field order.
-_DIFFUSION = tuple(f.name for f in fields(EnvironmentParams) if f.name != "lam")
-
-
 def build_gram_matrix(env: EnvironmentParams) -> NDArray[np.complex128]:
     """Hermitian Gram matrix of the environment coupling vectors (hbar = 1).
 
@@ -266,15 +276,21 @@ def build_gram_matrix(env: EnvironmentParams) -> NDArray[np.complex128]:
     builds it only for environments that are not exactly mirrored; for the
     mirrored ones it uses the closed-form spectrum (`_min_gram_eigenvalue`).
     """
-    return _gram(*[getattr(env, name) for name in _DIFFUSION], 0.5 * env.lam)
+    return _gram(*_field_values(env)[1:], 0.5 * env.lam)
 
 
 def _gram(xx, xpx, xy, xpy, ypx, pxpx, yy, ypy, pxpy, pypy, half) -> NDArray[np.complex128]:
-    """The Gram matrix of the ten coefficients, in `_DIFFUSION`'s order, and half = lam/2.
+    """The Gram matrix of the ten coefficients, in field order, and half = lam/2.
 
     Real and imaginary parts are written, not summed (-0.0 + 0j has real part +0.0), so
     scaled inputs scale every entry exactly, signed zeros too, which eigvalsh can tell apart.
+    One environment's floats make one `np.array` call (`complex(re, im)` keeps both signs);
+    a stack, xx an array, is `_stack`ed and its imaginary parts assigned: the same bits.
     """
+    if isinstance(xx, float):
+        return np.array([xx, complex(-xpx, -half), xy, -xpy, complex(-xpx, half), pxpx, -ypx,
+                         pxpy, xy, -ypx, yy, complex(-ypy, -half), -xpy, pxpy,
+                         complex(-ypy, half), pypy], complex).reshape(4, 4)
     gram = _stack([[xx, -xpx, xy, -xpy], [-xpx, pxpx, -ypx, pxpy], [xy, -ypx, yy, -ypy],
                    [-xpy, pxpy, -ypy, pypy]], complex)
     gram.imag[..., 0, 1] = gram.imag[..., 2, 3] = -half
@@ -299,14 +315,14 @@ _COEFFICIENT_CONSTRAINTS = (
 _CHECK_NAMES = ("lambda_positive", *(name for name, _ in _COEFFICIENT_CONSTRAINTS), "gram_psd")
 #: An environment's coefficients, unchecked: floats, or arrays of one shape for a grid
 #: of environments, which the checks below and the closed forms take elementwise.
-Coefficients = namedtuple("Coefficients", [f.name for f in fields(EnvironmentParams)])
+Coefficients = namedtuple("Coefficients", _FIELDS)
 
 
 def _min_gram_eigenvalue(env: EnvironmentParams):
     """Smallest eigenvalue of the Gram matrix, elementwise for coefficient arrays.
 
-    When the environment is mirrored (`is_symmetric_environment`, at every
-    point of a stack), the Gram matrix is [[P, Q], [Q, P]] with
+    When the environment is mirrored (`is_symmetric_environment`: by construction
+    or at every point of a stack), the Gram matrix is [[P, Q], [Q, P]] with
         P = [[D_xx, -D_xpx - i lam/2], [-D_xpx + i lam/2, D_pxpx]],
         Q = [[D_xy, -D_xpy], [-D_xpy, D_pxpy]]   (real and symmetric),
     and the unitary (1/sqrt 2)[[I, I], [I, -I]] block-diagonalises it into
@@ -322,9 +338,9 @@ def _min_gram_eigenvalue(env: EnvironmentParams):
     eigenvalue is below the double range.  Scalars go through math.hypot,
     several times cheaper than the ufunc on them, arrays through np.hypot;
     the two may differ in the last bit.  Any other environment goes through
-    one `eigvalsh` of the Gram matrix built from its coefficients and lam/2
-    scaled by the power of two that brings the largest of their |values|
-    into [0.5, 1): exact, unless a value far below the largest turns
+    one `eigvalsh` of the Gram matrix built by `_gram` from its coefficients
+    and lam/2 scaled by the power of two that brings the largest of their
+    |values| into [0.5, 1): exact, unless a value far below the largest turns
     subnormal.  The smallest eigenvalue is unscaled with ldexp, as 2.0**1024
     overflows; an eigenvalue beyond the double range is +-inf.  Unscaled,
     eigvalsh lost digits on entries of extreme magnitude (-6.2323e135 for
@@ -341,7 +357,7 @@ def _min_gram_eigenvalue(env: EnvironmentParams):
 def _gram_floor(env: EnvironmentParams, mirrored: bool, lib):
     """`_min_gram_eigenvalue` with hypot, frexp and ldexp from lib: math or numpy."""
     if not mirrored:
-        values = [getattr(env, name) for name in _DIFFUSION] + [0.5 * env.lam]
+        values = [*_field_values(env)[1:], 0.5 * env.lam]
         magnitudes = map(abs, values)
         peak = functools.reduce(np.maximum, magnitudes) if lib is np else max(magnitudes)
         exponent = lib.frexp(peak)[1]

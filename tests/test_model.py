@@ -1,5 +1,6 @@
 import math
-from dataclasses import asdict, fields, replace
+import tracemalloc
+from dataclasses import asdict, fields, make_dataclass, replace
 from types import SimpleNamespace
 
 import mpmath
@@ -21,13 +22,24 @@ from twomode import (
     make_vacuum_covariance,
     validate_environment,
 )
-from twomode.model import PSD_TOLERANCE, Coefficients, _min_gram_eigenvalue, _validity
+from twomode.model import PSD_TOLERANCE, Coefficients, _gram, _min_gram_eigenvalue, _validity
 
 from support import random_symmetric_env
 
 
 # The paper's symmetric environment class: (y-mode field, the x-mode field it equals).
 MIRRORED_PAIRS = (("d_yy", "d_xx"), ("d_ypy", "d_xpx"), ("d_pypy", "d_pxpx"), ("d_ypx", "d_xpy"))
+
+
+def _bytes_per_object(make, count=10_000):
+    """Traced bytes per object of a list of count objects from make()."""
+    make()
+    tracemalloc.start()
+    try:
+        objects = [make() for _ in range(count)]
+        return tracemalloc.get_traced_memory()[0] / len(objects)
+    finally:
+        tracemalloc.stop()
 
 
 class TestParams:
@@ -54,6 +66,31 @@ class TestParams:
         # a mirrored environment names the given field, not its mirror d_ypx
         with pytest.raises(ValueError, match=r"^d_xpy must be finite, got -inf$"):
             SymmetricEnvironmentParams(lam=1.0, d_xpy=-math.inf)
+        # the values sum to NaN: the first of the two in field order is named
+        with pytest.raises(ValueError, match=r"^d_xy must be finite, got -inf$"):
+            EnvironmentParams(lam=1.0, d_pxpy=math.inf, d_xy=-math.inf)
+        # finite values whose sum overflows are finite, numpy scalars with no
+        # overflow warning (an error under the suite's filter)
+        env = EnvironmentParams(lam=1.5e308, d_xx=1.5e308, d_pxpx=1.5e308)
+        assert (env.lam, env.d_xx, env.d_pxpx) == (1.5e308,) * 3
+        EnvironmentParams(lam=np.float64(1.5e308), d_xx=np.float64(1.5e308))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: EnvironmentParams(1.0, 0.6, 0.01, 0.02, 0.3, 0.31, 0.6, 0.61, 0.01, 0.02, 0.6),
+            lambda: SymmetricEnvironmentParams(1.0, 0.6, 0.01, 0.6, 0.02, 0.3, 0.02),
+            lambda: OscillatorParams(1.0, 2.0),
+        ],
+        ids=["EnvironmentParams", "SymmetricEnvironmentParams", "OscillatorParams"],
+    )
+    def test_parameter_objects_stay_small(self, make):
+        # No larger than a plain frozen dataclass of the same values: about 180 bytes
+        # an environment on Python 3.11, the list's pointer included.  A check that
+        # reads or writes the instance __dict__ makes a dict per object there (240 B).
+        values = [getattr(make(), f.name) for f in fields(make())]
+        bare = make_dataclass("Bare", [f.name for f in fields(make())], frozen=True)
+        assert _bytes_per_object(make) <= _bytes_per_object(lambda: bare(*values)) + 16
 
     def test_symmetric_environment_mirrors_exactly(self):
         env = SymmetricEnvironmentParams(
@@ -488,6 +525,19 @@ class TestGramRule:
         assert single.hex() == float(_min_gram_eigenvalue(stack)[index]).hex()
         # and the scale taken on the built matrix gives the same bits
         assert single.hex() == float(_gram_oracle(env)[0]).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_WIDE, min_size=11, max_size=11))
+    def test_one_gram_matrix_equals_its_stack_of_one(self, values):
+        # one environment's floats go through one np.array call, a stack through
+        # _stack and assigned imaginary parts: the same entries, signed zeros too
+        env = EnvironmentParams(*values)
+        one = build_gram_matrix(env)
+        stacked = _gram(*[np.array([v]) for v in values[1:]], np.array([0.5 * values[0]]))[0]
+        assert one.shape == (4, 4)
+        for part in (np.real, np.imag):
+            assert np.array_equal(part(one), part(stacked))
+            assert np.array_equal(np.signbit(part(one)), np.signbit(part(stacked)))
 
     @pytest.mark.parametrize("mirrored", [False, True])
     def test_stack_beyond_the_double_range_is_silent(self, mirrored):
