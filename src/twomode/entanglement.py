@@ -4,7 +4,8 @@ Simon's PPT criterion decides separability (S >= 0 iff separable), and the
 logarithmic negativity E = -1/2 log2[4 f(sigma)] quantifies entanglement for
 E > 0.  Closed forms are provided for the matched-noise coefficient class
 m^2 w^2 D_xx = D_pxpx, D_xpx = 0, m^2 w^2 D_xy = D_pxpy of mirrored environments:
-mirrored and the zeros exact, the two equalities to `_unequal`'s rounding rule.
+mirrored and the zeros exact, the two equalities to `model._denoised`'s rounding rule,
+which also decides S = 0, the radicand's sign, u = 1/2 and the window's edges (E_closed).
 
 One kernel, `_kernel`, evaluates S, f, E and Simon's verdict from the ten
 upper entries of sigma, Python floats for one matrix or arrays for a stack.
@@ -41,14 +42,11 @@ from .model import (
     BlockDecomposition,
     EnvironmentParams,
     OscillatorParams,
+    _denoised,
     _read_covariance,
     _validity,
     is_symmetric_environment,
 )
-
-#: Radicand values in [-RADICAND_TOLERANCE, 0) are treated as round-off and
-#: clamped to zero; anything lower is a hard error.
-RADICAND_TOLERANCE = 1e-12
 
 _DIVERGENCE_TOLERANCE = 1e-12
 
@@ -82,14 +80,10 @@ _Invariants = namedtuple("_Invariants", "det_a det_b det_c s radicand f e verdic
 _UPPER = ((0, 0, 0, 0, 1, 1, 1, 2, 2, 3), (0, 1, 2, 3, 1, 2, 3, 2, 3, 3))
 #: The same ten entries from sigma's 16 row-major entries.
 _UPPER_ENTRIES = operator.itemgetter(*(4 * i + j for i, j in zip(*_UPPER)))
-# A difference below this times the size of its terms is rounding noise.
-_NOISE = 4.0 * float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
-
-
-def _denoised(difference, size):
-    """difference, or 0 where |difference| < _NOISE * size (strict: inf - inf stays)."""
-    return difference * ((abs(difference) < _NOISE * size) ^ True)
+#: `_kernel`'s where, sqrt, log2 and maximum: numpy's for arrays, and for Python floats
+_ARRAY_OPS = (np.where, np.sqrt, np.log2, np.maximum)
+_FLOAT_OPS = (lambda c, x, y: x if c else y, math.sqrt, lambda x: float(np.log2(x)), max)
 
 
 def _unequal(a, b):
@@ -109,11 +103,11 @@ def _kernel(s00, s01, s02, s03, s11, s12, s13, s22, s23, s33, det_sigma=None) ->
     (det A det B + det C^2 - T where det A = 0), and f = det sigma / (h + sqrt of the
     radicand) where h > 0; where that det sigma is below the normal range (entries
     below about 1e-77), f = det A (det(B - C^T A^-1 C) / (h + sqrt of the radicand)),
-    so det sigma never forms.  A difference within _NOISE of its terms counts as 0:
-    S, which is then +0 with E = 0, so a state on the window's edge is separable;
-    the radicand from a caller's det sigma; and the entries and determinant of the
-    Schur complement, so a singular sigma gets f = 0.  E is NaN where f <= 0 or the
-    radicand is below -RADICAND_TOLERANCE, and the verdict "" where S is not finite.
+    so det sigma never forms.  `_denoised` makes a difference of rounding noise 0: S, then
+    +0 with E = 0, so a state on the window's edge is separable; the radicand, against
+    (det A - det B)^2/4 + |T| + |(det A + det B) det C| (or h^2, given det sigma); the Schur
+    complement's entries and determinant, so a singular sigma gets f = 0.  E is NaN where
+    f <= 0 or the radicand is negative, and the verdict "" where S is not finite.
     """
     det_a = s00 * s11 - s01 * s01
     det_b = s22 * s33 - s23 * s23
@@ -127,14 +121,11 @@ def _kernel(s00, s01, s02, s03, s11, s12, s13, s22, s23, s33, det_sigma=None) ->
     size = abs(det_a * det_b) + quarter * quarter + abs(cross) + 0.25 * (abs(det_a) + abs(det_b))
     s = _denoised(s, size) + 0.0  # + 0.0: an S of rounding noise is 0, not -0.0
     head = 0.5 * (det_a + det_b) - det_c
-    stacked = isinstance(head, np.ndarray)
-    where, sqrt, log2, maximum = (
-        (np.where, np.sqrt, np.log2, np.maximum) if stacked
-        else (lambda c, x, y: x if c else y, math.sqrt, lambda x: float(np.log2(x)), max)
-    )
+    where, sqrt, log2, maximum = _ARRAY_OPS if isinstance(head, np.ndarray) else _FLOAT_OPS
     if det_sigma is None:
-        half_gap = 0.5 * (det_a - det_b)
-        radicand = half_gap * half_gap + cross - (det_a + det_b) * det_c
+        half_gap, mixed = 0.5 * (det_a - det_b), (det_a + det_b) * det_c
+        gap2 = half_gap * half_gap
+        radicand = _denoised(gap2 + cross - mixed, gap2 + abs(cross) + abs(mixed))
         pivot = det_a != 0.0
         divisor = where(pivot, det_a, 1.0)
         u0, u1 = (s11 * s02 - s01 * s12) / divisor, (s00 * s12 - s01 * s02) / divisor
@@ -155,7 +146,7 @@ def _kernel(s00, s01, s02, s03, s11, s12, s13, s22, s23, s33, det_sigma=None) ->
     if split.any() if isinstance(split, np.ndarray) else split:
         # det sigma underflows here, but not det A or det(B - C^T A^-1 C)
         f = where(split & positive, det_a * (det_schur / where(positive, head + root, 1.0)), f)
-    defined = (radicand >= -RADICAND_TOLERANCE) & (f > 0.0)
+    defined = (radicand >= 0.0) & (f > 0.0)
     e = -0.5 * log2(4.0 * where(defined, f, math.nan))
     # S = 0 puts the partial transpose's smaller symplectic eigenvalue at 1/2: E is 0
     e = where(s == 0.0, 0.0 * e + 0.0, e)
@@ -167,7 +158,7 @@ def _check_invariants(inv: _Invariants) -> None:
     """NonFiniteResultError where an invariant overflows, then NegativeRadicandError."""
     if not all(map(math.isfinite, inv[:6])):  # det_a to f; e is NaN wherever it is undefined
         raise NonFiniteResultError("covariance invariants overflow double precision")
-    if inv.radicand < -RADICAND_TOLERANCE:
+    if inv.radicand < 0.0:
         raise NegativeRadicandError(
             f"radicand {float(inv.radicand)!r} is negative beyond tolerance; "
             "input is not a physical covariance matrix"
@@ -345,16 +336,19 @@ def _closed_forms(osc: OscillatorParams, env: EnvironmentParams) -> _ClosedForms
     diverges = gap < _DIVERGENCE_TOLERANCE
     # E = -log2(2 gap), kept off log2(0); past the divergence E is finite where 2 gap is
     twice_gap = 2.0 * (gap + diverges)
-    # for u >= 1/2 the low end of the window is finite where the high end is
-    low, high = root * (u - 0.5), root * (u + 0.5)
+    # u - 1/2 is 0 on the bound to rounding; for u >= 1/2, low is finite where high is
+    excess = _denoised(u - 0.5, u + 0.5)
+    low, high = root * excess + 0.0, root * (u + 0.5)
     s_code = _first_failure(matched, positive, (_NONFINITE, _nonfinite(s_special)))
     e_code = _first_failure(zero_cross, (_DIVERGENT, diverges), (_NONFINITE, _nonfinite(twice_gap)))
     window_code = _first_failure(
-        zero_cross, (_UNCERTAINTY, u < 0.5), (_NONFINITE, _nonfinite(high))
+        zero_cross, (_UNCERTAINTY, excess < 0.0), (_NONFINITE, _nonfinite(high))
     )
     shown = _SHOWN[window_code]
     window = low * shown, high * shown
-    e_closed = -np.log2(twice_gap) * _SHOWN[e_code]
+    # +0 on the window's edges, where 2 |u - v| is 1 to rounding; elsewhere no bit changes
+    off_edge = _denoised(twice_gap - 1.0, 2.0 * (abs(u) + abs(v)) + 1.0) != 0.0
+    e_closed = -np.log2(twice_gap) * off_edge * _SHOWN[e_code] + 0.0
     return _ClosedForms(s_special * _SHOWN[s_code], e_closed, window, s_code, e_code, window_code)
 
 

@@ -11,7 +11,8 @@ matrix is a ValueError, except in `is_hurwitz`, which takes it to eigvals.
 Mirrored means exactly equal: `is_symmetric_environment` is the one rule, which
 a `SymmetricEnvironmentParams` passes by construction.  Strict validation's Gram
 spectrum is a closed form for a mirrored environment and one power-of-two-scaled
-`eigvalsh` otherwise, scaled on floats or arrays.
+`eigvalsh` otherwise, scaled on floats or arrays.  The package's one rounding rule,
+`_denoised`, decides the Cauchy-Schwarz constraints and every boundary of `entanglement`.
 """
 
 from __future__ import annotations
@@ -31,12 +32,19 @@ from .errors import NonFiniteResultError
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 J.flags.writeable = False
 
-#: Absolute eigenvalue floor for the positive-semidefiniteness check, chosen
-#: so boundary environments (equalities in the coefficient inequalities) pass.
+#: Absolute eigenvalue floor for the positive-semidefiniteness check, so a Gram
+#: spectrum at 0 passes whatever its rounding; being absolute, it depends on the unit of time.
 PSD_TOLERANCE = 1e-10
+
+_NOISE = 4.0 * float(np.finfo(float).eps)
 
 #: y-mode field -> the x-mode field it equals in a symmetric environment (field order).
 MIRROR = {"d_ypx": "d_xpy", "d_yy": "d_xx", "d_ypy": "d_xpx", "d_pypy": "d_pxpx"}
+
+
+def _denoised(difference, size):
+    """difference, or 0 where |difference| < _NOISE (4 eps) times the size of its terms."""
+    return difference * ((abs(difference) < _NOISE * size) ^ True)
 
 
 @dataclass(frozen=True)
@@ -298,21 +306,8 @@ def _gram(xx, xpx, xy, xpy, ypx, pxpx, yy, ypy, pxpy, pypy, half) -> NDArray[np.
     return gram
 
 
-# Cauchy-Schwarz constraints on the diffusion coefficients; each entry maps a
-# constraint name to its slack (non-negative iff satisfied).  The slacks are
-# elementwise for arrays of coefficients, and squares are written as products
-# so extreme coefficients give inf rather than raise.
-_COEFFICIENT_CONSTRAINTS = (
-    ("cs_xx_yy", lambda e: e.d_xx * e.d_yy - e.d_xy * e.d_xy),
-    ("cs_xx_pxpx", lambda e: e.d_xx * e.d_pxpx - e.d_xpx * e.d_xpx - e.lam * e.lam / 4.0),
-    ("cs_xx_pypy", lambda e: e.d_xx * e.d_pypy - e.d_xpy * e.d_xpy),
-    ("cs_yy_pxpx", lambda e: e.d_yy * e.d_pxpx - e.d_ypx * e.d_ypx),
-    ("cs_yy_pypy", lambda e: e.d_yy * e.d_pypy - e.d_ypy * e.d_ypy - e.lam * e.lam / 4.0),
-    ("cs_pxpx_pypy", lambda e: e.d_pxpx * e.d_pypy - e.d_pxpy * e.d_pxpy),
-)
-
-
-_CHECK_NAMES = ("lambda_positive", *(name for name, _ in _COEFFICIENT_CONSTRAINTS), "gram_psd")
+_CHECK_NAMES = ("lambda_positive", "cs_xx_yy", "cs_xx_pxpx", "cs_xx_pypy", "cs_yy_pxpx",
+                "cs_yy_pypy", "cs_pxpx_pypy", "gram_psd")
 #: An environment's coefficients, unchecked: floats, or arrays of one shape for a grid
 #: of environments, which the checks below and the closed forms take elementwise.
 Coefficients = namedtuple("Coefficients", _FIELDS)
@@ -396,8 +391,18 @@ def _violations(env: EnvironmentParams, strict: bool) -> tuple[tuple, object]:
     last_env, last_strict, result = _last_violations
     if env is last_env and strict == last_strict:
         return result
-    # a NaN slack (inf - inf for extreme coefficients) counts as violated
-    violated = [env.lam <= 0.0] + [(c(env) >= 0.0) ^ True for _, c in _COEFFICIENT_CONSTRAINTS]
+    # (a, b) of the Cauchy-Schwarz constraints a >= b in _CHECK_NAMES' order, squares as
+    # products (inf, not an error); each holds where a - b is 0 to rounding, not where NaN
+    e, quarter = env, env.lam * env.lam / 4.0
+    sides = (
+        (e.d_xx * e.d_yy, e.d_xy * e.d_xy),
+        (e.d_xx * e.d_pxpx, e.d_xpx * e.d_xpx + quarter),
+        (e.d_xx * e.d_pypy, e.d_xpy * e.d_xpy),
+        (e.d_yy * e.d_pxpx, e.d_ypx * e.d_ypx),
+        (e.d_yy * e.d_pypy, e.d_ypy * e.d_ypy + quarter),
+        (e.d_pxpx * e.d_pypy, e.d_pxpy * e.d_pxpy),
+    )
+    violated = [env.lam <= 0.0] + [(_denoised(a - b, abs(a) + b) >= 0.0) ^ True for a, b in sides]
     min_eig = None
     if strict:
         min_eig = _min_gram_eigenvalue(env)
@@ -422,7 +427,7 @@ def validate_environment(
     """Check the environment coefficients against the positivity constraints.
 
     Lenient mode checks lam > 0 plus the six pairwise Cauchy-Schwarz
-    inequalities (e.g. D_xx D_pxpx - D_xpx^2 >= lam^2/4).  Strict mode
+    inequalities (e.g. D_xx D_pxpx >= D_xpx^2 + lam^2/4), to rounding.  Strict mode
     additionally requires the full Gram matrix to be positive semidefinite
     (minimum eigenvalue >= -PSD_TOLERANCE).  That eigenvalue comes from a
     closed form when the y-mode coefficients mirror the x-mode ones exactly,

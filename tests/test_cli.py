@@ -334,6 +334,20 @@ class TestSweepCommand:
         assert all(r["S_special"] != "" for r in matched)
         assert all(r["S_special"] == "" for r in unmatched)
 
+    def test_row_on_the_uncertainty_bound_is_valid_and_ungated(self, tmp_path, capsys):
+        # axis1 = 1/2 puts D_xx D_pxpx = lambda^2/4 and u = 1/2 within rounding
+        cfg = sweep_config(
+            axis1={"coefficient": "D_xx", "min": 0.5, "max": 1.5, "n": 3},
+            axis2={"coefficient": "D_xpy", "min": 0.0, "max": 1.0, "n": 3},
+        )
+        cfg["oscillator"] = {"m": 0.3, "omega": 0.3}
+        cfg["environment"] = {"lambda": 0.5}
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+        row = parse_csv(capsys.readouterr().out)[0]
+        assert (row["axis1"], row["axis2"]) == ("0.5", "0")
+        assert (row["valid_strict"], row["valid_lenient"]) == ("true", "true")
+        assert row["E_general"] != "" and row["E_closed"] != ""
+
     def test_nan_slack_fails_validity(self, tmp_path, capsys):
         # D_xx D_pypy - D_xpy^2 is inf - inf at every point of this grid
         cfg = sweep_config(

@@ -243,6 +243,33 @@ class TestEntanglementWindow:
             entanglement_window(osc, env)
 
 
+def _bound_cases(n, seed):
+    """n (osc, m, omega, lam) with m, omega and lam log-uniform in [e^-3, e^3]."""
+    rng = np.random.default_rng(seed)
+    for m, omega, lam in np.exp(rng.uniform(-3.0, 3.0, size=(n, 3))).tolist():
+        yield OscillatorParams(m, omega), m, omega, lam
+
+
+class TestUncertaintyBound:
+    # An environment on the bound u = m w D_xx / lam = 1/2, built as the scaled sweep
+    # builds it, meets D_xx D_pxpx >= lam^2/4 with equality: its slack and u - 1/2
+    # are rounding noise, so it is valid and has a window (from 0).  Moved below the
+    # bound by 1e-9, far beyond rounding, it is invalid and gated.
+    def test_environments_on_the_bound_are_valid_and_ungated(self):
+        for osc, m, omega, lam in _bound_cases(4000, 29):
+            env = matched_env(m, omega, lam, 0.5, 0.0)
+            assert validate_environment(env, "lenient").failed == (), (m, omega, lam)
+            low, _ = entanglement_window(osc, env)
+            assert (low, math.copysign(1.0, low)) == (0.0, 1.0)
+
+    def test_environments_below_the_bound_are_invalid_and_gated(self):
+        for osc, m, omega, lam in _bound_cases(4000, 29):
+            env = matched_env(m, omega, lam, 0.5 - 1e-9, 0.0)
+            assert "cs_xx_pxpx" in validate_environment(env, "lenient").failed, (m, omega, lam)
+            with pytest.raises(UncertaintyViolationError):
+                entanglement_window(osc, env)
+
+
 class TestFSigma:
     def test_vacuum(self):
         blocks = block_decompose(VACUUM)
@@ -398,6 +425,24 @@ class TestCriterionConsistency:
                     if verdict == "separable":
                         zeros = [math.copysign(1.0, x) for x in (rep.s_general, rep.e_general)]
                         assert (rep.s_general, rep.e_general, zeros) == (0.0, 0.0, [1.0, 1.0])
+
+    def test_closed_form_negativity_is_zero_on_window_edges(self):
+        # On an edge 2 |u - v| is 1 to rounding and E_closed is +0; off the edges
+        # it keeps every bit of -log2(2 |u - v|)
+        rng = np.random.default_rng(28)
+        for _ in range(1000):
+            m, omega, lam = np.exp(rng.uniform(-1.0, 1.0, size=3)).tolist()
+            u = float(rng.uniform(0.5, 3.0))
+            osc = OscillatorParams(m, omega)
+            for v in (u - 0.5, u + 0.5):
+                e = log_negativity_closed_form(osc, matched_env(m, omega, lam, u, v))
+                assert (e, math.copysign(1.0, e)) == (0.0, 1.0), (m, omega, lam, u, v)
+            env = matched_env(m, omega, lam, u, float(rng.uniform(0.0, 4.0)))
+            u_env = m * omega * env.d_xx / lam
+            v_env = env.d_xpy / math.sqrt(lam * lam + omega * omega)
+            if abs(2.0 * abs(u_env - v_env) - 1.0) > 1e-12:
+                want = float(-np.log2(2.0 * abs(u_env - v_env)))
+                assert log_negativity_closed_form(osc, env) == want
 
     def test_local_squeezing_invariance(self, reference_sigma_inf):
         # x -> alpha x, p_x -> p_x/alpha applied to both modes is a local
@@ -1212,11 +1257,6 @@ class TestUnitsOfTime:
         assert validate_environment(_rescaled(env, k)).failed == validate_environment(env).failed
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 4: RADICAND_TOLERANCE is an absolute 1e-12 on a radicand of "
-    "fourth degree in sigma, far below its rounding noise at entries near 100",
-)
 def test_equal_partial_transpose_eigenvalues_keep_e():
     # sigma = P (nu S S^T) P, with P flipping p_y and S a beam splitter after two
     # squeezers: its partial transpose nu S S^T has both symplectic eigenvalues nu,
