@@ -64,6 +64,7 @@ try:
     )
     from .model import (
         MIRROR,
+        UPPER,
         Coefficients,
         EnvironmentParams,
         OscillatorParams,
@@ -97,8 +98,7 @@ _FULL_KEYS = tuple(_ENV_KEYS)[1:]
 #: Most points a time grid or a sweep grid (axis1.n * axis2.n) may have.
 MAX_GRID_POINTS = 10**6
 
-# sigma's upper entries in row-major order, the order `report` takes them in, and their columns.
-_UPPER = np.triu_indices(4)
+# The columns of sigma's ten upper entries, in `UPPER` order.
 _SIGMA_COLUMNS = (
     "sigma_xx", "sigma_xpx", "sigma_xy", "sigma_xpy", "sigma_pxpx",
     "sigma_ypx", "sigma_pxpy", "sigma_yy", "sigma_ypy", "sigma_pypy",
@@ -371,15 +371,12 @@ def _emit(args, chunks) -> None:
             out.writelines(chunks)
 
 
-def _write(command: str, cfg: RunConfig, args, payload, csv_lines) -> None:
-    """Write `payload()` as JSON or `csv_lines()` under the `#` header, per --format.
-
-    Both are callables, so only the requested format is built.
-    """
+def _write(command: str, cfg: RunConfig, args, payload: dict, csv_lines: list) -> None:
+    """Write `payload` as JSON or `csv_lines` under the `#` header, per --format."""
     if args.format == "json":
-        text = _document(command, cfg, payload())
+        text = _document(command, cfg, payload)
     else:
-        text = "\n".join([_csv_header(command, cfg), *csv_lines()])
+        text = "\n".join([_csv_header(command, cfg), *csv_lines])
     _emit(args, [text, "\n"])
 
 
@@ -489,7 +486,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
         for key, value in payload.items()
         if value is not None
     ]
-    _write("validate", cfg, args, lambda: {"report": payload}, lambda: csv_lines)
+    _write("validate", cfg, args, {"report": payload}, csv_lines)
     return 0 if report.passed else 2
 
 
@@ -506,29 +503,24 @@ def cmd_steady_state(cfg: RunConfig, args) -> int:
             sigma_closed = steady_state_closed_form(osc, env)
         max_diff = float(np.abs(sigma - sigma_closed).max())
     analysis = analyze(sigma, osc, env)
-
-    def payload() -> dict:
-        return {
-            "sigma_infinity": sigma.tolist(),
-            "sigma_infinity_closed_form": (
-                sigma_closed.tolist() if sigma_closed is not None else None
-            ),
-            "closed_form_max_diff": max_diff,
-            "report": {name: getattr(analysis, name) for name in _REPORT_FIELDS},
-        }
-
+    payload = {
+        "sigma_infinity": sigma.tolist(),
+        "sigma_infinity_closed_form": sigma_closed.tolist() if sigma_closed is not None else None,
+        "closed_form_max_diff": max_diff,
+        "report": {name: getattr(analysis, name) for name in _REPORT_FIELDS},
+    }
     columns = (
         list(_SIGMA_COLUMNS)
         + [f"cf_{name}" for name in _SIGMA_COLUMNS]
         + ["closed_form_max_diff", *_REPORT_COLUMNS]
     )
-    closed_entries = sigma_closed[_UPPER].tolist() if sigma_closed is not None else [None] * 10
-    row = sigma[_UPPER].tolist() + closed_entries + [max_diff]
+    closed_entries = sigma_closed[UPPER].tolist() if sigma_closed is not None else [None] * 10
+    row = sigma[UPPER].tolist() + closed_entries + [max_diff]
     row += [getattr(analysis, name.lower()) for name in _REPORT_COLUMNS]
     # analyze leaves no closed-form field non-finite; the rest of the row may overflow
     _require_finite(row, "steady-state report")
     csv_lines = [",".join(columns), ",".join(map(_format_cell, row))]
-    _write("steady-state", cfg, args, payload, lambda: csv_lines)
+    _write("steady-state", cfg, args, payload, csv_lines)
     return 0
 
 
@@ -565,7 +557,7 @@ def _evolve_table(cfg: RunConfig, y: np.ndarray, sigma_inf: np.ndarray) -> tuple
     def checked(lo: int, hi: int) -> dict:
         """The columns without empty cells, sigma's entries and max_abs_dev, of rows lo..hi."""
         sigmas = propagate(sigma0, sigma_inf, y, grid[lo:hi])
-        columns = dict(zip(_SIGMA_COLUMNS, sigmas[:, _UPPER[0], _UPPER[1]].T))
+        columns = dict(zip(_SIGMA_COLUMNS, sigmas[:, UPPER[0], UPPER[1]].T))
         return {**columns, "max_abs_dev": np.abs(sigmas - sigma_inf).max(axis=(-2, -1))}
 
     for lo in range(0, grid.size, _COMPUTE_ROWS):
@@ -628,8 +620,7 @@ def _sweep_table(cfg: RunConfig) -> tuple:
 
     def compute(lo: int, hi: int) -> dict:
         env = Coefficients(lam, *(np.broadcast_to(grid[k], shape).flat[lo:hi] for k in keys))
-        sxx, sxpx, spxpx, sxy, sxpy, spxpy = closed_form_entries(osc, env)
-        at = report((sxx, sxpx, sxy, sxpy, spxpx, sxpy, spxpy, sxx, sxpx, spxpx), osc, env)
+        at = report(closed_form_entries(osc, env), osc, env)
         return {
             "valid_strict": at.valid_strict,
             "valid_lenient": at.valid_lenient,

@@ -5,13 +5,13 @@ sigma(t) = M(t) (sigma(0) - sigma_inf) M(t)^T + sigma_inf with M(t) = exp(Y t),
 provided Y is Hurwitz; sigma_inf solves Y sigma + sigma Y^T = -2 D.
 
 Y's layout is known to `twomode.model` alone, and every function here takes
-only that layout, diag(P, P) with P = [[-lam, 1/m], [-m omega^2, -lam]]:
-`_drift_parameters` reads (m, omega, lam) back for the damped rotations of
-M(t), and `_drift_block` gives P's entries to the steady state, which splits
-into three 2x2 Sylvester equations with one shared left factor, solved on
-Python floats.  Y's eigenvalues are -lam +- i omega, so the Hurwitz test is
-lam > 0 and the conditioning test lam < 1e-6 omega.  Any other Y is a
-ValueError.  No code here reads Y's layout itself.
+only that layout, diag(P, P) with P = [[a, b], [c, a]] = [[-lam, 1/m], [-m omega^2, -lam]]:
+`_drift_block` gives P's entries both to the damped rotations of M(t) and to the
+steady state, which splits into three 2x2 Sylvester equations with one shared left
+factor, solved on Python floats.  Y's eigenvalues are a +- i sqrt(-b c), so the Hurwitz
+test is lam > 0 and the conditioning test lam < 1e-6 omega.  Any other Y is a
+ValueError.  No code here reads Y's layout itself.  sigma_inf is built from its ten
+upper entries in `model.UPPER` order, which `closed_form_entries` returns.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from numpy.typing import NDArray
 
 from .entanglement import _mirrored_closed_form
 from .errors import ConditioningWarning, NonFiniteResultError, NotHurwitzError
-from .model import EnvironmentParams, OscillatorParams, _drift_block, _drift_parameters
-from .model import _read_covariance, _stack
+from .model import EnvironmentParams, OscillatorParams, _drift_block, _read_covariance
+from .model import _stack, _symmetric
 
 # sigma_inf entries scale like 1/lambda, so warn well before that blows up.
 _CONDITIONING_RATIO = 1e-6
@@ -45,25 +45,25 @@ def _check_times(t) -> None:
         raise ValueError(f"t must be finite and non-negative, got {t!r}")
 
 
-def _damped_rotations(m: float, omega: float, lam: float, t) -> NDArray[np.float64]:
-    """exp(Y t) as [..., 4, 4] for a time or an array of times."""
-    decay = np.exp(-lam * t)
-    c = np.cos(omega * t)
-    s = np.sin(omega * t)
+def _damped_rotations(a: float, b: float, c: float, t) -> NDArray[np.float64]:
+    """exp(Y t) as [..., 4, 4] for a time or an array of times, Y's blocks [[a, b], [c, a]]."""
+    omega = math.sqrt(-c * b)
+    decay = np.exp(a * t)
+    turn = np.sin(omega * t) / omega  # at most t and 1 / omega, where b / omega may overflow
+    qq, qp, pq = decay * np.cos(omega * t), decay * (turn * b), decay * (turn * c)
     z = np.zeros_like(decay)
-    qq, qp, pq = decay * c, decay * (s / (m * omega)), decay * (-m * omega * s)
     return _stack([[qq, qp, z, z], [pq, qq, z, z], [z, z, qq, qp], [z, z, pq, qq]])
 
 
 def matrix_exponential(y: NDArray[np.float64], t: float) -> Propagator:
     """exp(Y t) via the analytic damped-rotation block form.
 
-    Each 2x2 block equals
-    exp(-lam t) [[cos(w t), sin(w t)/(m w)], [-m w sin(w t), cos(w t)]].
-    A y off `build_drift_matrix`'s layout is a ValueError (`_drift_parameters`).
+    Each 2x2 block [[a, b], [c, a]] = [[-lam, 1/m], [-m w^2, -lam]] of y gives
+    exp(a t) [[cos(w t), sin(w t) b/w], [sin(w t) c/w, cos(w t)]], w = sqrt(-c b).
+    A y off `build_drift_matrix`'s layout is a ValueError (`_drift_block`).
     """
     _check_times(t)
-    return Propagator(t=float(t), matrix=_damped_rotations(*_drift_parameters(y), t))
+    return Propagator(t=float(t), matrix=_damped_rotations(*_drift_block(y), t))
 
 
 def _warn_if_ill_conditioned(decay: float, oscillation: float) -> None:
@@ -161,12 +161,8 @@ def steady_state_lyapunov(
     # a finite sum has finite terms; an infinite or NaN one is checked term by term
     if not (math.isfinite(sum(upper)) or all(map(math.isfinite, upper))):
         raise NonFiniteResultError(_OVERFLOW)
-    s00, s01, s02, s03, s11, s12, s13, s22, s23, s33 = upper
-    # filled in place: the result owns its data, with no base array kept alive
-    sigma = np.empty((4, 4))
-    sigma.flat = [s00, s01, s02, s03, s01, s11, s12, s13, s02, s12, s22, s23, s03, s13, s23, s33]
     _warn_if_ill_conditioned(-a, math.sqrt(-c * b))
-    return sigma
+    return _symmetric(upper)
 
 
 def steady_state_closed_form(
@@ -188,15 +184,14 @@ def steady_state_closed_form(
     (D_xy, D_xpy, D_pxpy) replaced by (D_xx, D_xpx, D_pxpx).  Errors: see `twomode.entanglement`;
     a finite result at lam < 1e-6 omega comes with a ConditioningWarning.
     """
-    xx, xpx, pxpx, xy, xpy, pxpy = _mirrored_closed_form(closed_form_entries, osc, env)
+    upper = _mirrored_closed_form(closed_form_entries, osc, env)
     _warn_if_ill_conditioned(env.lam, osc.omega)
-    rows = [[xx, xpx, xy, xpy], [xpx, pxpx, xpy, pxpy], [xy, xpy, xx, xpx], [xpy, pxpy, xpx, pxpx]]
-    return _stack(rows)
+    return _symmetric(upper)
 
 
 def closed_form_entries(osc: OscillatorParams, env: EnvironmentParams) -> tuple:
-    """sigma_xx, sigma_xpx, sigma_pxpx, sigma_xy, sigma_xpy, sigma_pxpy of
-    `steady_state_closed_form`, unchecked and elementwise for coefficient arrays."""
+    """The ten upper entries of `steady_state_closed_form` in `model.UPPER` order, unchecked
+    and elementwise for coefficient arrays: mirrored, s22 = s00, s23 = s01, s33 = s11, s12 = s03."""
     m, w, lam = osc.m, osc.omega, env.lam
     s2 = lam * lam + w * w
 
@@ -212,7 +207,9 @@ def closed_form_entries(osc: OscillatorParams, env: EnvironmentParams) -> tuple:
         ) / (2 * lam * s2)
         return qq, qp, pp
 
-    return (*entries(env.d_xx, env.d_xpx, env.d_pxpx), *entries(env.d_xy, env.d_xpy, env.d_pxpy))
+    xx, xpx, pxpx = entries(env.d_xx, env.d_xpx, env.d_pxpx)
+    xy, xpy, pxpy = entries(env.d_xy, env.d_xpy, env.d_pxpy)
+    return xx, xpx, xy, xpy, pxpx, xpy, pxpy, xx, xpx, pxpx
 
 
 def propagate(
@@ -232,9 +229,9 @@ def propagate(
     """
     sigma0 = _read_covariance(sigma0)[0]
     sigma_inf = _read_covariance(sigma_inf)[0]
-    params = _drift_parameters(y)
+    block = _drift_block(y)
     _check_times(t)
-    mt = _damped_rotations(*params, t)
+    mt = _damped_rotations(*block, t)
     out = mt @ (sigma0 - sigma_inf) @ np.swapaxes(mt, -1, -2) + sigma_inf
     out = np.where(np.equal(t, 0.0)[..., None, None], sigma0, out)
     return 0.5 * (out + np.swapaxes(out, -1, -2))

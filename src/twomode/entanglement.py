@@ -8,7 +8,7 @@ mirrored and the zeros exact, the two equalities to `model._denoised`'s rounding
 which also decides S = 0, the radicand's sign, u = 1/2 and the window's edges (E_closed).
 
 One kernel, `_kernel`, evaluates S, f, E and Simon's verdict from the ten
-upper entries of sigma, Python floats for one matrix or arrays for a stack.
+upper entries of sigma in `model.UPPER` order, Python floats for one matrix or arrays for a stack.
 One decision, `_closed_forms`, gives S_special, E_closed and the window
 elementwise, with a code per field naming the first condition that fails.
 `report` adds validity and the closed forms to the kernel: `analyze` is its
@@ -21,7 +21,6 @@ NonPositiveLambdaError, DivergentNegativityError, UncertaintyViolationError, Non
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -39,6 +38,8 @@ from .errors import (
     UncertaintyViolationError,
 )
 from .model import (
+    UPPER,
+    _UPPER_ENTRIES,
     BlockDecomposition,
     EnvironmentParams,
     OscillatorParams,
@@ -76,10 +77,6 @@ class EntanglementReport:
 
 
 _Invariants = namedtuple("_Invariants", "det_a det_b det_c s radicand f e verdict")
-#: Row and column indices of sigma's upper entries s00, s01, s02, s03, s11, s12, s13, s22, s23, s33.
-_UPPER = ((0, 0, 0, 0, 1, 1, 1, 2, 2, 3), (0, 1, 2, 3, 1, 2, 3, 2, 3, 3))
-#: The same ten entries from sigma's 16 row-major entries.
-_UPPER_ENTRIES = operator.itemgetter(*(4 * i + j for i, j in zip(*_UPPER)))
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
 #: `_kernel`'s where, sqrt, log2 and maximum: numpy's for arrays, and for Python floats
 _ARRAY_OPS = (np.where, np.sqrt, np.log2, np.maximum)
@@ -177,7 +174,7 @@ def simon_s(blocks: BlockDecomposition) -> float:
     S = det A det B + (1/4 - |det C|)^2 - Tr[A J C J B J C^T J]
         - (det A + det B)/4.
     """
-    return float(_kernel(*blocks.reassemble()[_UPPER].tolist()).s)
+    return float(_kernel(*blocks.reassemble()[UPPER].tolist()).s)
 
 
 def f_sigma(blocks: BlockDecomposition, det_sigma: float) -> float:
@@ -187,7 +184,7 @@ def f_sigma(blocks: BlockDecomposition, det_sigma: float) -> float:
         - sqrt{[(det A + det B)/2 - det C]^2 - det sigma}.
     Overflowing invariants raise NonFiniteResultError, as in `log_negativity`.
     """
-    inv = _kernel(*blocks.reassemble()[_UPPER].tolist(), det_sigma=float(det_sigma))
+    inv = _kernel(*blocks.reassemble()[UPPER].tolist(), det_sigma=float(det_sigma))
     _check_invariants(inv)
     return float(inv.f)
 
@@ -376,7 +373,7 @@ _Report = namedtuple(
 
 
 def report(entries, osc=None, env=None) -> _Report:
-    """The separability report from sigma's ten upper entries, in _UPPER's order.
+    """The separability report from sigma's ten upper entries, in `UPPER` order.
 
     Entries and coefficients are Python floats for one matrix, or arrays of one
     shape for a stack.  Given osc and env it adds strict and lenient validity,

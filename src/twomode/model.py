@@ -4,10 +4,10 @@ All matrices use the phase-space ordering (x, p_x, y, p_y) and hbar = 1.
 Types are immutable after construction and every operation is a pure
 function, so everything here is safe for unrestricted concurrent use; the
 one cache, `_violations`'s last result, is replaced by a single assignment.
-The drift matrix's layout is known here alone: `build_drift_matrix` writes it
-and `_drift_block` reads it back, exactly, for `_drift_parameters`,
-`is_hurwitz` and the steady-state solve of `twomode.dynamics`.  Any other
-matrix is a ValueError, except in `is_hurwitz`, which takes it to eigvals.
+The drift matrix's layout is known here alone: `build_drift_matrix` writes it and
+`_drift_block` reads its block's entries back, exactly, for `is_hurwitz` and `twomode.dynamics`.
+Any other matrix is a ValueError, except in `is_hurwitz`, which takes it to eigvals.  sigma is
+passed as its ten upper entries in one order, `UPPER`; `_symmetric` builds the matrix back.
 Mirrored means exactly equal: `is_symmetric_environment` is the one rule, which
 a `SymmetricEnvironmentParams` passes by construction.  Strict validation's Gram
 spectrum is a closed form for a mirrored environment and one power-of-two-scaled
@@ -201,6 +201,24 @@ def _read_covariance(sigma, atol: float | None = None, name: str = "covariance m
     return sig, flat
 
 
+#: Row and column indices of sigma's ten upper entries s00, s01, s02, s03, s11, s12, s13,
+#: s22, s23, s33: the one order in which the package passes them.
+UPPER = ((0, 0, 0, 0, 1, 1, 1, 2, 2, 3), (0, 1, 2, 3, 1, 2, 3, 2, 3, 3))
+_PAIRS = list(zip(*UPPER))
+#: The ten entries from sigma's 16 row-major entries, and the 16 from the ten.
+_UPPER_ENTRIES = operator.itemgetter(*(4 * i + j for i, j in _PAIRS))
+_ROW_MAJOR = operator.itemgetter(
+    *(_PAIRS.index((min(i, j), max(i, j))) for i in range(4) for j in range(4))
+)
+
+
+def _symmetric(upper) -> NDArray[np.float64]:
+    """The symmetric 4x4 matrix of ten upper entries in `UPPER` order, owning its data."""
+    sigma = np.empty((4, 4))
+    sigma.flat = _ROW_MAJOR(upper)
+    return sigma
+
+
 def _stack(rows, dtype=float) -> NDArray:
     """Square matrices [..., n, n] from n x n nested rows of scalars or same-shape arrays."""
     out = np.array(rows, dtype=dtype)
@@ -254,13 +272,6 @@ def _drift_block(y) -> tuple[float, float, float]:
     if zeros and finite and (a, b, c, d) == (e, f, g, h) and a == d and b > 0.0 > c:
         return a, b, c
     raise ValueError("drift matrix is not of the two-oscillator damped form")
-
-
-def _drift_parameters(y) -> tuple[float, float, float]:
-    """(m, omega, lam) of a drift matrix in `build_drift_matrix`'s layout, whose blocks
-    are [[-lam, 1/m], [-m omega^2, -lam]]; any other y is `_drift_block`'s ValueError."""
-    a, b, c = _drift_block(y)
-    return 1.0 / b, math.sqrt(-c * b), -a
 
 
 def build_diffusion_matrix(env: EnvironmentParams) -> NDArray[np.float64]:

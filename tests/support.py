@@ -1,8 +1,10 @@
 """Shared helpers and independent oracles used across the test modules."""
 
+import functools
 import json
 import math
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -131,3 +133,42 @@ def csv_cell(value):
 def json_cell(value):
     """A JSON cell as json.dumps writes the value (-0.0 stays, None is null)."""
     return json.dumps(value)
+
+
+def mp_damped_rotation(a, b, c, t):
+    """exp(P t) for P = [[a, b], [c, a]], b > 0 > c, as mpmath rows at the working precision.
+
+    P = a I + N with N^2 = b c I = -w^2 I, so the exponential series sums to
+    exp(a t) (cos(w t) I + sin(w t) N / w), taken here on the exact inputs.
+    """
+    a, b, c, t = (mpmath.mpf(v) for v in (a, b, c, t))
+    w = mpmath.sqrt(-b * c)
+    decay, cos, sin = mpmath.exp(a * t), mpmath.cos(w * t), mpmath.sin(w * t)
+    return [[decay * cos, decay * sin * b / w], [decay * sin * c / w, decay * cos]]
+
+
+def mp_sigma_t(y, d, sigma0, t, dps=50):
+    """sigma(t) = M(t) sigma0 M(t)^T + 2 int_0^t M(s) D M(s)^T ds in `dps`-digit mpmath.
+
+    y is a drift matrix in `build_drift_matrix`'s layout, M(s) = exp(Y s) its
+    `mp_damped_rotation` on both blocks, and the integral is taken by quadrature,
+    entry by entry, so no 1/lambda-sized sigma_inf is formed or cancelled.
+    Returns the 4x4 rows of mpf values from the doubles of y, d, sigma0 and t.
+    """
+    with mpmath.workdps(dps):
+        a, b, c = float(y[0, 0]), float(y[0, 1]), float(y[1, 0])
+
+        def congruence(s, inner):
+            block, m = mp_damped_rotation(a, b, c, s), mpmath.zeros(4, 4)
+            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                m[i, j] = m[i + 2, j + 2] = block[i][j]
+            return m * inner * m.T
+
+        diffusion = mpmath.matrix(np.asarray(d, dtype=float).tolist())
+        source = functools.lru_cache(maxsize=None)(lambda s: congruence(s, diffusion))
+        out = congruence(t, mpmath.matrix(np.asarray(sigma0, dtype=float).tolist()))
+        for i in range(4):
+            for j in range(i, 4):
+                out[i, j] += 2 * mpmath.quad(lambda s: source(s)[i, j], [0, t])
+                out[j, i] = out[i, j]
+        return out.tolist()

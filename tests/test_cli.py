@@ -19,6 +19,8 @@ import twomode
 from twomode import ConditioningWarning
 from twomode.cli import MAX_GRID_POINTS, config_to_dict, load_config, main, parse_config
 
+from support import mp_sigma_t
+
 REFERENCE_CONFIG = {
     "oscillator": {"m": 1.0, "omega": 1.0},
     "environment": {"lambda": 1.0, "D_xx": 0.6, "D_pxpx": 0.6, "D_xpy": 0.3},
@@ -165,8 +167,45 @@ class TestSteadyStateCommand:
         assert float(rows[0]["cf_sigma_xpy"]) == pytest.approx(0.15, abs=1e-12)
         assert float(rows[0]["closed_form_max_diff"]) <= 1e-9
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 6: only the sweep empties the negativity below the "
+        "single-mode uncertainty bound",
+    )
+    def test_negativity_is_empty_below_the_uncertainty_bound(self, tmp_path, capsys):
+        # m omega D_xx / lambda = 0.3 < 1/2: the sweep leaves this point's E cells empty
+        payload_cfg = dict(
+            REFERENCE_CONFIG, environment={"lambda": 1.0, "D_xx": 0.3, "D_pxpx": 0.3, "D_xpy": 0.3}
+        )
+        path = write_config(tmp_path, payload_cfg)
+        assert main(["steady-state", "--config", path, "--format", "json"]) == 0
+        report = strict_json(capsys.readouterr().out)["report"]
+        assert (report["e_general"], report["e_closed"]) == (None, None)
+
 
 class TestEvolveCommand:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 3: M (sigma0 - sigma_inf) M^T + sigma_inf cancels entries "
+        "of size 1/lambda",
+    )
+    def test_tiny_lambda_against_mpmath(self, tmp_path, capsys):
+        osc = twomode.OscillatorParams(1.0, 1.0)
+        env = twomode.SymmetricEnvironmentParams(1e-9, d_xx=0.6, d_pxpx=0.6, d_xpy=0.3)
+        payload_cfg = dict(
+            REFERENCE_CONFIG,
+            environment={"lambda": 1e-9, "D_xx": 0.6, "D_pxpx": 0.6, "D_xpy": 0.3},
+            time_grid={"t_start": 0.0, "t_end": 1.0, "n_points": 3},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            assert main(["evolve", "--config", write_config(tmp_path, payload_cfg)]) == 0
+        row = parse_csv(capsys.readouterr().out)[1]
+        assert float(row["t"]) == 0.5
+        y, d = twomode.build_drift_matrix(osc, env), twomode.build_diffusion_matrix(env)
+        exact = mp_sigma_t(y, d, twomode.make_vacuum_covariance(osc), 0.5)[0][0]
+        assert abs(float(row["sigma_xx"]) - exact) <= 1e-13 * abs(exact)
+
     def test_vacuum_trace(self, tmp_path, capsys):
         payload_cfg = dict(
             REFERENCE_CONFIG,

@@ -28,10 +28,11 @@ from twomode import (
 )
 
 from twomode import dynamics, model
-from twomode.model import _drift_parameters
+from twomode.model import UPPER
 
 from support import (
     matched_env,
+    mp_damped_rotation,
     random_oscillator,
     random_symmetric_env,
     random_valid_symmetric_env,
@@ -76,6 +77,8 @@ class TestMatrixExponential:
         prop = matrix_exponential(drift(1.3, 0.7, 0.4), 0.0)
         np.testing.assert_array_equal(prop.matrix, np.eye(4))
         assert prop.t == 0.0
+        # 1 / (m omega) overflows, yet sin(0) times it is no NaN
+        np.testing.assert_array_equal(matrix_exponential(drift(1e-300, 3e-12), 0.0).matrix, np.eye(4))
 
     def test_half_turn_at_zero_damping(self):
         prop = matrix_exponential(drift(1.0, 1.0, 0.0), math.pi)
@@ -163,19 +166,56 @@ def _oscillators(draw):
     return m, draw(st.floats(max(3e-162, 3e-162 / root), min(1.3e154, 1.3e154 / root)))
 
 
+@st.composite
+def _exponential_cases(draw):
+    """(m, omega, lam, t): `_oscillators()`, lam from 0 to 1e300 omega and omega t <= 10,
+    with lam t <= 700, so that exp(-lam t) is a normal double."""
+    m, omega = draw(_oscillators())
+    ratio = draw(st.floats(0.0, 1e300))
+    phase = draw(st.floats(0.0, min(10.0, 700.0 / ratio) if ratio else 10.0))
+    return m, omega, ratio * omega, phase / omega
+
+
+_NORMAL = (float(np.finfo(float).tiny), float(np.finfo(float).max))
+
+
 class TestDriftParameters:
+    """exp(Y t) from the entries of Y's block, over the whole range of built drift matrices."""
+
     @settings(max_examples=300, deadline=None)
-    @given(osc=_oscillators(), lam=_LAMBDAS)
-    @example(osc=(1e-308, 1.0), lam=1.0)
-    def test_reads_every_built_drift_matrix_bit_for_bit(self, osc, lam):
+    @given(case=_exponential_cases())
+    @example(case=(1e-308, 1.0, 1.0, 0.5))
+    @example(case=(1.0, 1.0, 1e-300, 10.0))
+    @example(case=(1e300, 1e-150, 1e148, 7e-148))
+    @example(case=(2.442274850304323e299, 17143.204335939663, 1.5e-33, 3.663556258861528e-4))
+    def test_full_range_against_mpmath(self, case):
+        # Each entry of a block [[a, b], [c, a]] is exp(a t) f g(x), with x = w t, w = sqrt(-b c),
+        # f one of 1, b / w and c / w, and g cos or sin.  Rounding a t moves exp(a t) by
+        # about eps lam t, and rounding w t moves g(x) by about eps x g'(x), however small
+        # g(x) is.  So an entry lies within 32 eps (1 + lam t + x) exp(a t) |f| (|g| + x |g'|),
+        # wherever b, -c, w^2 = -b c, x, exp(a t), the factors f and that size are normal.
+        m, omega, lam, t = case
         try:
-            y = drift(*osc, lam)
-        except NonFiniteResultError:  # rounding at the edges of the drawn range
+            y = drift(m, omega, lam)
+        except (NonFiniteResultError, ValueError):  # rounding at the edges, or lam = inf
             assume(False)
-        # (m, omega, lam) by numpy's arithmetic on y's entries
-        with np.errstate(over="ignore"):
-            want = (1 / y[0, 1], math.sqrt(-y[1, 0] * y[0, 1]), -y[0, 0])
-        assert [float(x).hex() for x in _drift_parameters(y)] == [float(x).hex() for x in want]
+        with mpmath.workdps(40):
+            a, b, c = (mpmath.mpf(float(v)) for v in (y[0, 0], y[0, 1], y[1, 0]))
+            w = mpmath.sqrt(-b * c)
+            x, decay = w * t, mpmath.exp(a * t)
+            cos, sin = abs(mpmath.cos(x)) + x * abs(mpmath.sin(x)), abs(mpmath.sin(x)) + x * abs(mpmath.cos(x))
+            sizes = [[decay * cos, decay * sin * b / w], [-decay * sin * c / w, decay * cos]]
+            steps = [b, -c, -b * c, x or 1, decay, b / w, -c / w, *sizes[0], *sizes[1]]
+            assume(all(_NORMAL[0] <= v <= _NORMAL[1] for v in steps if v))
+            exact = mp_damped_rotation(a, b, c, t)
+            ours = matrix_exponential(y, t).matrix
+            scale = 32 * np.finfo(float).eps * (1 - a * t + x)
+            for rows in ((0, 1), (2, 3)):
+                block = ours[np.ix_(rows, rows)]
+                for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                    gap = abs(mpmath.mpf(float(block[i, j])) - exact[i][j])
+                    assert gap <= scale * sizes[i][j], (case, i, j, float(gap / sizes[i][j]))
+            assert (ours[:2, 2:] == 0.0).all() and (ours[2:, :2] == 0.0).all()
 
     def test_tiny_mass(self):
         # 1/m = 1e308 in both blocks: finite entries whose sum overflows
@@ -436,6 +476,17 @@ class TestBlockSteadyState:
         steady_state_lyapunov(y, d)
         assert calls == ["frexp", "ldexp"]
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=NonFiniteResultError,
+        reason="ROADMAP item 9: Cramer's rule overflows at lambda = 1e155, and the error "
+        "blames a small lambda",
+    )
+    def test_huge_lambda_against_mpmath(self):
+        env = SymmetricEnvironmentParams(lam=1e155, d_xx=1.0, d_pxpx=1.0, d_xpy=0.3)
+        y, d = build_drift_matrix(OscillatorParams(1.0, 1.0), env), build_diffusion_matrix(env)
+        assert _relative_error(steady_state_lyapunov(y, d), _mp_drift_steady_state(y, d)) <= 1e-13
+
     def test_tiny_lambda_does_not_underflow(self):
         # det of the left factor 2 tr(P) P is 16 lam^2 (lam^2 + w^2), 1.6e-339 unscaled
         osc, env = OscillatorParams(1.0, 1.0), SymmetricEnvironmentParams(1e-170, 0.6, 0.0, 0.6, 0.0, 0.3)
@@ -629,6 +680,23 @@ class TestSteadyStateClosedForm:
                 build_drift_matrix(osc, env), build_diffusion_matrix(env)
             )
             np.testing.assert_allclose(closed, solved, rtol=1e-8, atol=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        osc=st.tuples(st.floats(1e-20, 1e20), st.floats(1e-20, 1e20)),
+        lam=st.floats(1e-20, 1e20),
+        coefficients=st.lists(st.floats(-1e20, 1e20), min_size=6, max_size=6),
+    )
+    def test_entries_are_the_matrix_upper_entries(self, osc, lam, coefficients):
+        osc, env = OscillatorParams(*osc), SymmetricEnvironmentParams(lam, *coefficients)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            try:
+                sigma = steady_state_closed_form(osc, env)
+            except NonFiniteResultError:
+                assume(False)
+        entries = dynamics.closed_form_entries(osc, env)
+        assert [float(v).hex() for v in entries] == [v.hex() for v in sigma[UPPER].tolist()]
 
     def test_warns_when_barely_damped(self, osc):
         with pytest.warns(ConditioningWarning):

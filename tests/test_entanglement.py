@@ -50,12 +50,11 @@ from twomode.entanglement import (
     _PXPX,
     _PXPY,
     _UNCERTAINTY,
-    _UPPER,
     _XPX,
     report,
 )
 from twomode.dynamics import closed_form_entries
-from twomode.model import Coefficients, _validity
+from twomode.model import UPPER, Coefficients, _validity
 
 from support import (
     matched_env,
@@ -707,8 +706,7 @@ def _assert_closed_forms_match_stacked(osc, envs):
     """
     stack = _stacked(envs)
     with np.errstate(all="ignore"):  # arrays overflow silently, as the CLI runs the sweep
-        xx, xpx, pxpx, xy, xpy, pxpy = closed_form_entries(osc, stack)
-        entries = np.array([xx, xpx, xy, xpy, pxpx, xpy, pxpy, xx, xpx, pxpx])
+        entries = np.array(closed_form_entries(osc, stack))
         stacked = report(entries, osc, stack)
     reports = []
     for i, env in enumerate(envs):
@@ -938,7 +936,7 @@ class TestRepeatedValidity:
 
 def _report_of(sigma):
     """`report` on sigma[..., 4, 4]: Python floats for one matrix, arrays for a stack."""
-    upper = sigma[..., _UPPER[0], _UPPER[1]]
+    upper = sigma[..., UPPER[0], UPPER[1]]
     return report(upper.tolist() if upper.ndim == 1 else np.moveaxis(upper, -1, 0))
 
 
