@@ -43,5 +43,5 @@ class NonFiniteResultError(TwoModeError):
 
 
 class ConditioningWarning(UserWarning):
-    """Steady-state entries scale like 1/lambda; the solve is ill-conditioned
-    because the dissipation is tiny compared to the oscillator frequency."""
+    """No longer issued by the package: a tiny lambda / omega costs no precision.  The
+    name stays so that code which imports or filters it still runs."""

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from twomode import (
     ClassViolationError,
-    ConditioningWarning,
     is_hurwitz,
     EnvironmentParams,
     NonFiniteResultError,
@@ -33,7 +32,9 @@ from twomode.model import UPPER
 from support import (
     matched_env,
     mp_damped_rotation,
+    mp_sigma_t,
     random_oscillator,
+    random_physical_covariance,
     random_symmetric_env,
     random_valid_symmetric_env,
     scaled_frobenius,
@@ -282,11 +283,13 @@ class TestSteadyStateLyapunov:
             reference = scipy.linalg.solve_continuous_lyapunov(y, -2.0 * d)
             np.testing.assert_allclose(ours, reference, rtol=1e-9, atol=1e-11)
 
-    def test_warns_when_barely_damped(self):
+    def test_silent_when_barely_damped(self):
+        # entries of size 1/lambda lose no precision
         y = drift(lam=1e-8)
-        with pytest.warns(ConditioningWarning) as record:
-            steady_state_lyapunov(y, np.eye(4))
-        assert len(record) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigma = steady_state_lyapunov(y, np.eye(4))
+        assert _relative_error(sigma, _mp_drift_steady_state(y, np.eye(4))) <= 1e-15
 
     def test_real_spectrum(self):
         # eigvals of a diagonal Y is a float array, with no imaginary part: is_hurwitz
@@ -404,9 +407,7 @@ class TestBlockSteadyState:
             coefficients = rng.uniform(-1.0, 1.0, size=10).tolist()
             env = EnvironmentParams(lam, *coefficients)
             y, d = build_drift_matrix(osc, env), build_diffusion_matrix(env)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ConditioningWarning)
-                sigma = steady_state_lyapunov(y, d)
+            sigma = steady_state_lyapunov(y, d)
             assert _relative_error(sigma, _mp_drift_steady_state(y, d)) <= 1e-13
             assert (sigma == sigma.T).all()
 
@@ -491,7 +492,8 @@ class TestBlockSteadyState:
         # det of the left factor 2 tr(P) P is 16 lam^2 (lam^2 + w^2), 1.6e-339 unscaled
         osc, env = OscillatorParams(1.0, 1.0), SymmetricEnvironmentParams(1e-170, 0.6, 0.0, 0.6, 0.0, 0.3)
         y, d = build_drift_matrix(osc, env), build_diffusion_matrix(env)
-        with pytest.warns(ConditioningWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             sigma = steady_state_lyapunov(y, d)
         assert _relative_error(sigma, _mp_drift_steady_state(y, d)) <= 1e-15
 
@@ -621,11 +623,14 @@ class TestDriftSpectrum:
             steady_state_lyapunov(y, np.eye(4))
         assert len(calls) == 1
 
-    def test_barely_damped_warns_once_without_eigvals(self, monkeypatch):
+    def test_barely_damped_without_eigvals(self, monkeypatch):
+        y = drift(lam=1e-8)
+        exact = _mp_drift_steady_state(y, np.eye(4))
         monkeypatch.setattr(np.linalg, "eigvals", None)
-        with pytest.warns(ConditioningWarning) as record:
-            steady_state_lyapunov(drift(lam=1e-8), np.eye(4))
-        assert len(record) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigma = steady_state_lyapunov(y, np.eye(4))
+        assert _relative_error(sigma, exact) <= 1e-15
 
 
 class TestSteadyStateClosedForm:
@@ -689,20 +694,20 @@ class TestSteadyStateClosedForm:
     )
     def test_entries_are_the_matrix_upper_entries(self, osc, lam, coefficients):
         osc, env = OscillatorParams(*osc), SymmetricEnvironmentParams(lam, *coefficients)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConditioningWarning)
-            try:
-                sigma = steady_state_closed_form(osc, env)
-            except NonFiniteResultError:
-                assume(False)
+        try:
+            sigma = steady_state_closed_form(osc, env)
+        except NonFiniteResultError:
+            assume(False)
         entries = dynamics.closed_form_entries(osc, env)
         assert [float(v).hex() for v in entries] == [v.hex() for v in sigma[UPPER].tolist()]
 
-    def test_warns_when_barely_damped(self, osc):
-        with pytest.warns(ConditioningWarning):
-            steady_state_closed_form(
-                osc, SymmetricEnvironmentParams(lam=1e-8, d_xx=1.0, d_pxpx=1.0)
-            )
+    def test_silent_when_barely_damped(self, osc):
+        env = SymmetricEnvironmentParams(lam=1e-8, d_xx=1.0, d_pxpx=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigma = steady_state_closed_form(osc, env)
+        exact = _mp_drift_steady_state(build_drift_matrix(osc, env), build_diffusion_matrix(env))
+        assert _relative_error(sigma, exact) <= 1e-15
 
     def test_strictly_valid_environments_yield_physical_states(self):
         # completely positive dynamics must relax to a state satisfying the
@@ -742,6 +747,16 @@ class TestPropagate:
         np.testing.assert_array_equal(
             propagate(sigma0, reference_sigma_inf, y, 0.0), sigma0
         )
+
+    def test_growing_propagator(self):
+        # lambda < 0: M sigma0 M^T ~ e^706 is finite where the unused source integral
+        # e^706 / (2 |lambda|) is not, and D = 0 never forms it
+        y, t = drift(lam=-1e-3), 706.0 / 2e-3
+        mt = matrix_exponential(y, t).matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigma = propagate(np.eye(4), np.zeros((4, 4)), y, t)
+        np.testing.assert_allclose(sigma, mt @ mt.T, rtol=0, atol=1e-12 * np.abs(mt @ mt.T).max())
 
     def test_steady_state_is_fixed_point(self, osc, reference_env, reference_sigma_inf):
         y = build_drift_matrix(osc, reference_env)
@@ -823,3 +838,75 @@ class TestPropagate:
             envelope = max(prefactor(t) for t in np.linspace(t0, t0 + period, 64))
             for t in t0 + period + rng.uniform(0.0, 5.0, size=40):
                 assert prefactor(t) <= envelope * 1.01
+
+
+@st.composite
+def _propagation_cases(draw):
+    """(y, D, sigma0, t): m and omega log-uniform in [e^-3, e^3], lambda in [1e-300, 1e3],
+    ten standard-normal coefficients, a physical sigma0 and omega t in [0, 10]."""
+    m, omega = (math.exp(draw(st.floats(-3.0, 3.0))) for _ in range(2))
+    lam = 10.0 ** draw(st.floats(-300.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    env = EnvironmentParams(lam, *rng.standard_normal(10).tolist())
+    y = build_drift_matrix(OscillatorParams(m, omega), env)
+    return y, build_diffusion_matrix(env), random_physical_covariance(rng), draw(st.floats(0.0, 10.0)) / omega
+
+
+class TestPropagatedEntries:
+    """sigma(t) from sigma0 and D with no sigma_inf, against 50-digit quadrature."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_propagation_cases())
+    def test_against_mpmath(self, case):
+        y, d, sigma0, t = case
+        exact = np.array(mp_sigma_t(y, d, sigma0, t), dtype=float)[UPPER]
+        got = np.array(dynamics.propagated_entries(sigma0, y, d, t))
+        assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("lam", [1e-300, 1e-9, 0.1, 1.0, 10.0, 1e3])
+    def test_source_integrals_against_mpmath(self, lam):
+        # I0, Re D and Im D each to 1e-14 of itself: Re D carries the sin^2 integral,
+        # which cancels in the closed form for a small |z t|, as for lambda >> omega
+        for w in (0.05, 1.0, 20.0):
+            times = [1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 10.0]
+            got = np.array(dynamics._source_integrals(-lam, w, np.array(times)))
+            with mpmath.workdps(80):
+                x, z = -2 * mpmath.mpf(lam), mpmath.mpc(-2 * mpmath.mpf(lam), 2 * mpmath.mpf(w))
+                for t, values in zip(times, got.T):
+                    i0 = mpmath.expm1(x * t) / x
+                    d = mpmath.expm1(z * t) / z - i0
+                    for value, exact in zip(values, (i0, d.real, d.imag)):
+                        assert abs(value - exact) <= 1e-14 * abs(exact), (lam, w, t)
+
+    def test_time_zero_is_sigma0(self):
+        rng = np.random.default_rng(11)
+        sigma0 = random_physical_covariance(rng)
+        env = EnvironmentParams(1e-9, *rng.standard_normal(10).tolist())
+        y, d = build_drift_matrix(OscillatorParams(1.3, 0.7), env), build_diffusion_matrix(env)
+        got = dynamics.propagated_entries(sigma0, y, d, np.array([0.0, 1.0]))
+        assert [float(v[0]) for v in got] == sigma0[UPPER].tolist()
+
+    def test_propagate_is_the_kernel_without_diffusion(self):
+        # D = 0: sigma_inf = 0, and propagate adds nothing to the kernel's entries
+        rng = np.random.default_rng(12)
+        times = np.linspace(0.0, 7.0, 15)
+        zero = np.zeros((4, 4))
+        for _ in range(20):
+            osc = random_oscillator(rng, 0.1, 10.0)
+            y = build_drift_matrix(osc, EnvironmentParams(float(rng.uniform(0.01, 2.0))))
+            sigma0 = random_physical_covariance(rng)
+            kernel = np.array(dynamics.propagated_entries(sigma0, y, zero, times)).T
+            np.testing.assert_array_equal(propagate(sigma0, zero, y, times)[:, UPPER[0], UPPER[1]], kernel)
+
+    def test_propagate_agrees_with_the_kernel(self):
+        # with a source: M (sigma0 - sigma_inf) M^T + sigma_inf against M sigma0 M^T + W(t)
+        rng = np.random.default_rng(13)
+        times = np.linspace(0.0, 7.0, 15)
+        for _ in range(20):
+            osc = random_oscillator(rng, 0.1, 10.0)
+            env = EnvironmentParams(float(rng.uniform(0.1, 2.0)), *rng.standard_normal(10).tolist())
+            y, d = build_drift_matrix(osc, env), build_diffusion_matrix(env)
+            sigma0 = random_physical_covariance(rng)
+            sigmas = propagate(sigma0, steady_state_lyapunov(y, d), y, times)[:, UPPER[0], UPPER[1]]
+            kernel = np.array(dynamics.propagated_entries(sigma0, y, d, times)).T
+            np.testing.assert_allclose(kernel, sigmas, rtol=0, atol=1e-13 * np.abs(sigmas).max())

@@ -1244,7 +1244,7 @@ class TestUnitsOfTime:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 8: strict validity compares the minimum Gram eigenvalue, "
+        reason="ROADMAP item 9: strict validity compares the minimum Gram eigenvalue, "
         "which scales with k, with the absolute floor PSD_TOLERANCE = 1e-10; "
         "perfbench/oracle.py pins the same floor as PSD_FLOOR",
     )

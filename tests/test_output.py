@@ -28,9 +28,10 @@ from twomode import (
     build_diffusion_matrix,
     build_drift_matrix,
     cli,
-    propagate,
     steady_state_lyapunov,
 )
+from twomode.dynamics import propagated_entries
+from twomode.model import UPPER
 from twomode.cli import (
     _COMPUTE_ROWS,
     _OPTIONAL_COLUMNS,
@@ -193,29 +194,28 @@ _OVERFLOW_EVOLVE = {
 
 def first_non_finite_cell(payload):
     """(name, value, row from 1) of the first non-finite sigma entry or max_abs_dev in
-    document order, by a scan of the whole propagated stack."""
+    document order, by a scan of sigma(t) on the whole grid, from the config's D."""
     osc = OscillatorParams(**payload["oscillator"])
     env = payload["environment"]
     env = SymmetricEnvironmentParams(
         lam=env["lambda"], d_xx=env["D_xx"], d_pxpx=env["D_pxpx"], d_xpy=env["D_xpy"]
     )
-    y = build_drift_matrix(osc, env)
-    sigma_inf = steady_state_lyapunov(y, build_diffusion_matrix(env))
+    y, d = build_drift_matrix(osc, env), build_diffusion_matrix(env)
+    sigma_inf = steady_state_lyapunov(y, d)
     grid = payload["time_grid"]
     times = np.linspace(grid["t_start"], grid["t_end"], grid["n_points"])
     with np.errstate(all="ignore"):
-        sigmas = propagate(np.array(payload["initial_state"]), sigma_inf, y, times)
-        deviation = np.abs(sigmas - sigma_inf).max(axis=(-2, -1))
+        entries = np.array(propagated_entries(np.array(payload["initial_state"]), y, d, times))
+        deviation = np.abs(entries - sigma_inf[UPPER][:, None]).max(axis=0)
     names = [*cli._SIGMA_COLUMNS, "max_abs_dev"]
-    for row, (sigma, dev) in enumerate(zip(sigmas.tolist(), deviation.tolist())):
-        cells = [sigma[i][j] for i in range(4) for j in range(i, 4)] + [dev]
+    for row, cells in enumerate(np.vstack([entries, deviation]).T.tolist()):
         for name, value in zip(names, cells):
             if not math.isfinite(value):
                 return name, value, row + 1
     raise AssertionError("no cell overflows")
 
 
-# The first bad cell: sigma_pxpx = inf in row 7, and sigma_xpx = -inf in row 2.
+# The first bad cell: sigma_pxpx = inf in row 10 (1.7e308 in row 9), and sigma_xpx = -inf in row 2.
 @pytest.mark.parametrize("t_end, n_points, compute_rows", [(1e-5, 21, 4), (3e-3, 31, 1)])
 def test_evolve_names_the_first_non_finite_cell(
     tmp_path, capsys, monkeypatch, t_end, n_points, compute_rows
