@@ -5,7 +5,7 @@ d(sigma)/dt = Y sigma + sigma Y^T + 2 D; for a Hurwitz Y it tends to sigma_inf, 
 solves Y sigma + sigma Y^T = -2 D.  Y's layout is known to `twomode.model` alone: every
 function here takes diag(P, P), P = [[a, b], [c, a]] = [[-lam, 1/m], [-m omega^2, -lam]],
 whose entries `_drift_block` gives to the damped rotations of M(t), to sigma(t) and to the
-steady state, three 2x2 Sylvester equations with one shared left factor solved on Python
+steady state, whose three 2x2 blocks `_steady_state` writes in closed form on Python
 floats.  Y's eigenvalues are a +- i sqrt(-b c), so the Hurwitz test is lam > 0; any other
 Y is a ValueError.  sigma_inf and sigma(t) are built from their ten upper entries in
 `model.UPPER` order, which `closed_form_entries` and `propagated_entries` return.
@@ -59,57 +59,47 @@ def matrix_exponential(y: NDArray[np.float64], t: float) -> Propagator:
     return Propagator(t=float(t), matrix=np.array(rows))
 
 
-_SINGULAR = (
-    "Lyapunov operator is singular in double precision; "
-    "the coefficients span too many orders of magnitude"
-)
-_OVERFLOW = (
-    "steady-state covariance overflows double precision; "
-    "lambda is too small for these diffusion coefficients"
-)
+_OVERFLOW = "steady-state covariance overflows double precision"
 
 
 def _steady_state(a: float, b: float, c: float, d: list) -> list:
     """sigma_inf's ten upper entries (row-major) for Y = diag(P, P), P = [[a, b], [c, a]],
     from D's 16 entries.
 
-    sigma = [[X, C], [C^T, Z]] with P S + S P^T = R for each block S, where
-    R is -2 D11, -2 D22 and -2 D12 for X, Z and C.  D's symmetric part is
-    used, as -(D_ij + D_ji), exactly -2 D_ij for a symmetric D.  By
-    Cayley-Hamilton (P^2 = tr(P) P - det(P) I) each equation becomes
-        2 tr(P) P S = P R - R P^T + tr(P) R,
-    whose left factor does not cancel when tr(P) is tiny.  The factor, the
-    power of two that brings its largest |entry| into [0.5, 1), exactly, and
-    its determinant, which that scale keeps from underflowing, are shared
-    by the three right-hand sides, each solved by Cramer's rule.  C is
-    solved once for both off-diagonal blocks; X and Z are symmetrized.
-    ZeroDivisionError where the determinant is zero, OverflowError where the
-    scale is not a double.
+    Each 2x2 block S of sigma solves P S + S P^T = -2 H, with H the block of D's symmetric
+    part, (D_ij + D_ji^T) / 2: exactly D_ij for a symmetric D.  With lam = -a,
+    N = P + lam I = [[0, b], [c, 0]], N^2 = -w^2 I and s2 = lam^2 + w^2, S is the t -> inf
+    limit of `propagated_entries`' source term,
+        S = [(2 lam^2 + w^2) H + N H N^T] / (2 lam s2) + (N H + H N^T) / (2 s2),
+    whose off-diagonal 1/lam part, w^2 (h01 - h10) / (2 lam s2), is kept apart, so no entry
+    cancels.  It is evaluated in canonical units: lam and w over hypot(lam, w), x-type
+    entries times m w = -c / w and p-type ones times 1 / (m w) = b / w, each product taken
+    between factors of balanced scale; the diagonal's leading term is read from H directly.
+    C is solved once for both off-diagonal blocks.
     """
-    trace = a + a
-    twice = trace + trace
-    m0, m1, m2 = twice * a, twice * b, twice * c  # 2 tr(P) P = [[m0, m1], [m2, m0]]
-    scale = math.ldexp(1.0, -math.frexp(max(abs(m0), abs(m1), abs(m2)))[1])
-    m0, m1, m2 = m0 * scale, m1 * scale, m2 * scale
-    det = m0 * m0 - m1 * m2
+    lam, w = -a, math.sqrt(b) * math.sqrt(-c)  # w^2 = -b c may leave the doubles
+    hyp = math.hypot(lam, w)
+    if hyp == math.inf:  # Y and D halved give the same sigma
+        return _steady_state(0.5 * a, 0.5 * b, 0.5 * c, [0.5 * x for x in d])
+    u, v, beta, gamma = lam / hyp, w / hyp, b / w, -c / w  # beta = 1 / (m w), gamma = m w
+    even = 0.25 + 0.25 * (u * u)  # (2 lam^2 + w^2) / (4 s2)
 
-    def solve(r0, r1, r2, r3):
-        s0 = ((a * r0 + b * r2) - (r0 * a + r1 * b) + trace * r0) * scale
-        s1 = ((a * r1 + b * r3) - (r0 * c + r1 * a) + trace * r1) * scale
-        s2 = ((c * r0 + a * r2) - (r2 * a + r3 * b) + trace * r2) * scale
-        s3 = ((c * r1 + a * r3) - (r2 * c + r3 * a) + trace * r3) * scale
+    def block(e00, e01, e10, e11):
+        """S row by row for E = 2 H, each bracket in canonical units."""
+        x, p = gamma * e00, beta * e11
+        cross, shear = (e01 + e10) / hyp * v, (p - x) / hyp * v
+        skew = (e01 - e10) / lam * v * v
         return (
-            (m0 * s0 - m1 * s2) / det,
-            (m0 * s1 - m1 * s3) / det,
-            (m0 * s2 - m2 * s0) / det,
-            (m0 * s3 - m2 * s1) / det,
+            even * (e00 / lam) + beta * (0.25 * (v * (v * (p / lam)) + cross)),
+            0.25 * (e01 / hyp * (u + u) + skew + shear),
+            0.25 * (e10 / hyp * (u + u) - skew + shear),
+            even * (e11 / lam) + gamma * (0.25 * (v * (v * (x / lam)) - cross)),
         )
 
-    x01, z01 = -(d[1] + d[4]), -(d[11] + d[14])
-    x0, x1, x2, x3 = solve(-2.0 * d[0], x01, x01, -2.0 * d[5])
-    z0, z1, z2, z3 = solve(-2.0 * d[10], z01, z01, -2.0 * d[15])
-    c0, c1, c2, c3 = solve(-(d[2] + d[8]), -(d[3] + d[12]), -(d[6] + d[9]), -(d[7] + d[13]))
-    return [x0, 0.5 * x1 + 0.5 * x2, c0, c1, x3, c2, c3, z0, 0.5 * z1 + 0.5 * z2, z3]
+    x00, x01, _, x11 = block(d[0] + d[0], d[1] + d[4], d[1] + d[4], d[5] + d[5])
+    z00, z01, _, z11 = block(d[10] + d[10], d[11] + d[14], d[11] + d[14], d[15] + d[15])
+    c00, c01, c10, c11 = block(d[2] + d[8], d[3] + d[12], d[6] + d[9], d[7] + d[13])
+    return [x00, x01, c00, c01, x11, c10, c11, z00, z01, z11]
 
 
 def steady_state_lyapunov(
@@ -120,10 +110,10 @@ def steady_state_lyapunov(
     Y must be in `build_drift_matrix`'s layout, diag(P, P) with
     P = [[-lam, 1/m], [-m omega^2, -lam]]; any other Y is the ValueError of
     `propagate`.  The equation splits into three 2x2 Sylvester equations,
-    which `_steady_state` solves on Python floats with no `np.linalg` call;
-    the result is the solution for D's symmetric part.  Y's eigenvalues are
-    -lam +- i omega, so Y is Hurwitz iff lam > 0 (NotHurwitzError otherwise).
-    A singular operator, or a result that overflows, is a NonFiniteResultError.
+    whose closed-form solution `_steady_state` evaluates on Python floats with
+    no `np.linalg` call; the result is the solution for D's symmetric part.
+    Y's eigenvalues are -lam +- i omega, so Y is Hurwitz iff lam > 0
+    (NotHurwitzError otherwise).  A result that overflows is a NonFiniteResultError.
     A complex or non-4x4 Y or D, or a non-finite D, is a ValueError before the
     solve.
     """
@@ -134,12 +124,7 @@ def steady_state_lyapunov(
             "drift matrix has an eigenvalue with non-negative real part; "
             "no steady state exists"
         )
-    try:
-        upper = _steady_state(a, b, c, entries)
-    except ZeroDivisionError:
-        raise NonFiniteResultError(_SINGULAR) from None
-    except OverflowError:
-        raise NonFiniteResultError(_OVERFLOW) from None
+    upper = _steady_state(a, b, c, entries)
     # a finite sum has finite terms; an infinite or NaN one is checked term by term
     if not (math.isfinite(sum(upper)) or all(map(math.isfinite, upper))):
         raise NonFiniteResultError(_OVERFLOW)

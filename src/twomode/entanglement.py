@@ -272,8 +272,7 @@ _ABSENCE_ERRORS = {
         "violates the uncertainty bound 1/2"
     ),
     _NONFINITE: lambda osc, env: NonFiniteResultError(
-        "closed form is not finite in double precision: "
-        "lambda is too small or a coefficient too large"
+        "closed form is not finite in double precision"
     ),
 }
 

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -172,3 +173,39 @@ def mp_sigma_t(y, d, sigma0, t, dps=50):
                 out[i, j] += 2 * mpmath.quad(lambda s: source(s)[i, j], [0, t])
                 out[j, i] = out[i, j]
         return out.tolist()
+
+
+def exact_steady_state(y, d):
+    """sigma_inf of Y sigma + sigma Y^T = -(D + D^T) in exact rational arithmetic.
+
+    y is a drift matrix in `build_drift_matrix`'s layout, diag(P, P) with
+    P = [[a, b], [c, a]], and d any real 4x4 matrix; the doubles of both are
+    read as the rationals they are.  Each 2x2 block S of sigma solves
+    P S + S P^T = R, R = -(D_ij + D_ji^T), which Cayley-Hamilton (P^2 = tr(P) P - det(P) I)
+    turns into 2 tr(P) P S = P R - R P^T + tr(P) R, solved with P's exact inverse.
+    Returns the 4x4 rows of Fractions, after asserting that the residual is exactly zero.
+    """
+    ym = [[Fraction(float(v)) for v in row] for row in np.asarray(y).tolist()]
+    dm = [[Fraction(float(v)) for v in row] for row in np.asarray(d).tolist()]
+    a, b, c = ym[0][0], ym[0][1], ym[1][0]
+    trace, det = a + a, a * a - b * c
+    p, pt, inverse = [[a, b], [c, a]], [[a, c], [b, a]], [[a / det, -b / det], [-c / det, a / det]]
+
+    def product(x, z):
+        return [[x[k][0] * z[0][n] + x[k][1] * z[1][n] for n in range(2)] for k in range(2)]
+
+    sigma = [[Fraction(0)] * 4 for _ in range(4)]
+    for i, j in ((0, 0), (0, 2), (2, 2)):
+        r = [[-(dm[i + k][j + n] + dm[j + n][i + k]) for n in range(2)] for k in range(2)]
+        pr, rp = product(p, r), product(r, pt)
+        rhs = [[(pr[k][n] - rp[k][n] + trace * r[k][n]) / (2 * trace) for n in range(2)] for k in range(2)]
+        block = product(inverse, rhs)
+        for k in range(2):
+            for n in range(2):
+                sigma[i + k][j + n] = sigma[j + n][i + k] = block[k][n]
+    for i in range(4):
+        for j in range(4):
+            ys = sum(ym[i][k] * sigma[k][j] for k in range(4))
+            sy = sum(sigma[i][k] * ym[j][k] for k in range(4))
+            assert ys + sy + dm[i][j] + dm[j][i] == 0, (i, j)
+    return sigma

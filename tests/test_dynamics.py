@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -17,6 +18,7 @@ from twomode import (
     NotHurwitzError,
     OscillatorParams,
     SymmetricEnvironmentParams,
+    analyze,
     build_diffusion_matrix,
     build_drift_matrix,
     make_vacuum_covariance,
@@ -30,6 +32,7 @@ from twomode import dynamics, model
 from twomode.model import UPPER
 
 from support import (
+    exact_steady_state,
     matched_env,
     mp_damped_rotation,
     mp_sigma_t,
@@ -395,9 +398,26 @@ def _relative_error(sigma, exact):
         return float(gap / max(abs(v) for v in flat))
 
 
+def _canonical_error(sigma, exact, mw):
+    """Normwise max |sigma - exact| / max |exact|, exactly, in canonical phase-space units:
+    x-type entries times m omega (mw, a Fraction), p-type entries over it."""
+    weights = [[mw ** (1 - i % 2 - j % 2) for j in range(4)] for i in range(4)]
+    pairs = [(i, j) for i in range(4) for j in range(4)]
+    gap = max(abs(Fraction(float(sigma[i][j])) - exact[i][j]) * weights[i][j] for i, j in pairs)
+    return float(gap / max(abs(exact[i][j]) * weights[i][j] for i, j in pairs))
+
+
+def _normal_or_zero(v):
+    return v == 0 or np.finfo(float).tiny <= abs(v) <= np.finfo(float).max
+
+
+# EnvironmentParams' ten coefficients in field order, by type: x-type (1), p-type (-1), mixed (0)
+_COEFFICIENT_TYPES = (1, 0, 1, 0, 0, -1, 1, 0, -1, -1)
+
+
 class TestBlockSteadyState:
-    """The three 2x2 Sylvester solves of a built drift matrix, against 40-digit oracles;
-    a block-diagonal Y of any other form is refused."""
+    """The three 2x2 blocks of a built drift matrix's steady state, against 40-digit and
+    exact oracles; a block-diagonal Y of any other form is refused."""
 
     @pytest.mark.parametrize("lam", [10.0**-k for k in range(0, 151, 10)] + [1e-170, 1e-300])
     def test_drift_environments_against_mpmath(self, lam):
@@ -440,9 +460,9 @@ class TestBlockSteadyState:
     @pytest.mark.parametrize(
         "m, omega, lam, diffusion, message",
         [
-            (1.0, 1.0, 1e-300, 1e300, "overflows"),  # Cramer's rule gives inf
-            (1.0, 1.0, 5e-324, 1.0, "overflows"),  # the left factor's scale is beyond the doubles
-            (1e-57, 1e-59, 1e-180, 1.0, "singular"),  # the left factor underflows to rank one
+            (1.0, 1.0, 1e-300, 1e300, "overflows"),  # sigma_xx ~ D / lam = 1e600
+            (1.0, 1.0, 5e-324, 1.0, "overflows"),  # sigma_xx ~ 1 / lam = 2e323
+            (1e-57, 1e-59, 1e-180, 1.0, "overflows"),  # sigma_xx ~ 1 / (m omega)^2 lam = 5e411
         ],
     )
     def test_non_finite_results_are_errors(self, m, omega, lam, diffusion, message):
@@ -464,32 +484,55 @@ class TestBlockSteadyState:
         steady_state_lyapunov(y, d)
         assert len(calls) == 1
 
-    def test_shares_one_left_factor(self, osc, reference_env, monkeypatch):
-        # the three Sylvester equations share 2 tr(P) P, its scale and its
-        # determinant: one frexp and one ldexp per solve
-        y, d = build_drift_matrix(osc, reference_env), build_diffusion_matrix(reference_env)
-        calls = []
-        for name in ("frexp", "ldexp"):
-            original = getattr(math, name)
-            monkeypatch.setattr(
-                dynamics.math, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
-            )
-        steady_state_lyapunov(y, d)
-        assert calls == ["frexp", "ldexp"]
-
-    @pytest.mark.xfail(
-        strict=True,
-        raises=NonFiniteResultError,
-        reason="ROADMAP item 9: Cramer's rule overflows at lambda = 1e155, and the error "
-        "blames a small lambda",
-    )
     def test_huge_lambda_against_mpmath(self):
         env = SymmetricEnvironmentParams(lam=1e155, d_xx=1.0, d_pxpx=1.0, d_xpy=0.3)
         y, d = build_drift_matrix(OscillatorParams(1.0, 1.0), env), build_diffusion_matrix(env)
         assert _relative_error(steady_state_lyapunov(y, d), _mp_drift_steady_state(y, d)) <= 1e-13
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        exponents=st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3),
+        coefficients=st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10),
+    )
+    def test_range_against_the_exact_solve(self, exponents, coefficients):
+        # m, omega and lam log-uniform over 1e+-100, and the ten coefficients in
+        # canonical units: x-type times lam / (m omega), p-type times lam m omega,
+        # mixed times lam
+        m, omega, lam = (10.0**e for e in exponents)
+        mw = m * omega
+        env = EnvironmentParams(
+            lam, *(v * lam * mw**-kind for v, kind in zip(coefficients, _COEFFICIENT_TYPES))
+        )
+        y, d = build_drift_matrix(OscillatorParams(m, omega), env), build_diffusion_matrix(env)
+        exact = exact_steady_state(y, d)
+        assume(all(_normal_or_zero(v) for row in exact for v in row) and any(map(any, exact)))
+        sigma = steady_state_lyapunov(y, d)
+        assert _canonical_error(sigma, exact, Fraction(m) * Fraction(omega)) <= 1e-13
+
+    def test_extreme_point_against_the_exact_solve(self):
+        # sigma_xx = 5e115 beside sigma_pxpx = 5e-117: the state lies on the
+        # single-mode uncertainty bound, and its exact S is +4.976e-36, separable
+        osc = OscillatorParams(1e-57, 1e-59)
+        env = SymmetricEnvironmentParams(lam=1e-180, d_xx=1e-180, d_pxpx=1e-296, d_xpy=3e-181)
+        y, d = build_drift_matrix(osc, env), build_diffusion_matrix(env)
+        sigma, exact = steady_state_lyapunov(y, d), exact_steady_state(y, d)
+        for i in range(4):
+            for j in range(4):
+                assert abs(Fraction(sigma[i, j]) - exact[i][j]) <= 1e-13 * abs(exact[i][j]), (i, j)
+        report = analyze(sigma, osc, env)
+        assert report.s_general >= 0.0 and report.verdict == "separable"
+
+    def test_hypot_beyond_the_doubles(self):
+        # a drift matrix of the layout with hypot(lam, omega) ~ 2e308, which no built
+        # one reaches: Y and D halved have the same steady state
+        block = [[-1.7e308, 1e308], [-1e308, -1.7e308]]
+        y, d = _block_diagonal(block, block), np.diag([1e300, 2e300, 3e300, 4e300])
+        d[0, 3] = d[3, 0] = 1e299
+        exact = exact_steady_state(y, d)
+        assert _canonical_error(steady_state_lyapunov(y, d), exact, Fraction(1)) <= 1e-15
+
     def test_tiny_lambda_does_not_underflow(self):
-        # det of the left factor 2 tr(P) P is 16 lam^2 (lam^2 + w^2), 1.6e-339 unscaled
+        # lam^2 = 1e-340 is below the doubles, and sigma ~ 1 / lam = 1e170
         osc, env = OscillatorParams(1.0, 1.0), SymmetricEnvironmentParams(1e-170, 0.6, 0.0, 0.6, 0.0, 0.3)
         y, d = build_drift_matrix(osc, env), build_diffusion_matrix(env)
         with warnings.catch_warnings():
