@@ -1,14 +1,14 @@
 """Covariance propagation and the asymptotic (steady-state) covariance matrix.
 
-sigma(t) = M(t) sigma(0) M(t)^T + 2 int_0^t M(s) D M(s)^T ds, M(t) = exp(Y t), solves
-d(sigma)/dt = Y sigma + sigma Y^T + 2 D; for a Hurwitz Y it tends to sigma_inf, which
-solves Y sigma + sigma Y^T = -2 D.  Y's layout is known to `twomode.model` alone: every
-function here takes diag(P, P), P = [[a, b], [c, a]] = [[-lam, 1/m], [-m omega^2, -lam]],
-whose entries `_drift_block` gives to the damped rotations of M(t), to sigma(t) and to the
-steady state, whose three 2x2 blocks `_steady_state` writes in closed form on Python
-floats.  Y's eigenvalues are a +- i sqrt(-b c), so the Hurwitz test is lam > 0; any other
-Y is a ValueError.  sigma_inf and sigma(t) are built from their ten upper entries in
-`model.UPPER` order, which `closed_form_entries` and `propagated_entries` return.
+sigma(t) = M(t) sigma(0) M(t)^T + W(t), W(t) = 2 int_0^t M(s) D M(s)^T ds, M(t) = exp(Y t),
+solves d(sigma)/dt = Y sigma + sigma Y^T + 2 D; for a Hurwitz Y it tends to sigma_inf = W(inf),
+which solves Y sigma + sigma Y^T = -2 D.  Y's layout is known to `twomode.model` alone: every
+function here takes diag(P, P), P = [[a, b], [c, a]] = [[-lam, 1/m], [-m omega^2, -lam]], read
+by `_drift`.  `_source` writes W's three 2x2 blocks on four weights, which `propagated_entries`
+gives at t and `steady_state_lyapunov` at t = inf.  Y's eigenvalues are a +- i w, w = omega, so
+the Hurwitz test is lam > 0; any other Y is a ValueError.  sigma_inf and sigma(t) are built from
+their ten upper entries in `model.UPPER` order, which `closed_form_entries` and
+`propagated_entries` return.
 """
 
 from __future__ import annotations
@@ -38,12 +38,17 @@ def _check_times(t) -> None:
         raise ValueError(f"t must be finite and non-negative, got {t!r}")
 
 
-def _damped_rotation(a: float, b: float, c: float, t) -> tuple:
+def _drift(y) -> tuple:
+    """`_drift_block`'s (a, b, c) and w = sqrt(b) sqrt(-c), where -b c may leave the doubles."""
+    a, b, c = _drift_block(y)
+    return a, b, c, math.sqrt(b) * math.sqrt(-c)
+
+
+def _damped_rotation(a: float, b: float, c: float, w: float, t) -> tuple:
     """(qq, qp, pq) of exp(P t) = [[qq, qp], [pq, qq]], P = [[a, b], [c, a]], elementwise in t."""
-    omega = math.sqrt(-c * b)
     decay = np.exp(a * t)
-    turn = np.sin(omega * t) / omega  # at most t and 1 / omega, where b / omega may overflow
-    return decay * np.cos(omega * t), decay * (turn * b), decay * (turn * c)
+    turn = np.sin(w * t) / w  # at most t and 1 / w, where b / w may overflow
+    return decay * np.cos(w * t), decay * (turn * b), decay * (turn * c)
 
 
 def matrix_exponential(y: NDArray[np.float64], t: float) -> Propagator:
@@ -54,7 +59,7 @@ def matrix_exponential(y: NDArray[np.float64], t: float) -> Propagator:
     A y off `build_drift_matrix`'s layout is a ValueError (`_drift_block`).
     """
     _check_times(t)
-    qq, qp, pq = _damped_rotation(*_drift_block(y), t)
+    qq, qp, pq = _damped_rotation(*_drift(y), t)
     rows = [[qq, qp, 0.0, 0.0], [pq, qq, 0.0, 0.0], [0.0, 0.0, qq, qp], [0.0, 0.0, pq, qq]]
     return Propagator(t=float(t), matrix=np.array(rows))
 
@@ -62,44 +67,45 @@ def matrix_exponential(y: NDArray[np.float64], t: float) -> Propagator:
 _OVERFLOW = "steady-state covariance overflows double precision"
 
 
-def _steady_state(a: float, b: float, c: float, d: list) -> list:
-    """sigma_inf's ten upper entries (row-major) for Y = diag(P, P), P = [[a, b], [c, a]],
-    from D's 16 entries.
-
-    Each 2x2 block S of sigma solves P S + S P^T = -2 H, with H the block of D's symmetric
-    part, (D_ij + D_ji^T) / 2: exactly D_ij for a symmetric D.  With lam = -a,
-    N = P + lam I = [[0, b], [c, 0]], N^2 = -w^2 I and s2 = lam^2 + w^2, S is the t -> inf
-    limit of `propagated_entries`' source term,
-        S = [(2 lam^2 + w^2) H + N H N^T] / (2 lam s2) + (N H + H N^T) / (2 s2),
-    whose off-diagonal 1/lam part, w^2 (h01 - h10) / (2 lam s2), is kept apart, so no entry
-    cancels.  It is evaluated in canonical units: lam and w over hypot(lam, w), x-type
-    entries times m w = -c / w and p-type ones times 1 / (m w) = b / w, each product taken
-    between factors of balanced scale; the diagonal's leading term is read from H directly.
-    C is solved once for both off-diagonal blocks.
-    """
-    lam, w = -a, math.sqrt(b) * math.sqrt(-c)  # w^2 = -b c may leave the doubles
-    hyp = math.hypot(lam, w)
-    if hyp == math.inf:  # Y and D halved give the same sigma
-        return _steady_state(0.5 * a, 0.5 * b, 0.5 * c, [0.5 * x for x in d])
-    u, v, beta, gamma = lam / hyp, w / hyp, b / w, -c / w  # beta = 1 / (m w), gamma = m w
-    even = 0.25 + 0.25 * (u * u)  # (2 lam^2 + w^2) / (4 s2)
-
-    def block(e00, e01, e10, e11):
-        """S row by row for E = 2 H, each bracket in canonical units."""
-        x, p = gamma * e00, beta * e11
-        cross, shear = (e01 + e10) / hyp * v, (p - x) / hyp * v
-        skew = (e01 - e10) / lam * v * v
-        return (
-            even * (e00 / lam) + beta * (0.25 * (v * (v * (p / lam)) + cross)),
-            0.25 * (e01 / hyp * (u + u) + skew + shear),
-            0.25 * (e10 / hyp * (u + u) - skew + shear),
-            even * (e11 / lam) + gamma * (0.25 * (v * (v * (x / lam)) - cross)),
-        )
-
-    x00, x01, _, x11 = block(d[0] + d[0], d[1] + d[4], d[1] + d[4], d[5] + d[5])
-    z00, z01, _, z11 = block(d[10] + d[10], d[11] + d[14], d[11] + d[14], d[15] + d[15])
-    c00, c01, c10, c11 = block(d[2] + d[8], d[3] + d[12], d[6] + d[9], d[7] + d[13])
+def _upper(block) -> list:
+    """The ten `model.UPPER` entries from block(k), the 2x2 block at row-major entry k, by rows."""
+    (x00, x01, _, x11), (c00, c01, c10, c11), (z00, z01, _, z11) = block(0), block(2), block(10)
     return [x00, x01, c00, c01, x11, c10, c11, z00, z01, z11]
+
+
+def _source(d: list, beta: float, gamma: float, weights: tuple) -> list:
+    """The ten upper entries of W = 2 int_0^t M(s) D M(s)^T ds from D's 16 row-major entries,
+    elementwise in the weights.  With `_drift`'s (a, b, c, w), beta = b / w = 1 / (m w),
+    gamma = -c / w = m w and N = [[0, b], [c, 0]], M(s) = exp(a s) (cos(w s) + sin(w s) N / w)
+    on each block, so each 2x2 block of W, from E = D_ij + D_ji^T (2 H for D's symmetric part
+    H), is cc E + sc (N E + E N^T) / w + ss N E N^T / w^2 (C. Van Loan, IEEE TAC 23, 395 (1978)),
+    (cc, ss, sc, c2) = int_0^t exp(2 a s) (cos^2, sin^2, sin cos, cos 2)(w s) ds.  In canonical
+    units, x = gamma e00 and p = beta e11, with c2 for cc - ss, so nothing of size 1/lam cancels:
+        s00 = cc e00 + beta (ss p + sc (e01 + e10)), s01 = c2 e01 + ss (e01 - e10) + sc (p - x),
+        s11 = cc e11 + gamma (ss x - sc (e01 + e10)), s10 = c2 e10 - ss (e01 - e10) + sc (p - x)."""
+    cc, ss, sc, c2 = weights
+
+    def block(k: int) -> tuple:
+        j = 4 * (k % 4) + k // 4  # the first entry of D_ji
+        e00, e01 = d[k] + d[j], d[k + 1] + d[j + 4]
+        e10, e11 = d[k + 4] + d[j + 1], d[k + 5] + d[j + 5]
+        x, p = gamma * e00, beta * e11
+        cross, skew, shear = sc * (e01 + e10), ss * (e01 - e10), sc * (p - x)
+        return (cc * e00 + beta * (ss * p + cross), c2 * e01 + skew + shear,
+                c2 * e10 - skew + shear, cc * e11 + gamma * (ss * x - cross))
+
+    return _upper(block)
+
+
+def _steady_state(lam: float, w: float) -> tuple:
+    """`_source`'s weights at t = inf, with hyp = hypot(lam, w), u = lam / hyp and v = w / hyp:
+    cc = (1 + u^2) / (4 lam), ss = v^2 / (4 lam), sc = v / (4 hyp) and c2 = u / (2 hyp), each of
+    degree -1 in (lam, w): a hyp beyond the doubles is halved with them, and the weights halved."""
+    hyp = math.hypot(lam, w)
+    if hyp == math.inf:
+        return tuple(0.5 * x for x in _steady_state(0.5 * lam, 0.5 * w))
+    u, v = lam / hyp, w / hyp
+    return (0.25 + 0.25 * (u * u)) / lam, 0.25 * (v * v) / lam, 0.25 * v / hyp, 0.5 * u / hyp
 
 
 def steady_state_lyapunov(
@@ -109,22 +115,25 @@ def steady_state_lyapunov(
 
     Y must be in `build_drift_matrix`'s layout, diag(P, P) with
     P = [[-lam, 1/m], [-m omega^2, -lam]]; any other Y is the ValueError of
-    `propagate`.  The equation splits into three 2x2 Sylvester equations,
-    whose closed-form solution `_steady_state` evaluates on Python floats with
-    no `np.linalg` call; the result is the solution for D's symmetric part.
+    `propagate`.  sigma_inf is W(inf): `_source`'s three 2x2 blocks on the closed-form
+    t = inf weights of `_steady_state`, evaluated on Python floats with no `np.linalg`
+    call; the result is the solution for D's symmetric part.
     Y's eigenvalues are -lam +- i omega, so Y is Hurwitz iff lam > 0
     (NotHurwitzError otherwise).  A result that overflows is a NonFiniteResultError.
     A complex or non-4x4 Y or D, or a non-finite D, is a ValueError before the
     solve.
     """
-    a, b, c = _drift_block(y)  # a = -lam
+    a, b, c, w = _drift(y)  # a = -lam
     entries = _read_covariance(d, name="diffusion matrix")[1]
     if not -a > 0.0:
         raise NotHurwitzError(
             "drift matrix has an eigenvalue with non-negative real part; "
             "no steady state exists"
         )
-    upper = _steady_state(a, b, c, entries)
+    beta, gamma, lam = b / w, -c / w, -a
+    if lam < 2.0**-1020:  # near where 1 / (4 lam) overflows; Y and D scaled alike keep sigma
+        lam, w, entries = 2.0**54 * lam, 2.0**54 * w, [2.0**54 * x for x in entries]
+    upper = _source(entries, beta, gamma, _steady_state(lam, w))
     # a finite sum has finite terms; an infinite or NaN one is checked term by term
     if not (math.isfinite(sum(upper)) or all(map(math.isfinite, upper))):
         raise NonFiniteResultError(_OVERFLOW)
@@ -176,11 +185,12 @@ def closed_form_entries(osc: OscillatorParams, env: EnvironmentParams) -> tuple:
 
 
 def _source_integrals(a: float, w: float, t) -> tuple:
-    """I0 = int_0^t exp(2 a s) ds and Re D, Im D of D = int_0^t exp(2 a s) expm1(2 i w s) ds,
-    Re D = -2 int_0^t exp(2 a s) sin(w s)^2 ds, each to a few ulps of itself, elementwise in t.
-    With z = 2 (a + i w), D = (exp(2 a t) expm1(2 i w t) - 2 i w I0) / z where |z t| >= 1;
-    below, where that form cancels, D = t sum_k ((z t)^k - (2 a t)^k) / (k + 1)!, and I0,
-    whose 2 a t may be subnormal there, is t sum_k (2 a t)^k / (k + 1)!."""
+    """I0 = int_0^t exp(2 a s) ds and Re J, Im J of J = int_0^t exp(2 a s) expm1(2 i w s) ds, each
+    to a few ulps of itself, and C2 = I0 + Re J = int_0^t exp(2 a s) cos(2 w s) ds, which crosses
+    zero, to a few ulps of I0; elementwise in t.  With z = 2 (a + i w), J = (exp(2 a t)
+    expm1(2 i w t) - 2 i w I0) / z and C2 = Re(expm1(z t) / z) where |z t| >= 1; below, where
+    those cancel, J = t sum_k ((z t)^k - (2 a t)^k) / (k + 1)!, I0, whose 2 a t may be subnormal
+    there, is t sum_k (2 a t)^k / (k + 1)!, and C2 = I0 + Re J cancels nothing."""
     z, i2w = complex(a + a, w + w), complex(0.0, w + w)
     zeta = np.where(abs(z * t) < 1.0, z * t, 0.0)  # the series' argument, else 0
     power, term, phi, series = 1.0, 1j * zeta.imag, 0.0, 0.0
@@ -189,49 +199,38 @@ def _source_integrals(a: float, w: float, t) -> tuple:
         series = series + term / math.factorial(k)
         power = power * zeta.real
         term = zeta * term + 1j * zeta.imag * power  # (z t)^k - (2 a t)^k, each k
-    i0 = np.expm1((a + a) * t) / (a + a) if a else t
-    closed = (np.exp((a + a) * t) * np.expm1(i2w * t) - i2w * i0) / z
+    grow = np.expm1((a + a) * t)
+    i0 = grow / (a + a) if a else t
+    turn = np.exp((a + a) * t) * np.expm1(i2w * t)  # expm1(z t) = turn + grow
     near = zeta != 0.0
-    integral = np.where(near, t * series, closed)
-    return np.where(near, t * phi, i0), integral.real, integral.imag
+    i0, integral = np.where(near, t * phi, i0), np.where(near, t * series, (turn - i2w * i0) / z)
+    c2 = np.where(near, i0 + integral.real, ((turn + grow) / z).real)
+    return i0, integral.real, integral.imag, c2
 
 
 def propagated_entries(sigma0, y, d, t) -> tuple:
-    """sigma(t) = M(t) sigma0 M(t)^T + 2 int_0^t M(s) D M(s)^T ds as its ten upper entries
-    in `model.UPPER` order, elementwise in t, for symmetric sigma0 and D.
-
-    M(s) = exp(a s) (cos(w s) + sin(w s) N / w) on each block, N = P - a I, N^2 = -w^2, so
-    each 2x2 block of sigma(t), from the blocks G of sigma0 and H of D, is
-        M G M^T + 2 H I0 + (H - K) Re D + L Im D,  K = N H N^T / w^2,  L = (N H + H N^T) / w,
-    with `_source_integrals`' I0 and D (C. Van Loan, IEEE TAC 23, 395 (1978)): no term of
-    size 1/lambda, and sigma0's entries at t = 0.  Inputs are read as `propagate` reads them.
-    """
+    """sigma(t) = M(t) sigma0 M(t)^T + W(t) as its ten upper entries in `model.UPPER` order,
+    elementwise in t, for symmetric sigma0 and D: W(t) is `_source` on the weights
+    cc = (I0 + C2) / 2, ss = -Re J / 2, sc = Im J / 2 and C2 of `_source_integrals`, and at
+    t = 0 the entries are sigma0's.  Inputs are read as `propagate` reads them."""
     g = _read_covariance(sigma0)[1]
-    a, b, c = _drift_block(y)
+    a, b, c, w = _drift(y)
     h = _read_covariance(d, name="diffusion matrix")[1]
     _check_times(t)
-    w = math.sqrt(-c * b)
-    qq, qp, pq = _damped_rotation(a, b, c, t)
-    # a zero D adds nothing, however fast M(t) grows
-    i0, dr, di = _source_integrals(a, w, t) if any(h) else (0.0, 0.0, 0.0)
+    qq, qp, pq = _damped_rotation(a, b, c, w, t)
 
-    def block(k: int) -> tuple:
-        """The 2x2 block whose first entry is row-major entry k, row by row."""
+    def congruence(k: int) -> tuple:
         g00, g01, g10, g11 = g[k], g[k + 1], g[k + 4], g[k + 5]
-        h00, h01, h10, h11 = h[k], h[k + 1], h[k + 4], h[k + 5]
         r00, r01 = qq * g00 + qp * g10, qq * g01 + qp * g11  # M G
         r10, r11 = pq * g00 + qq * g10, pq * g01 + qq * g11
-        # H - K = [[h00 + b h11 / c, h01 + h10], [h10 + h01, h11 + c h00 / b]], L's entries:
-        l0, l1, l2 = b * (h01 + h10) / w, (b * h11 + c * h00) / w, c * (h01 + h10) / w
-        return (
-            r00 * qq + r01 * qp + 2 * h00 * i0 + (h00 + b * h11 / c) * dr + l0 * di,
-            r00 * pq + r01 * qq + 2 * h01 * i0 + (h01 + h10) * dr + l1 * di,
-            r10 * qq + r11 * qp + 2 * h10 * i0 + (h10 + h01) * dr + l1 * di,
-            r10 * pq + r11 * qq + 2 * h11 * i0 + (h11 + c * h00 / b) * dr + l2 * di,
-        )
+        return r00 * qq + r01 * qp, r00 * pq + r01 * qq, r10 * qq + r11 * qp, r10 * pq + r11 * qq
 
-    (x00, x01, _, x11), (c00, c01, c10, c11), (z00, z01, _, z11) = block(0), block(2), block(10)
-    return x00, x01, c00, c01, x11, c10, c11, z00, z01, z11
+    upper = _upper(congruence)
+    if any(h):  # a zero D adds nothing, however fast M(t) grows
+        i0, re_j, im_j, c2 = _source_integrals(a, w, t)
+        weights = 0.5 * (i0 + c2), -0.5 * re_j, 0.5 * im_j, c2
+        upper = [x + s for x, s in zip(upper, _source(h, b / w, -c / w, weights))]
+    return tuple(upper)
 
 
 def propagate(

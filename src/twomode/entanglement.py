@@ -43,6 +43,7 @@ from .model import (
     BlockDecomposition,
     EnvironmentParams,
     OscillatorParams,
+    _TINY,
     _denoised,
     _read_covariance,
     _validity,
@@ -77,7 +78,6 @@ class EntanglementReport:
 
 
 _Invariants = namedtuple("_Invariants", "det_a det_b det_c s radicand f e verdict")
-_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 #: `_kernel`'s where, sqrt, log2 and maximum: numpy's for arrays, and for Python floats
 _ARRAY_OPS = (np.where, np.sqrt, np.log2, np.maximum)
 _FLOAT_OPS = (lambda c, x, y: x if c else y, math.sqrt, lambda x: float(np.log2(x)), max)

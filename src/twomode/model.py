@@ -37,6 +37,7 @@ J.flags.writeable = False
 PSD_TOLERANCE = 1e-10
 
 _NOISE = 4.0 * float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 #: y-mode field -> the x-mode field it equals in a symmetric environment (field order).
 MIRROR = {"d_ypx": "d_xpy", "d_yy": "d_xx", "d_ypy": "d_xpx", "d_pypy": "d_pxpx"}
@@ -243,15 +244,15 @@ def build_drift_matrix(
 
     Block-diagonal with two identical damped-oscillator blocks
     [[-lam, 1/m], [-m omega^2, -lam]]; only lam is used from the environment.
-    Raises NonFiniteResultError when 1/m overflows or m omega^2 overflows or
-    underflows to zero.
+    Raises NonFiniteResultError when 1/m, omega^2 or m omega^2 leaves the normal
+    doubles: an overflow is no matrix, and a subnormal entry keeps too few digits for exp(Y t).
     """
-    inverse_mass = 1.0 / osc.m
-    spring = -osc.m * (osc.omega * osc.omega)
-    if not (math.isfinite(inverse_mass) and -math.inf < spring < 0.0):
+    inverse_mass, square = 1.0 / osc.m, osc.omega * osc.omega
+    spring = -osc.m * square
+    if not (_TINY <= inverse_mass < math.inf and square >= _TINY and _TINY <= -spring < math.inf):
         raise NonFiniteResultError(
             f"drift matrix is out of double-precision range for m = {osc.m!r}, "
-            f"omega = {osc.omega!r}"
+            f"omega = {osc.omega!r}: 1/m, omega^2 and m omega^2 must lie in [{_TINY!r}, 1.8e308)"
         )
     blk = np.array([[-env.lam, inverse_mass], [spring, -env.lam]])
     out = np.zeros((4, 4))

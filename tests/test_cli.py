@@ -10,6 +10,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +216,38 @@ class TestEvolveCommand:
         assert abs(float(row["sigma_xx"]) - 1.1) <= 1e-13
         det_a = float(row["sigma_xx"]) * float(row["sigma_pxpx"]) - float(row["sigma_xpx"]) ** 2
         assert det_a >= 0.25  # a quantum state's uncertainty bound
+
+    def test_extreme_scales_against_mpmath(self, tmp_path, capsys):
+        # m omega = 7.5e174 and omega / lambda = 1.4e38, each coefficient of order one in
+        # canonical units: c (D_xpy + D_ypx) / omega once overflowed in sigma_pxpy's
+        # source term, which made row 1 a NaN and the run exit 2
+        m, omega, lam = 3.97e79, 1.89e95, 1.38e57
+        mw = m * omega
+        environment = {"lambda": lam, "D_xx": 0.6 * lam / mw, "D_pxpx": 0.6 * lam * mw, "D_xpy": 0.3 * lam}
+        payload = {
+            "oscillator": {"m": m, "omega": omega},
+            "environment": environment,
+            "time_grid": {"t_start": 0.0, "t_end": 10.0 / omega, "n_points": 3},
+        }
+        code = main(["evolve", "--config", write_config(tmp_path, payload), "--format", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        trace = strict_json(captured.out)
+        osc = twomode.OscillatorParams(m, omega)
+        env = twomode.SymmetricEnvironmentParams(
+            lam, d_xx=environment["D_xx"], d_pxpx=environment["D_pxpx"], d_xpy=environment["D_xpy"]
+        )
+        y, d = twomode.build_drift_matrix(osc, env), twomode.build_diffusion_matrix(env)
+        sigma0 = twomode.make_vacuum_covariance(osc)
+        pairs = [(i, j) for i in range(4) for j in range(i, 4)]  # the sigma columns' order
+        for values in trace["rows"]:
+            row = dict(zip(trace["columns"], values))
+            exact = mp_sigma_t(y, d, sigma0, row["t"])
+            sigma = [value for name, value in row.items() if name.startswith("sigma_")]
+            # normwise in canonical units: x-type entries times m omega, p-type over it
+            weights = [mpmath.mpf(mw) ** (1 - i % 2 - j % 2) for i, j in pairs]
+            gap = max(abs(s - exact[i][j]) * k for s, (i, j), k in zip(sigma, pairs, weights))
+            assert gap <= 1e-13 * max(abs(exact[i][j]) * k for (i, j), k in zip(pairs, weights))
 
     def test_vacuum_trace(self, tmp_path, capsys):
         payload_cfg = dict(
@@ -685,8 +718,9 @@ class TestErrorContract:
             ),
             ({"m": 1.0, "omega": 1e200}, REFERENCE_CONFIG["environment"]),
             ({"m": 1.0, "omega": 1.0}, {**REFERENCE_CONFIG["environment"], "lambda": 1e300}),
+            ({"m": 1.0, "omega": 1e-160}, REFERENCE_CONFIG["environment"]),
         ],
-        ids=["huge_diffusion", "omega_squared_overflows", "huge_lambda"],
+        ids=["huge_diffusion", "omega_squared_overflows", "huge_lambda", "subnormal_spring"],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_steady_state_non_finite_report(

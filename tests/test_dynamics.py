@@ -81,8 +81,10 @@ class TestMatrixExponential:
         prop = matrix_exponential(drift(1.3, 0.7, 0.4), 0.0)
         np.testing.assert_array_equal(prop.matrix, np.eye(4))
         assert prop.t == 0.0
-        # 1 / (m omega) overflows, yet sin(0) times it is no NaN
-        np.testing.assert_array_equal(matrix_exponential(drift(1e-300, 3e-12), 0.0).matrix, np.eye(4))
+        # 1 / (m omega) overflows, yet sin(0) times it is no NaN: the block of m = 1e-300 and
+        # omega = 3e-12, written by hand, as build_drift_matrix refuses its subnormal m omega^2
+        block = [[-1.0, 1.0 / 1e-300], [-1e-300 * (3e-12 * 3e-12), -1.0]]
+        np.testing.assert_array_equal(matrix_exponential(_block_diagonal(block, block), 0.0).matrix, np.eye(4))
 
     def test_half_turn_at_zero_damping(self):
         prop = matrix_exponential(drift(1.0, 1.0, 0.0), math.pi)
@@ -222,9 +224,11 @@ class TestDriftParameters:
             assert (ours[:2, 2:] == 0.0).all() and (ours[2:, :2] == 0.0).all()
 
     def test_tiny_mass(self):
-        # 1/m = 1e308 in both blocks: finite entries whose sum overflows
-        y = drift(1e-308, 1.0, 1.0)
-        assert matrix_exponential(y, 0.5).matrix[0, 0] == 0.5322807302156708
+        # 1/m = 1e308 in both blocks: finite entries whose sum overflows; the block of
+        # m = 1e-308 and omega = 1, written by hand, as build_drift_matrix refuses its
+        # subnormal m omega^2
+        block = [[-1.0, 1.0 / 1e-308], [-1e-308, -1.0]]
+        assert matrix_exponential(_block_diagonal(block, block), 0.5).matrix[0, 0] == 0.5322807302156708
 
 
 def _kronecker_solve(y, d):
@@ -528,6 +532,14 @@ class TestBlockSteadyState:
         block = [[-1.7e308, 1e308], [-1e308, -1.7e308]]
         y, d = _block_diagonal(block, block), np.diag([1e300, 2e300, 3e300, 4e300])
         d[0, 3] = d[3, 0] = 1e299
+        exact = exact_steady_state(y, d)
+        assert _canonical_error(steady_state_lyapunov(y, d), exact, Fraction(1)) <= 1e-15
+
+    @pytest.mark.parametrize("lam, diffusion", [(1e-310, 1e-300), (5e-324, 1e-320)])
+    def test_subnormal_lambda_against_the_exact_solve(self, lam, diffusion):
+        # 1 / (4 lam) is beyond the doubles, and sigma ~ D / lam (1e10 and 2e3) is not
+        env = SymmetricEnvironmentParams(lam, diffusion, 0.0, diffusion, 0.0, 0.3 * diffusion)
+        y, d = build_drift_matrix(OscillatorParams(1.0, 1.0), env), build_diffusion_matrix(env)
         exact = exact_steady_state(y, d)
         assert _canonical_error(steady_state_lyapunov(y, d), exact, Fraction(1)) <= 1e-15
 
@@ -908,18 +920,59 @@ class TestPropagatedEntries:
 
     @pytest.mark.parametrize("lam", [1e-300, 1e-9, 0.1, 1.0, 10.0, 1e3])
     def test_source_integrals_against_mpmath(self, lam):
-        # I0, Re D and Im D each to 1e-14 of itself: Re D carries the sin^2 integral,
-        # which cancels in the closed form for a small |z t|, as for lambda >> omega
+        # I0, Re J and Im J each to 1e-14 of itself: Re J carries the sin^2 integral,
+        # which cancels in the closed form for a small |z t|, as for lambda >> omega.
+        # C2, the cos(2 w s) integral, crosses zero: to 1e-14 of I0
         for w in (0.05, 1.0, 20.0):
             times = [1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 10.0]
             got = np.array(dynamics._source_integrals(-lam, w, np.array(times)))
             with mpmath.workdps(80):
                 x, z = -2 * mpmath.mpf(lam), mpmath.mpc(-2 * mpmath.mpf(lam), 2 * mpmath.mpf(w))
                 for t, values in zip(times, got.T):
-                    i0 = mpmath.expm1(x * t) / x
-                    d = mpmath.expm1(z * t) / z - i0
-                    for value, exact in zip(values, (i0, d.real, d.imag)):
-                        assert abs(value - exact) <= 1e-14 * abs(exact), (lam, w, t)
+                    i0, cosine = mpmath.expm1(x * t) / x, mpmath.expm1(z * t) / z
+                    d = cosine - i0
+                    exacts, scales = (i0, d.real, d.imag, cosine.real), (i0, d.real, d.imag, i0)
+                    for value, exact, scale in zip(values, exacts, scales, strict=True):
+                        assert abs(value - exact) <= 1e-14 * abs(scale), (lam, w, t)
+
+    @pytest.mark.parametrize("lam", [1e-2, 1e-4, 1e-6, 1e-9])
+    def test_long_times_reach_the_exact_steady_state(self, lam):
+        # sigma(60 / lam) from sigma0 = 0 is sigma_inf to exp(-120) ~ 1e-52, entry by entry:
+        # no entry of size 1 / lam cancels in W(t) as t grows
+        coefficients = (0.7, 0.02, 0.05, 0.1, 0.12, 0.8, 0.75, 0.03, 0.04, 0.85)
+        env = EnvironmentParams(lam, *coefficients)
+        y, d = build_drift_matrix(OscillatorParams(1.3, 0.7), env), build_diffusion_matrix(env)
+        exact = exact_steady_state(y, d)
+        got = dynamics.propagated_entries(np.zeros((4, 4)), y, d, 60.0 / lam)
+        for (i, j), value in zip(zip(*UPPER), got, strict=True):
+            assert abs(Fraction(float(value)) - exact[i][j]) <= 1e-12 * abs(exact[i][j]), (i, j)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        exponents=st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3),
+        coefficients=st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10),
+    )
+    @example(
+        # D_xx = 0.6 lam / (m omega), D_pxpx = 0.6 lam m omega and D_xpy = 0.3 lam, mirrored:
+        # there c (D_xpy + D_ypx) / omega overflowed in sigma_pxpy's source term, to a NaN
+        exponents=[math.log10(3.97e79), math.log10(1.89e95), math.log10(1.38e57)],
+        coefficients=[0.6, 0.0, 0.0, 0.3, 0.3, 0.6, 0.6, 0.0, 0.0, 0.6],
+    )
+    def test_range_at_long_times_against_the_exact_solve(self, exponents, coefficients):
+        # test_range_against_the_exact_solve's draws, from sigma0 = 0 to t = 60 / lam, where
+        # sigma(t) is sigma_inf to exp(-120): finite wherever sigma_inf is normal
+        m, omega, lam = (10.0**e for e in exponents)
+        mw = m * omega
+        env = EnvironmentParams(
+            lam, *(v * lam * mw**-kind for v, kind in zip(coefficients, _COEFFICIENT_TYPES))
+        )
+        y, d = build_drift_matrix(OscillatorParams(m, omega), env), build_diffusion_matrix(env)
+        exact = exact_steady_state(y, d)
+        assume(all(_normal_or_zero(v) for row in exact for v in row) and any(map(any, exact)))
+        got = dynamics.propagated_entries(np.zeros((4, 4)), y, d, 60.0 / lam)
+        sigma = model._symmetric([float(v) for v in got])
+        assert np.isfinite(sigma).all()
+        assert _canonical_error(sigma, exact, Fraction(m) * Fraction(omega)) <= 1e-13
 
     def test_time_zero_is_sigma0(self):
         rng = np.random.default_rng(11)

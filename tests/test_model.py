@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from twomode import (
     EnvironmentParams,
+    NonFiniteResultError,
     OscillatorParams,
     SymmetricEnvironmentParams,
     build_diffusion_matrix,
@@ -176,6 +177,21 @@ class TestDriftMatrix:
     def test_half_damping_block(self):
         y = build_drift_matrix(OscillatorParams(1.0, 1.0), EnvironmentParams(lam=0.5))
         np.testing.assert_array_equal(y[:2, :2], [[-0.5, 1.0], [-1.0, -0.5]])
+
+    @pytest.mark.parametrize(
+        "m, omega", [(1.0, 1e-160), (9.11, 3e-162), (1e-300, 3e-12), (1e-308, 1.0), (1e308, 1.0)]
+    )
+    def test_refuses_an_entry_below_the_normal_doubles(self, m, omega):
+        # a subnormal omega^2, m omega^2 or 1/m keeps too few digits for exp(Y t): at m = 1,
+        # omega = 1e-160, exp(Y t)[0, 0] at t = 3e160 came out -0.98999014 for -0.98999250
+        message = r"must lie in \[2\.2250738585072014e-308, 1\.8e308\)$"
+        with pytest.raises(NonFiniteResultError, match=message):
+            build_drift_matrix(OscillatorParams(m, omega), EnvironmentParams(lam=1.0))
+
+    def test_smallest_normal_spring(self):
+        tiny = float(np.finfo(float).tiny)
+        y = build_drift_matrix(OscillatorParams(tiny, 1.0), EnvironmentParams(lam=1.0))
+        assert (y[1, 0], y[0, 1]) == (-tiny, 1.0 / tiny)
 
     @settings(max_examples=100, deadline=None)
     @given(
