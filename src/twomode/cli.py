@@ -661,6 +661,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     if not env.lam > 0.0:
         message = f"sweep requires a positive dissipation constant, got {env.lam!r}"
         raise NonPositiveLambdaError(message)
+    build_drift_matrix(cfg.oscillator, env)  # Y's range rule, though the closed forms need no Y
     _write_table("sweep", cfg, args, *_sweep_table(cfg))
     return 0
 

@@ -190,21 +190,25 @@ def _source_integrals(a: float, w: float, t) -> tuple:
     zero, to a few ulps of I0; elementwise in t.  With z = 2 (a + i w), J = (exp(2 a t)
     expm1(2 i w t) - 2 i w I0) / z and C2 = Re(expm1(z t) / z) where |z t| >= 1; below, where
     those cancel, J = t sum_k ((z t)^k - (2 a t)^k) / (k + 1)!, I0, whose 2 a t may be subnormal
-    there, is t sum_k (2 a t)^k / (k + 1)!, and C2 = I0 + Re J cancels nothing."""
-    z, i2w = complex(a + a, w + w), complex(0.0, w + w)
-    zeta = np.where(abs(z * t) < 1.0, z * t, 0.0)  # the series' argument, else 0
-    power, term, phi, series = 1.0, 1j * zeta.imag, 0.0, 0.0
-    for k in range(2, 19):  # 1 / 18! < eps / 4
-        phi = phi + power / math.factorial(k - 1)  # I0 / t = expm1(2 a t) / (2 a t)
-        series = series + term / math.factorial(k)
-        power = power * zeta.real
-        term = zeta * term + 1j * zeta.imag * power  # (z t)^k - (2 a t)^k, each k
+    there, is t sum_k (2 a t)^k / (k + 1)!, and C2 = I0 + Re J cancels nothing.  The series is
+    summed on those times alone."""
+    z, i2w, t = complex(a + a, w + w), complex(0.0, w + w), np.asarray(t)
     grow = np.expm1((a + a) * t)
     i0 = grow / (a + a) if a else t
     turn = np.exp((a + a) * t) * np.expm1(i2w * t)  # expm1(z t) = turn + grow
-    near = zeta != 0.0
-    i0, integral = np.where(near, t * phi, i0), np.where(near, t * series, (turn - i2w * i0) / z)
-    c2 = np.where(near, i0 + integral.real, ((turn + grow) / z).real)
+    integral, c2 = np.array((turn - i2w * i0) / z), np.array(((turn + grow) / z).real)
+    i0 = np.array(i0, dtype=float)  # a copy: i0 may be t itself
+    near = (abs(z * t) < 1.0) & (t != 0.0)
+    if near.any():
+        zeta, power, phi, series = z * t[near], 1.0, 0.0, 0.0  # the series' arguments, 1-D
+        term = 1j * zeta.imag
+        for k in range(2, 19):  # 1 / 18! < eps / 4
+            phi = phi + power / math.factorial(k - 1)  # I0 / t = expm1(2 a t) / (2 a t)
+            series = series + term / math.factorial(k)
+            power = power * zeta.real
+            term = zeta * term + 1j * zeta.imag * power  # (z t)^k - (2 a t)^k, each k
+        i0[near], integral[near] = t[near] * phi, t[near] * series
+        c2[near] = i0[near] + integral.real[near]
     return i0, integral.real, integral.imag, c2
 
 

@@ -33,6 +33,16 @@ BOUNDARY_CONFIG = {
     "validation": "strict",
 }
 
+# All ten coefficients, so no closed form: the golden steady_ten case.
+TEN_CONFIG = {
+    "oscillator": {"m": 1.3, "omega": 0.7},
+    "environment": {
+        "lambda": 0.9, "D_xx": 0.7, "D_xpx": 0.02, "D_xy": 0.05, "D_xpy": 0.1, "D_ypx": 0.12,
+        "D_pxpx": 0.8, "D_yy": 0.75, "D_ypy": 0.03, "D_pxpy": 0.04, "D_pypy": 0.85,
+    },
+    "validation": "strict",
+}
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -98,19 +108,14 @@ class TestValidateCommand:
         assert "D_zz" in capsys.readouterr().err
 
     def test_json_format(self, tmp_path, capsys):
-        code = main(
-            [
-                "validate",
-                "--config",
-                write_config(tmp_path, REFERENCE_CONFIG),
-                "--format",
-                "json",
-            ]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["report"]["passed"] is True
-        assert payload["report"]["min_gram_eigenvalue"] > 0
+        # a mirrored environment (closed-form Gram spectrum) and a ten-coefficient one (eigvalsh)
+        for payload in (REFERENCE_CONFIG, TEN_CONFIG):
+            path = write_config(tmp_path, payload)
+            assert main(["validate", "--config", path, "--format", "json"]) == 0
+            report = strict_json(capsys.readouterr().out)["report"]
+            assert report["passed"] is True
+            eigenvalue = report["min_gram_eigenvalue"]
+            assert math.isfinite(eigenvalue) and eigenvalue > 0
 
 
 class TestSteadyStateCommand:
@@ -128,9 +133,56 @@ class TestSteadyStateCommand:
         payload = json.loads(capsys.readouterr().out)
         sigma = np.array(payload["sigma_infinity"])
         np.testing.assert_allclose(sigma, reference_sigma_inf, atol=1e-9)
-        assert payload["closed_form_max_diff"] <= 1e-9
-        assert payload["report"]["verdict"] == "entangled"
+        assert payload["closed_form_max_diff"] <= 1e-12
+        assert payload["report"]["verdict"] == "entangled" and payload["report"]["s_general"] < 0
         assert abs(payload["report"]["e_general"] - 0.3663624675484261) <= 1e-6
+
+    def test_ten_coefficient_point(self, tmp_path, capsys):
+        # no closed form: the solve's sigma_inf solves Y sigma + sigma Y^T = -2 D to a relative
+        # residual of 1e-12, and the verdict is the sign of S
+        path = write_config(tmp_path, TEN_CONFIG)
+        assert main(["steady-state", "--config", path, "--format", "json"]) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["sigma_infinity_closed_form"] is payload["closed_form_max_diff"] is None
+        cfg = parse_config(TEN_CONFIG)
+        y = twomode.build_drift_matrix(cfg.oscillator, cfg.environment)
+        d = twomode.build_diffusion_matrix(cfg.environment)
+        sigma = np.array(payload["sigma_infinity"])
+        residual = np.abs(y @ sigma + sigma @ y.T + 2 * d).max()
+        assert residual <= 1e-12 * np.abs(y).max() * np.abs(sigma).max()
+        report = payload["report"]
+        assert report["verdict"] == ("entangled" if report["s_general"] < 0 else "separable")
+
+    def test_unmirrored_point_has_no_closed_form(self, tmp_path, capsys):
+        # y-mode noise 0.9 k against x-mode noise 0.6 k is not mirrored at k = 1e-13 either:
+        # class membership does not depend on the unit of time
+        coefficients = {
+            "D_xx": 0.6, "D_pxpx": 0.6, "D_xpy": 0.3, "D_ypx": 0.3,
+            "D_yy": 0.9, "D_ypy": 0.0, "D_pypy": 0.9,
+        }
+        reports = []
+        for k in (1.0, 1e-13):
+            environment = {"lambda": k, **{key: value * k for key, value in coefficients.items()}}
+            payload = {"oscillator": {"m": 1 / k, "omega": k}, "environment": environment}
+            path = write_config(tmp_path, payload)
+            assert main(["steady-state", "--config", path, "--format", "json"]) == 0
+            reports.append(strict_json(capsys.readouterr().out)["report"])
+        for report in reports:
+            assert (report["s_special"], report["e_closed"], report["window"]) == (None, None, None)
+        assert reports[0]["notes"] == reports[1]["notes"] != []
+
+    def test_huge_lambda_without_a_closed_form(self, tmp_path, capsys):
+        # lambda = 1e155: sigma_inf ~ D / lambda is tiny, and an environment that is not
+        # mirrored has no closed form to overflow; sigma_xx = D_xx / lambda, a separable state
+        environment = {
+            "lambda": 1e155, "D_xx": 1.0, "D_pxpx": 1.0, "D_yy": 1.5, "D_ypy": 0.0, "D_pypy": 1.5,
+            "D_xpy": 0.3, "D_ypx": 0.3,
+        }
+        path = write_config(tmp_path, dict(REFERENCE_CONFIG, environment=environment))
+        assert main(["steady-state", "--config", path, "--format", "json"]) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["report"]["verdict"] == "separable"
+        assert abs(payload["sigma_infinity"][0][0] - 1e-155) <= 1e-13 * 1e-155
 
     def test_uncorrelated_point(self, tmp_path, capsys):
         payload_cfg = dict(REFERENCE_CONFIG)
@@ -152,9 +204,14 @@ class TestSteadyStateCommand:
     def test_no_steady_state_for_zero_damping(self, tmp_path, capsys):
         payload_cfg = dict(REFERENCE_CONFIG)
         payload_cfg["environment"] = dict(payload_cfg["environment"], **{"lambda": 0.0})
-        code = main(["steady-state", "--config", write_config(tmp_path, payload_cfg)])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
+        path = write_config(tmp_path, payload_cfg)
+        for fmt in ("csv", "json"):
+            code = main(["steady-state", "--config", path, "--format", fmt])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            # the Hurwitz test, read off the drift spectrum -lambda +- i omega
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("error: drift matrix has an eigenvalue")
 
     def test_csv_single_row(self, tmp_path, capsys):
         code = main(["steady-state", "--config", write_config(tmp_path, REFERENCE_CONFIG)])
@@ -183,9 +240,9 @@ class TestSteadyStateCommand:
         assert (report["e_general"], report["e_closed"]) == (None, None)
 
 
-def _tiny_lambda_row(tmp_path, capsys, lam):
-    """evolve's row at t = 0.5 from the vacuum, at m = omega = 1 and a tiny lambda, with
-    warnings as errors and nothing on stderr."""
+def _tiny_lambda_rows(tmp_path, capsys, lam):
+    """evolve's rows at t = 0, 0.5 and 1 from the vacuum, at m = omega = 1 and a tiny lambda,
+    with warnings as errors and nothing on stderr."""
     payload_cfg = dict(
         REFERENCE_CONFIG,
         environment={"lambda": lam, "D_xx": 0.6, "D_pxpx": 0.6, "D_xpy": 0.3},
@@ -196,26 +253,27 @@ def _tiny_lambda_row(tmp_path, capsys, lam):
         assert main(["evolve", "--config", write_config(tmp_path, payload_cfg)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    row = parse_csv(captured.out)[1]
-    assert float(row["t"]) == 0.5
-    return row
+    rows = parse_csv(captured.out)
+    assert [float(row["t"]) for row in rows] == [0.0, 0.5, 1.0]
+    return rows
 
 
 class TestEvolveCommand:
     def test_tiny_lambda_against_mpmath(self, tmp_path, capsys):
         osc = twomode.OscillatorParams(1.0, 1.0)
         env = twomode.SymmetricEnvironmentParams(1e-9, d_xx=0.6, d_pxpx=0.6, d_xpy=0.3)
-        row = _tiny_lambda_row(tmp_path, capsys, 1e-9)
+        row = _tiny_lambda_rows(tmp_path, capsys, 1e-9)[1]
         y, d = twomode.build_drift_matrix(osc, env), twomode.build_diffusion_matrix(env)
         exact = mp_sigma_t(y, d, twomode.make_vacuum_covariance(osc), 0.5)[0][0]
         assert abs(float(row["sigma_xx"]) - exact) <= 1e-13 * abs(exact)
 
     def test_vanishing_lambda(self, tmp_path, capsys):
         # sigma_inf ~ 1e80 cancels in no entry: sigma_xx(0.5) is 0.5 + 2 D_xx t to within 1e-80
-        row = _tiny_lambda_row(tmp_path, capsys, 1e-80)
-        assert abs(float(row["sigma_xx"]) - 1.1) <= 1e-13
-        det_a = float(row["sigma_xx"]) * float(row["sigma_pxpx"]) - float(row["sigma_xpx"]) ** 2
-        assert det_a >= 0.25  # a quantum state's uncertainty bound
+        rows = _tiny_lambda_rows(tmp_path, capsys, 1e-80)
+        assert abs(float(rows[1]["sigma_xx"]) - 1.1) <= 1e-13
+        for row in rows:
+            det_a = float(row["sigma_xx"]) * float(row["sigma_pxpx"]) - float(row["sigma_xpx"]) ** 2
+            assert det_a >= 0.25  # a quantum state's uncertainty bound
 
     def test_extreme_scales_against_mpmath(self, tmp_path, capsys):
         # m omega = 7.5e174 and omega / lambda = 1.4e38, each coefficient of order one in
@@ -248,26 +306,49 @@ class TestEvolveCommand:
             weights = [mpmath.mpf(mw) ** (1 - i % 2 - j % 2) for i, j in pairs]
             gap = max(abs(s - exact[i][j]) * k for s, (i, j), k in zip(sigma, pairs, weights))
             assert gap <= 1e-13 * max(abs(exact[i][j]) * k for (i, j), k in zip(pairs, weights))
+        # and out to t = 60 / lambda, where sigma(t) meets sigma_inf
+        payload["time_grid"] = {"t_start": 0.0, "t_end": 60.0 / lam, "n_points": 11}
+        code = main(["evolve", "--config", write_config(tmp_path, payload), "--format", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert len(strict_json(captured.out)["rows"]) == 11
 
     def test_vacuum_trace(self, tmp_path, capsys):
-        payload_cfg = dict(
-            REFERENCE_CONFIG,
-            time_grid={"t_start": 0.0, "t_end": 10.0, "n_points": 101},
-        )
-        code = main(["evolve", "--config", write_config(tmp_path, payload_cfg)])
-        assert code == 0
-        rows = parse_csv(capsys.readouterr().out)
-        assert len(rows) == 101
-        first = rows[0]
-        assert float(first["t"]) == 0.0
-        assert float(first["sigma_xx"]) == 0.5
-        assert float(first["sigma_xpx"]) == 0.0
-        assert float(first["sigma_xy"]) == 0.0
-        assert float(first["sigma_pxpx"]) == 0.5
-        # monotone time column and convergence to the asymptotic state
-        times = [float(r["t"]) for r in rows]
-        assert times == sorted(times)
-        assert float(rows[-1]["max_abs_dev"]) <= 1e-8
+        # 5,001 times span two compute blocks of 4,096 rows
+        for n_points in (101, 5001):
+            payload_cfg = dict(
+                REFERENCE_CONFIG,
+                time_grid={"t_start": 0.0, "t_end": 10.0, "n_points": n_points},
+            )
+            code = main(["evolve", "--config", write_config(tmp_path, payload_cfg)])
+            assert code == 0
+            rows = parse_csv(capsys.readouterr().out)
+            assert len(rows) == n_points
+            first = rows[0]
+            assert float(first["t"]) == 0.0
+            assert float(first["sigma_xx"]) == 0.5
+            assert float(first["sigma_xpx"]) == 0.0
+            assert float(first["sigma_xy"]) == 0.0
+            assert float(first["sigma_pxpx"]) == 0.5
+            # monotone time column and convergence to the asymptotic state
+            times = [float(r["t"]) for r in rows]
+            assert times == sorted(times)
+            assert float(rows[-1]["max_abs_dev"]) <= 1e-8
+
+    def test_explicit_initial_state_trace(self, tmp_path, capsys):
+        # ten coefficients from 2 I: row 0 is the initial state, and the state relaxes
+        # towards sigma_inf
+        initial = (2.0 * np.eye(4)).tolist()
+        time_grid = {"t_start": 0.0, "t_end": 10.0, "n_points": 11}
+        path = write_config(tmp_path, dict(TEN_CONFIG, initial_state=initial, time_grid=time_grid))
+        assert main(["evolve", "--config", path, "--format", "json"]) == 0
+        trace = strict_json(capsys.readouterr().out)
+        assert len(trace["rows"]) == 11
+        first = dict(zip(trace["columns"], trace["rows"][0]))
+        sigma = [value for name, value in first.items() if name.startswith("sigma_")]
+        assert sigma == [initial[i][j] for i in range(4) for j in range(i, 4)]
+        deviation = [row[trace["columns"].index("max_abs_dev")] for row in trace["rows"]]
+        assert deviation[-1] < deviation[0]
 
     def test_stationary_initial_state(self, tmp_path, capsys):
         # starting from the computed asymptotic state, every row is that state
@@ -465,6 +546,22 @@ class TestSweepCommand:
         assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 1
         assert "D_xy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_refuses_an_oscillator_out_of_the_double_range(self, tmp_path, fmt):
+        # m omega^2 = 1e-320 is subnormal: the closed forms build no drift matrix, yet the
+        # sweep refuses the oscillator with the builder's one line, as steady-state does
+        cfg = sweep_config(
+            axis1={"coefficient": "D_xx", "min": 0.25, "max": 1.5, "n": 3},
+            axis2={"coefficient": "D_xpy", "min": 0.0, "max": 2.0, "n": 3},
+            environment={"lambda": 1.0, "D_xx": 0.6, "D_pxpx": 6e-321},
+        )
+        cfg["oscillator"] = {"m": 1.0, "omega": 1e-160}
+        path = write_config(tmp_path, cfg)
+        steady = run_to("steady-state", path, fmt)
+        assert steady[2].startswith("error: drift matrix is out of double-precision range")
+        for target in (None, tmp_path / "out"):
+            assert run_to("sweep", path, fmt, target) == (2, "" if target is None else None, steady[2])
+
     def test_requires_sweep_section(self, tmp_path, capsys):
         assert main(["sweep", "--config", write_config(tmp_path, REFERENCE_CONFIG)]) == 1
 
@@ -481,13 +578,27 @@ class TestSweepCommand:
         assert out1.read_bytes() == out3.read_bytes()
 
     def test_json_format(self, tmp_path, capsys):
-        code = main(
-            ["sweep", "--config", write_config(tmp_path, sweep_config()), "--format", "json"]
+        # the default axes, and a 101 x 101 grid over three compute blocks of 4,096 rows
+        fine = sweep_config(
+            axis1={"coefficient": "D_xx", "min": 0.25, "max": 1.5, "n": 101},
+            axis2={"coefficient": "D_xpy", "min": 0.0, "max": 2.0, "n": 101},
         )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["columns"][0] == "axis1"
-        assert len(payload["rows"]) == 11 * 21
+        for cfg, count in ((sweep_config(), 11 * 21), (fine, 101 * 101)):
+            code = main(["sweep", "--config", write_config(tmp_path, cfg), "--format", "json"])
+            assert code == 0
+            payload = strict_json(capsys.readouterr().out)
+            assert payload["columns"][0] == "axis1"
+            assert len(payload["rows"]) == count
+            # the kernel's S and E against the matched class's closed forms, where both are written
+            rows = [dict(zip(payload["columns"], values)) for values in payload["rows"]]
+            closed_e = [r for r in rows if None not in (r["E_general"], r["E_closed"])]
+            closed_s = [r for r in rows if None not in (r["S_general"], r["S_special"])]
+            assert closed_e and closed_s
+            for row in closed_e:
+                assert abs(row["E_general"] - row["E_closed"]) <= 1e-9, row
+            for row in closed_s:
+                gap = abs(row["S_general"] - row["S_special"])
+                assert gap <= 1e-12 * max(1.0, abs(row["S_special"])), row
 
 
 class TestConfigRoundTrip:
@@ -749,11 +860,13 @@ class TestErrorContract:
         # lambda^2 underflows to zero inside the closed forms
         environment = {"lambda": 1e-170, "D_xx": 0.6, "D_pxpx": 0.6, "D_xpy": 0.3}
         path = write_config(tmp_path, dict(REFERENCE_CONFIG, environment=environment))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["steady-state", "--config", path])
-        err = capsys.readouterr().err
-        assert code == 2 and len(err.splitlines()) == 1 and err.startswith("error: ")
+        for fmt in ("csv", "json"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["steady-state", "--config", path, "--format", fmt])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
     def test_steady_state_is_silent_when_barely_damped(self, tmp_path, capsys):
         # sigma_inf ~ 1/lambda loses no precision: the solve and the closed form agree
@@ -767,6 +880,8 @@ class TestErrorContract:
         payload = strict_json(captured.out)
         largest = np.abs(payload["sigma_infinity"]).max()
         assert payload["closed_form_max_diff"] <= 1e-9 * largest
+        report = payload["report"]
+        assert report["verdict"] == ("entangled" if report["s_general"] < 0 else "separable")
 
     def test_sweep_overflowing_s_is_strict_json(self, tmp_path, capsys):
         cfg = sweep_config(
@@ -1321,11 +1436,13 @@ _OVERFLOWS = {
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_overflow_writes_nothing(tmp_path, command, fmt):
     path = write_config(tmp_path, _OVERFLOWS[command])
+    csv_error = run_to(command, path, "csv")[2]
     for target in (None, tmp_path / "out"):
         code, written, err = run_to(command, path, fmt, target)
         assert code == 2 and written in ("", None)
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "double precision" in err or "strict JSON" in err
+        assert err == csv_error  # the same line in either format
 
 
 FULL_CONFIG = {

@@ -231,11 +231,14 @@ class TestDriftParameters:
         assert matrix_exponential(_block_diagonal(block, block), 0.5).matrix[0, 0] == 0.5322807302156708
 
 
-def _kronecker_solve(y, d):
-    """A reference solve for any 4x4 Y: the np.kron-built 16x16 operator, then symmetrization."""
-    eye = np.eye(4)
-    sigma = np.linalg.solve(np.kron(eye, y) + np.kron(y, eye), -2.0 * d.reshape(-1)).reshape(4, 4)
-    return 0.5 * (sigma + sigma.T)
+def _canonical_error(sigma, exact, mw=Fraction(1)):
+    """Normwise max |sigma - exact| / max |exact|, exactly, in canonical phase-space units:
+    x-type entries times m omega (mw, a Fraction), p-type entries over it; at the default
+    mw = 1, in sigma's own units.  exact is `support.exact_steady_state`'s."""
+    weights = [[mw ** (1 - i % 2 - j % 2) for j in range(4)] for i in range(4)]
+    pairs = [(i, j) for i in range(4) for j in range(4)]
+    gap = max(abs(Fraction(float(sigma[i][j])) - exact[i][j]) * weights[i][j] for i, j in pairs)
+    return float(gap / max(abs(exact[i][j]) * weights[i][j] for i, j in pairs))
 
 
 class TestSteadyStateLyapunov:
@@ -296,7 +299,7 @@ class TestSteadyStateLyapunov:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sigma = steady_state_lyapunov(y, np.eye(4))
-        assert _relative_error(sigma, _mp_drift_steady_state(y, np.eye(4))) <= 1e-15
+        assert _canonical_error(sigma, exact_steady_state(y, np.eye(4))) <= 1e-15
 
     def test_real_spectrum(self):
         # eigvals of a diagonal Y is a float array, with no imaginary part: is_hurwitz
@@ -337,9 +340,8 @@ class TestSteadyStateLyapunov:
         with pytest.raises(ValueError, match="^drift matrix is not of the two-oscillator"):
             steady_state_lyapunov(y, np.eye(4))
 
-    def test_equals_kronecker_solve(self):
-        # built drift matrices with a random lambda, against the np.kron-built
-        # 16x16 solve and scipy's
+    def test_equals_the_exact_and_scipy_solves(self):
+        # built drift matrices with a random lambda, against the exact solve and scipy's
         rng = np.random.default_rng(11)
         for _ in range(100):
             y = build_drift_matrix(random_oscillator(rng), EnvironmentParams(lam=1.0))
@@ -347,7 +349,7 @@ class TestSteadyStateLyapunov:
             d = rng.normal(size=(4, 4))
             d = d @ d.T
             ours = steady_state_lyapunov(y, d)
-            np.testing.assert_allclose(ours, _kronecker_solve(y, d), rtol=1e-8, atol=1e-10)
+            assert _canonical_error(ours, exact_steady_state(y, d)) <= 1e-13
             reference = scipy.linalg.solve_continuous_lyapunov(y, -2.0 * d)
             np.testing.assert_allclose(ours, reference, rtol=1e-8, atol=1e-10)
 
@@ -364,53 +366,6 @@ class TestSteadyStateLyapunov:
                 steady_state_lyapunov(y, d @ d.T)
 
 
-def _mp_drift_steady_state(y, d):
-    """sigma_inf of a built drift matrix and a symmetric D, in 40-digit mpmath.
-
-    Y's blocks are [[-lam, 1/m], [-m w^2, -lam]] with b = 1/m and c = -m w^2 as
-    written in doubles, so m = 1/b and w^2 = -b c to 40 digits.  Each 2x2 block of
-    sigma solves P X + X P^T = -2 D_blk: the symmetric part of D_blk gives the
-    entries of `steady_state_closed_form`, and an antisymmetric part k J gives
-    -2 k J / tr(P), as P J + J P^T = tr(P) J.
-    """
-    with mpmath.workdps(40):
-        lam, b, c = -mpmath.mpf(y[0, 0]), mpmath.mpf(y[0, 1]), mpmath.mpf(y[1, 0])
-        m, w2 = 1 / b, -b * c
-        s2 = lam * lam + w2
-        dm = [[mpmath.mpf(v) for v in row] for row in d.tolist()]
-
-        def block(i, j):
-            dq, dqp, dpq, dp = dm[i][j], dm[i][j + 1], dm[i + 1][j], dm[i + 1][j + 1]
-            sym, skew = (dqp + dpq) / 2, (dqp - dpq) / (2 * lam)
-            qq = (m * m * (2 * lam * lam + w2) * dq + 2 * m * lam * sym + dp) / (2 * m * m * lam * s2)
-            qp = (-m * m * w2 * dq + 2 * m * lam * sym + dp) / (2 * m * s2)
-            pp = (m * m * w2 * w2 * dq - 2 * m * w2 * lam * sym + (2 * lam * lam + w2) * dp) / (
-                2 * lam * s2
-            )
-            return [[qq, qp + skew], [qp - skew, pp]]
-
-        x, z, cross = block(0, 0), block(2, 2), block(0, 2)
-        crosst = [[cross[0][0], cross[1][0]], [cross[0][1], cross[1][1]]]
-        return [x[0] + cross[0], x[1] + cross[1], crosst[0] + z[0], crosst[1] + z[1]]
-
-
-def _relative_error(sigma, exact):
-    """max |sigma - exact| / max |exact|, the difference taken in mpmath."""
-    with mpmath.workdps(40):
-        flat = [v for row in exact for v in row]
-        gap = max(abs(mpmath.mpf(float(s)) - v) for s, v in zip(np.ravel(sigma), flat))
-        return float(gap / max(abs(v) for v in flat))
-
-
-def _canonical_error(sigma, exact, mw):
-    """Normwise max |sigma - exact| / max |exact|, exactly, in canonical phase-space units:
-    x-type entries times m omega (mw, a Fraction), p-type entries over it."""
-    weights = [[mw ** (1 - i % 2 - j % 2) for j in range(4)] for i in range(4)]
-    pairs = [(i, j) for i in range(4) for j in range(4)]
-    gap = max(abs(Fraction(float(sigma[i][j])) - exact[i][j]) * weights[i][j] for i, j in pairs)
-    return float(gap / max(abs(exact[i][j]) * weights[i][j] for i, j in pairs))
-
-
 def _normal_or_zero(v):
     return v == 0 or np.finfo(float).tiny <= abs(v) <= np.finfo(float).max
 
@@ -420,8 +375,8 @@ _COEFFICIENT_TYPES = (1, 0, 1, 0, 0, -1, 1, 0, -1, -1)
 
 
 class TestBlockSteadyState:
-    """The three 2x2 blocks of a built drift matrix's steady state, against 40-digit and
-    exact oracles; a block-diagonal Y of any other form is refused."""
+    """The three 2x2 blocks of a built drift matrix's steady state, against the exact solve;
+    a block-diagonal Y of any other form is refused."""
 
     @pytest.mark.parametrize("lam", [10.0**-k for k in range(0, 151, 10)] + [1e-170, 1e-300])
     def test_drift_environments_against_mpmath(self, lam):
@@ -432,7 +387,7 @@ class TestBlockSteadyState:
             env = EnvironmentParams(lam, *coefficients)
             y, d = build_drift_matrix(osc, env), build_diffusion_matrix(env)
             sigma = steady_state_lyapunov(y, d)
-            assert _relative_error(sigma, _mp_drift_steady_state(y, d)) <= 1e-13
+            assert _canonical_error(sigma, exact_steady_state(y, d)) <= 1e-13
             assert (sigma == sigma.T).all()
 
     def test_refuses_distinct_blocks(self, monkeypatch):
@@ -488,10 +443,11 @@ class TestBlockSteadyState:
         steady_state_lyapunov(y, d)
         assert len(calls) == 1
 
-    def test_huge_lambda_against_mpmath(self):
+    def test_huge_lambda_against_the_exact_solve(self):
         env = SymmetricEnvironmentParams(lam=1e155, d_xx=1.0, d_pxpx=1.0, d_xpy=0.3)
         y, d = build_drift_matrix(OscillatorParams(1.0, 1.0), env), build_diffusion_matrix(env)
-        assert _relative_error(steady_state_lyapunov(y, d), _mp_drift_steady_state(y, d)) <= 1e-13
+        exact = exact_steady_state(y, d)
+        assert _canonical_error(steady_state_lyapunov(y, d), exact) <= 1e-13
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -533,7 +489,7 @@ class TestBlockSteadyState:
         y, d = _block_diagonal(block, block), np.diag([1e300, 2e300, 3e300, 4e300])
         d[0, 3] = d[3, 0] = 1e299
         exact = exact_steady_state(y, d)
-        assert _canonical_error(steady_state_lyapunov(y, d), exact, Fraction(1)) <= 1e-15
+        assert _canonical_error(steady_state_lyapunov(y, d), exact) <= 1e-15
 
     @pytest.mark.parametrize("lam, diffusion", [(1e-310, 1e-300), (5e-324, 1e-320)])
     def test_subnormal_lambda_against_the_exact_solve(self, lam, diffusion):
@@ -541,7 +497,7 @@ class TestBlockSteadyState:
         env = SymmetricEnvironmentParams(lam, diffusion, 0.0, diffusion, 0.0, 0.3 * diffusion)
         y, d = build_drift_matrix(OscillatorParams(1.0, 1.0), env), build_diffusion_matrix(env)
         exact = exact_steady_state(y, d)
-        assert _canonical_error(steady_state_lyapunov(y, d), exact, Fraction(1)) <= 1e-15
+        assert _canonical_error(steady_state_lyapunov(y, d), exact) <= 1e-15
 
     def test_tiny_lambda_does_not_underflow(self):
         # lam^2 = 1e-340 is below the doubles, and sigma ~ 1 / lam = 1e170
@@ -550,7 +506,7 @@ class TestBlockSteadyState:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sigma = steady_state_lyapunov(y, d)
-        assert _relative_error(sigma, _mp_drift_steady_state(y, d)) <= 1e-15
+        assert _canonical_error(sigma, exact_steady_state(y, d)) <= 1e-15
 
 
 def _eigvals_extent(y):
@@ -680,12 +636,12 @@ class TestDriftSpectrum:
 
     def test_barely_damped_without_eigvals(self, monkeypatch):
         y = drift(lam=1e-8)
-        exact = _mp_drift_steady_state(y, np.eye(4))
+        exact = exact_steady_state(y, np.eye(4))
         monkeypatch.setattr(np.linalg, "eigvals", None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sigma = steady_state_lyapunov(y, np.eye(4))
-        assert _relative_error(sigma, exact) <= 1e-15
+        assert _canonical_error(sigma, exact) <= 1e-15
 
 
 class TestSteadyStateClosedForm:
@@ -761,8 +717,8 @@ class TestSteadyStateClosedForm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sigma = steady_state_closed_form(osc, env)
-        exact = _mp_drift_steady_state(build_drift_matrix(osc, env), build_diffusion_matrix(env))
-        assert _relative_error(sigma, exact) <= 1e-15
+        exact = exact_steady_state(build_drift_matrix(osc, env), build_diffusion_matrix(env))
+        assert _canonical_error(sigma, exact) <= 1e-15
 
     def test_strictly_valid_environments_yield_physical_states(self):
         # completely positive dynamics must relax to a state satisfying the

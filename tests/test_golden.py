@@ -9,6 +9,11 @@ Regenerate (only when an output change is intended and recorded in
 CHANGES.md) with:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Hosts differ in the last bit of numpy's exp and sin, so a regeneration moves
+some cells even where the code did not change them.  To measure a change's own
+drift, regenerate the parent commit's goldens first, on the same host and in a
+separate checkout, and diff the change's regenerated files against those.
 """
 
 from __future__ import annotations
