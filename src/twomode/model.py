@@ -18,6 +18,7 @@ spectrum is a closed form for a mirrored environment and one power-of-two-scaled
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from collections import namedtuple
@@ -168,13 +169,18 @@ class ValidationReport:
     min_gram_eigenvalue: float | None
 
 
-#: The row-major entries of a 4x4 matrix's transpose, from its own row-major entries.
-_TRANSPOSED = operator.itemgetter(*(4 * j + i for i in range(4) for j in range(4)))
+_FLOAT = np.dtype(float)
+#: The row-major entries of a 4x4 matrix above its diagonal, and those below it in the same order.
+_ABOVE = operator.itemgetter(1, 2, 3, 6, 7, 11)
+_BELOW = operator.itemgetter(4, 8, 12, 9, 13, 14)
 
 
 def _as_real(a, name: str, any_shape: bool = False) -> NDArray[np.float64]:
-    """a as a float array; ValueError naming the matrix when a is complex (refused
-    before the cast would drop its imaginary parts) or, unless any_shape, not 4x4."""
+    """a as a float array, a itself when it is one (an exact ndarray of native float64, 4x4 unless
+    any_shape); ValueError naming the matrix when a is complex (refused before the cast would
+    drop its imaginary parts) or, unless any_shape, not 4x4."""
+    if type(a) is np.ndarray and a.dtype is _FLOAT and (any_shape or a.shape == (4, 4)):
+        return a
     out = np.asarray(a)
     if out.dtype.kind == "c":
         raise ValueError(f"{name} must be real, got a complex dtype")
@@ -196,7 +202,7 @@ def _read_covariance(sigma, atol: float | None = None, name: str = "covariance m
     if not (math.isfinite(sum(flat)) or all(map(math.isfinite, flat))):
         raise ValueError(f"{name} entries must be finite")
     if atol is not None:
-        skew = max(map(abs, map(operator.sub, flat, _TRANSPOSED(flat))))
+        skew = max(map(abs, map(operator.sub, _ABOVE(flat), _BELOW(flat))))
         if skew > atol * max(map(abs, flat)):
             raise ValueError("covariance matrix must be symmetric")
     return sig, flat
@@ -226,15 +232,18 @@ def _stack(rows, dtype=float) -> NDArray:
     return out if out.ndim == 2 else np.moveaxis(out, (0, 1), (-2, -1))
 
 
+#: Readers of the four y-mode fields and of their `MIRROR` x-mode fields, one call each.
+_Y_MODE, _X_MODE = operator.attrgetter(*MIRROR), operator.attrgetter(*MIRROR.values())
+
+
 def is_symmetric_environment(env: EnvironmentParams) -> bool:
     """True when each y-mode coefficient equals its `MIRROR` x-mode one exactly (`==`, so
     whatever the unit of time), elementwise for arrays.  A `SymmetricEnvironmentParams`
-    is mirrored by construction and is not compared."""
-    if isinstance(env, SymmetricEnvironmentParams):
-        return True
-    return functools.reduce(
-        operator.and_, [getattr(env, y) == getattr(env, x) for y, x in MIRROR.items()]
-    )
+    is mirrored by construction and is not compared; an `EnvironmentParams`, whose
+    fields are finite, is compared as one tuple of its four y-mode fields."""
+    if isinstance(env, EnvironmentParams):
+        return isinstance(env, SymmetricEnvironmentParams) or _Y_MODE(env) == _X_MODE(env)
+    return functools.reduce(operator.and_, map(operator.eq, _Y_MODE(env), _X_MODE(env)))
 
 
 def build_drift_matrix(
@@ -254,11 +263,9 @@ def build_drift_matrix(
             f"drift matrix is out of double-precision range for m = {osc.m!r}, "
             f"omega = {osc.omega!r}: 1/m, omega^2 and m omega^2 must lie in [{_TINY!r}, 1.8e308)"
         )
-    blk = np.array([[-env.lam, inverse_mass], [spring, -env.lam]])
-    out = np.zeros((4, 4))
-    out[:2, :2] = blk
-    out[2:, 2:] = blk
-    return out
+    a = -env.lam
+    return np.array([[a, inverse_mass, 0.0, 0.0], [spring, a, 0.0, 0.0],
+                     [0.0, 0.0, a, inverse_mass], [0.0, 0.0, spring, a]])
 
 
 def _drift_block(y) -> tuple[float, float, float]:
@@ -449,7 +456,7 @@ def validate_environment(
     if mode not in ("strict", "lenient"):
         raise ValueError(f"mode must be 'strict' or 'lenient', got {mode!r}")
     violated, min_eig = _violations(env, mode == "strict")
-    failed = tuple([name for name, bad in zip(_CHECK_NAMES, violated) if bad])
+    failed = tuple(itertools.compress(_CHECK_NAMES, violated))
     min_eig = None if min_eig is None else float(min_eig)
     return ValidationReport(mode, not failed, failed, min_eig)
 

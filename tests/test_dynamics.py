@@ -379,7 +379,7 @@ class TestBlockSteadyState:
     a block-diagonal Y of any other form is refused."""
 
     @pytest.mark.parametrize("lam", [10.0**-k for k in range(0, 151, 10)] + [1e-170, 1e-300])
-    def test_drift_environments_against_mpmath(self, lam):
+    def test_drift_environments_against_the_exact_solve(self, lam):
         rng = np.random.default_rng(round(-math.log10(lam)))
         for _ in range(5):
             osc = random_oscillator(rng, 0.1, 10.0)

@@ -1125,14 +1125,15 @@ class TestCovarianceRead:
 
     @pytest.mark.parametrize("scale", [1.0, 1e6, 1e-6])
     def test_asymmetry_beyond_tolerance(self, scale):
-        # the tolerance is 1e-10 max |entry|, with no floor
-        sigma = scale * VACUUM
-        sigma[0, 1] = 2e-10 * 0.5 * scale
-        with pytest.raises(ValueError, match="^covariance matrix must be symmetric$"):
-            analyze(sigma)
-        sigma[0, 1] = 0.5e-10 * 0.5 * scale
-        assert analyze(sigma).verdict == "separable"
-        assert math.isfinite(log_negativity(sigma))
+        # the tolerance is 1e-10 max |entry|, with no floor, at each of the 12 off-diagonal entries
+        for where in [(i, j) for i in range(4) for j in range(4) if i != j]:
+            sigma = scale * VACUUM
+            sigma[where] = 2e-10 * 0.5 * scale
+            with pytest.raises(ValueError, match="^covariance matrix must be symmetric$"):
+                analyze(sigma)
+            sigma[where] = 0.5e-10 * 0.5 * scale
+            assert analyze(sigma).verdict == "separable", where
+            assert math.isfinite(log_negativity(sigma)), where
 
     def test_tiny_antisymmetric_matrix_is_refused(self):
         # 1e-12 I with s01 = -s10 = 1e-12 is as far from symmetric as a matrix gets
@@ -1170,6 +1171,7 @@ class TestCovarianceRead:
             "non-contiguous view": base[::2, ::2],
             "np.matrix": np.matrix(sigma),
             "read-only": read_only,
+            "big-endian": sigma.astype(">f8"),
         }
 
     @pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")

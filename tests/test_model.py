@@ -145,6 +145,13 @@ class TestParams:
         else:
             values = {f.name: getattr(envs[0], f.name) for f in fields(envs[0])}
             assert is_symmetric_environment(envs[0]) is True
+            # an EnvironmentParams gives a bool, for numpy-scalar fields too; 0.0 == -0.0
+            for scalar in (float, np.float64):
+                env = EnvironmentParams(**{k: scalar(v) for k, v in values.items()})
+                assert is_symmetric_environment(env) is True
+            y, x = data.draw(st.sampled_from(MIRRORED_PAIRS))
+            signed = EnvironmentParams(**{**values, x: 0.0, y: -0.0})
+            assert is_symmetric_environment(signed) is True
         # Perturbing any one y-field by 1e-9 relative (of max(|value|, 1)) breaks the mirror.
         y, _ = data.draw(st.sampled_from(MIRRORED_PAIRS))
         if stacked:
@@ -154,7 +161,9 @@ class TestParams:
             assert is_symmetric_environment(SimpleNamespace(**values)).tolist() == expected
         else:
             values[y] += 1e-9 * max(abs(values[y]), 1.0)
-            assert is_symmetric_environment(EnvironmentParams(**values)) is False
+            for scalar in (float, np.float64):
+                env = EnvironmentParams(**{k: scalar(v) for k, v in values.items()})
+                assert is_symmetric_environment(env) is False
 
     def test_asymmetric_environment_detected(self):
         env = EnvironmentParams(lam=1.0, d_xx=0.5, d_yy=0.4)
@@ -173,6 +182,10 @@ class TestDriftMatrix:
         y = build_drift_matrix(OscillatorParams(2.0, 0.5), EnvironmentParams(lam=0.0))
         np.testing.assert_array_equal(y[:2, :2], [[0.0, 0.5], [-0.5, 0.0]])
         np.testing.assert_array_equal(y[2:, 2:], y[:2, :2])
+        # the diagonal is -lam = -0.0, the off-diagonal blocks +0.0, in a new C-ordered array
+        assert np.signbit(np.diag(y)).all()
+        assert not (np.signbit(y[:2, 2:]).any() or np.signbit(y[2:, :2]).any())
+        assert y.flags.c_contiguous and y.flags.writeable and y.flags.owndata
 
     def test_half_damping_block(self):
         y = build_drift_matrix(OscillatorParams(1.0, 1.0), EnvironmentParams(lam=0.5))
