@@ -49,13 +49,13 @@ try:
 
     from . import __version__
     from .dynamics import (
-        closed_form_entries,
         propagated_entries,
+        steady_entries,
         steady_state_closed_form,
         steady_state_lyapunov,
     )
     from .entanglement import analyze, report
-    from .errors import NonFiniteResultError, NonPositiveLambdaError, TwoModeError
+    from .errors import NonFiniteResultError, TwoModeError
     from .model import (
         MIRROR,
         UPPER,
@@ -600,8 +600,8 @@ def _sweep_grid(cfg: RunConfig) -> dict:
 
 
 def _sweep_table(cfg: RunConfig) -> tuple:
-    """The sweep table and its `compute` (see _write_table) of `report`'s fields on the
-    closed-form sigma_inf at the grid's flat rows lo..hi.
+    """The sweep table and its `compute` (see _write_table) of `report`'s fields on
+    `steady_entries`, the sigma_inf of `steady-state` at each point, at the grid's flat rows lo..hi.
 
     The sweep's own rule: where the report is gated, below the single-mode
     uncertainty bound, the state is unphysical and the negativity cells are
@@ -613,7 +613,7 @@ def _sweep_table(cfg: RunConfig) -> tuple:
 
     def compute(lo: int, hi: int) -> dict:
         env = Coefficients(lam, *(np.broadcast_to(grid[k], shape).flat[lo:hi] for k in keys))
-        at = report(closed_form_entries(osc, env), osc, env)
+        at = report(steady_entries(osc, env), osc, env)
         return {
             "valid_strict": at.valid_strict,
             "valid_lenient": at.valid_lenient,
@@ -658,10 +658,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                     f"raw sweeps accept coefficients {sorted(_REDUCED_KEYS)}, "
                     f"got {axis.coefficient!r}"
                 )
-    if not env.lam > 0.0:
-        message = f"sweep requires a positive dissipation constant, got {env.lam!r}"
-        raise NonPositiveLambdaError(message)
-    build_drift_matrix(cfg.oscillator, env)  # Y's range rule, though the closed forms need no Y
+    steady_entries(cfg.oscillator, env)  # steady-state's refusals, before the header is written
     _write_table("sweep", cfg, args, *_sweep_table(cfg))
     return 0
 

@@ -5,10 +5,11 @@ solves d(sigma)/dt = Y sigma + sigma Y^T + 2 D; for a Hurwitz Y it tends to sigm
 which solves Y sigma + sigma Y^T = -2 D.  Y's layout is known to `twomode.model` alone: every
 function here takes diag(P, P), P = [[a, b], [c, a]] = [[-lam, 1/m], [-m omega^2, -lam]], read
 by `_drift`.  `_source` writes W's three 2x2 blocks on four weights, which `propagated_entries`
-gives at t and `steady_state_lyapunov` at t = inf.  Y's eigenvalues are a +- i w, w = omega, so
-the Hurwitz test is lam > 0; any other Y is a ValueError.  sigma_inf and sigma(t) are built from
-their ten upper entries in `model.UPPER` order, which `closed_form_entries` and
-`propagated_entries` return.
+gives at t and `_steady_upper`, the one steady state, at t = inf.  Y's eigenvalues are a +- i w,
+w = omega, so the Hurwitz test is lam > 0; any other Y is a ValueError.  sigma_inf and sigma(t)
+are built from their ten upper entries in `model.UPPER` order, which `steady_entries` (on an
+environment's coefficients, floats or arrays) and `propagated_entries` return.  The mirrored
+closed forms of `steady_state_closed_form` check the solve in raw units.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from numpy.typing import NDArray
 from .entanglement import _mirrored_closed_form
 from .errors import NonFiniteResultError, NotHurwitzError
 from .model import EnvironmentParams, OscillatorParams, _drift_block, _read_covariance
-from .model import _ROW_MAJOR, _stack, _symmetric
+from .model import _ROW_MAJOR, _diffusion_entries, _stack, _symmetric, build_drift_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,9 +63,6 @@ def matrix_exponential(y: NDArray[np.float64], t: float) -> Propagator:
     qq, qp, pq = _damped_rotation(*_drift(y), t)
     rows = [[qq, qp, 0.0, 0.0], [pq, qq, 0.0, 0.0], [0.0, 0.0, qq, qp], [0.0, 0.0, pq, qq]]
     return Propagator(t=float(t), matrix=np.array(rows))
-
-
-_OVERFLOW = "steady-state covariance overflows double precision"
 
 
 def _upper(block) -> list:
@@ -108,6 +106,19 @@ def _steady_state(lam: float, w: float) -> tuple:
     return (0.25 + 0.25 * (u * u)) / lam, 0.25 * (v * v) / lam, 0.25 * v / hyp, 0.5 * u / hyp
 
 
+def _steady_upper(a: float, b: float, c: float, w: float, d: list) -> list:
+    """sigma_inf's ten upper entries from `_drift`'s (a, b, c, w) and D's 16 row-major entries,
+    elementwise in D's: `_source` on `_steady_state`'s t = inf weights.  NotHurwitzError unless
+    lam = -a > 0.  The result is not checked for overflow."""
+    if not -a > 0.0:
+        raise NotHurwitzError("drift matrix has an eigenvalue with non-negative real part; "
+                              "no steady state exists")
+    beta, gamma, lam = b / w, -c / w, -a
+    if lam < 2.0**-1020:  # near where 1 / (4 lam) overflows; Y and D scaled alike keep sigma
+        lam, w, d = 2.0**54 * lam, 2.0**54 * w, [2.0**54 * x for x in d]
+    return _source(d, beta, gamma, _steady_state(lam, w))
+
+
 def steady_state_lyapunov(
     y: NDArray[np.float64], d: NDArray[np.float64]
 ) -> NDArray[np.float64]:
@@ -115,29 +126,24 @@ def steady_state_lyapunov(
 
     Y must be in `build_drift_matrix`'s layout, diag(P, P) with
     P = [[-lam, 1/m], [-m omega^2, -lam]]; any other Y is the ValueError of
-    `propagate`.  sigma_inf is W(inf): `_source`'s three 2x2 blocks on the closed-form
-    t = inf weights of `_steady_state`, evaluated on Python floats with no `np.linalg`
-    call; the result is the solution for D's symmetric part.
-    Y's eigenvalues are -lam +- i omega, so Y is Hurwitz iff lam > 0
-    (NotHurwitzError otherwise).  A result that overflows is a NonFiniteResultError.
-    A complex or non-4x4 Y or D, or a non-finite D, is a ValueError before the
-    solve.
+    `propagate`.  sigma_inf is `_steady_upper`'s W(inf) on Python floats, with no `np.linalg`
+    call: the solution for D's symmetric part.  Y is Hurwitz iff lam > 0 (NotHurwitzError
+    otherwise).  A result that overflows is a NonFiniteResultError.  A complex or non-4x4 Y
+    or D, or a non-finite D, is a ValueError before the solve.
     """
-    a, b, c, w = _drift(y)  # a = -lam
-    entries = _read_covariance(d, name="diffusion matrix")[1]
-    if not -a > 0.0:
-        raise NotHurwitzError(
-            "drift matrix has an eigenvalue with non-negative real part; "
-            "no steady state exists"
-        )
-    beta, gamma, lam = b / w, -c / w, -a
-    if lam < 2.0**-1020:  # near where 1 / (4 lam) overflows; Y and D scaled alike keep sigma
-        lam, w, entries = 2.0**54 * lam, 2.0**54 * w, [2.0**54 * x for x in entries]
-    upper = _source(entries, beta, gamma, _steady_state(lam, w))
+    upper = _steady_upper(*_drift(y), _read_covariance(d, name="diffusion matrix")[1])
     # a finite sum has finite terms; an infinite or NaN one is checked term by term
     if not (math.isfinite(sum(upper)) or all(map(math.isfinite, upper))):
-        raise NonFiniteResultError(_OVERFLOW)
+        raise NonFiniteResultError("steady-state covariance overflows double precision")
     return _symmetric(upper)
+
+
+def steady_entries(osc: OscillatorParams, env: EnvironmentParams) -> list:
+    """`steady_state_lyapunov`'s ten upper entries in `model.UPPER` order, bit for bit, on Y of
+    `build_drift_matrix` and D of `build_diffusion_matrix`: for an environment of floats, or
+    elementwise for `model.Coefficients` arrays with one float lam.  Errors: those of
+    `build_drift_matrix`, then NotHurwitzError; an entry that overflows is left inf or NaN."""
+    return _steady_upper(*_drift(build_drift_matrix(osc, env)), _diffusion_entries(env))
 
 
 def steady_state_closed_form(
@@ -156,27 +162,24 @@ def steady_state_closed_form(
                      / [2 lam (lam^2 + w^2)]
 
     and the one-mode block entries follow from the same expressions with
-    (D_xy, D_xpy, D_pxpy) replaced by (D_xx, D_xpx, D_pxpx).  Errors: see `twomode.entanglement`.
+    (D_xy, D_xpy, D_pxpy) replaced by (D_xx, D_xpx, D_pxpx).  They are evaluated in raw units,
+    independently of the solve, which they check.  Errors: see `twomode.entanglement`.
     """
-    return _symmetric(_mirrored_closed_form(closed_form_entries, osc, env))
+    return _symmetric(_mirrored_closed_form(_closed_form_entries, osc, env))
 
 
-def closed_form_entries(osc: OscillatorParams, env: EnvironmentParams) -> tuple:
-    """The ten upper entries of `steady_state_closed_form` in `model.UPPER` order, unchecked
-    and elementwise for coefficient arrays: mirrored, s22 = s00, s23 = s01, s33 = s11, s12 = s03."""
+def _closed_form_entries(osc: OscillatorParams, env: EnvironmentParams) -> tuple:
+    """The ten upper entries of `steady_state_closed_form` in `model.UPPER` order, unchecked:
+    mirrored, s22 = s00, s23 = s01, s33 = s11, s12 = s03."""
     m, w, lam = osc.m, osc.omega, env.lam
     s2 = lam * lam + w * w
 
     def entries(dq, dqp, dp):
         qq = (m * m * (2 * lam * lam + w * w) * dq + 2 * m * lam * dqp + dp) / (
-            2 * m * m * lam * s2
-        )
+            2 * m * m * lam * s2)
         qp = (-(m * m * w * w) * dq + 2 * m * lam * dqp + dp) / (2 * m * s2)
-        pp = (
-            m * m * (w * w) * (w * w) * dq
-            - 2 * m * w * w * lam * dqp
-            + (2 * lam * lam + w * w) * dp
-        ) / (2 * lam * s2)
+        pp = (m * m * (w * w) * (w * w) * dq - 2 * m * w * w * lam * dqp
+              + (2 * lam * lam + w * w) * dp) / (2 * lam * s2)
         return qq, qp, pp
 
     xx, xpx, pxpx = entries(env.d_xx, env.d_xpx, env.d_pxpx)
@@ -249,8 +252,10 @@ def propagate(
     whole time grid; an array of times gives the stack [..., 4, 4] of covariances.  The
     first term is `propagated_entries` of the symmetrized difference with D = 0.  At t = 0
     the result is the symmetrized sigma0 itself, untouched by the propagator's rounding.
-    A sigma0 or sigma_inf that is complex, not 4x4 or not finite, and a y off
-    `build_drift_matrix`'s layout, is a ValueError.
+    For lam << omega the two terms cancel: sigma_inf's entries are of size 1 / lam, so at
+    lam = 1e-80 sigma_xx(0.5) is -1.3e64 where it is 1.1.  `propagated_entries`, fed D, is
+    the accurate route there.  A sigma0 or sigma_inf that is complex, not 4x4 or not finite,
+    and a y off `build_drift_matrix`'s layout, is a ValueError.
     """
     sigma0 = _read_covariance(sigma0)[0]
     sigma_inf = _read_covariance(sigma_inf)[0]

@@ -97,9 +97,13 @@ class EnvironmentParams:
                     raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-#: The eleven field names in field order, and a reader of their values in one call.
+#: The eleven field names in field order, and a reader of their values in one call; a reader
+#: of D's 16 row-major entries as `build_diffusion_matrix` lays them out, floats or arrays.
 _FIELDS = tuple(f.name for f in fields(EnvironmentParams))
 _field_values = operator.attrgetter(*_FIELDS)
+_diffusion_entries = operator.attrgetter(
+    "d_xx", "d_xpx", "d_xy", "d_xpy", "d_xpx", "d_pxpx", "d_ypx", "d_pxpy",
+    "d_xy", "d_ypx", "d_yy", "d_ypy", "d_xpy", "d_pxpy", "d_ypy", "d_pypy")
 
 
 @dataclass(frozen=True, init=False)

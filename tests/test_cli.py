@@ -548,8 +548,8 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_refuses_an_oscillator_out_of_the_double_range(self, tmp_path, fmt):
-        # m omega^2 = 1e-320 is subnormal: the closed forms build no drift matrix, yet the
-        # sweep refuses the oscillator with the builder's one line, as steady-state does
+        # m omega^2 = 1e-320 is subnormal: the sweep refuses the oscillator with the
+        # builder's one line, as steady-state does
         cfg = sweep_config(
             axis1={"coefficient": "D_xx", "min": 0.25, "max": 1.5, "n": 3},
             axis2={"coefficient": "D_xpy", "min": 0.0, "max": 2.0, "n": 3},
@@ -561,6 +561,42 @@ class TestSweepCommand:
         assert steady[2].startswith("error: drift matrix is out of double-precision range")
         for target in (None, tmp_path / "out"):
             assert run_to("sweep", path, fmt, target) == (2, "" if target is None else None, steady[2])
+
+    @pytest.mark.parametrize("lam", [0.0, -0.5])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_refuses_a_non_positive_lambda_as_steady_state_does(self, tmp_path, fmt, lam):
+        # no steady state: one error line, exit 2, and nothing written, not even the header
+        path = write_config(tmp_path, sweep_config(environment={"lambda": lam}))
+        steady = run_to("steady-state", path, fmt)
+        assert steady[:2] == (2, "")
+        assert steady[2].startswith("error: drift matrix has an eigenvalue with non-negative")
+        assert steady[2].count("\n") == 1
+        for target in (None, tmp_path / "out"):
+            assert run_to("sweep", path, fmt, target) == (2, "" if target is None else None, steady[2])
+
+    @pytest.mark.parametrize("lam", [1e104, 1e150])
+    def test_huge_lambda_rows_are_steady_state_at_each_point(self, tmp_path, capsys, lam):
+        # the paper's closed forms divide by 2 m^2 lam (lam^2 + w^2), beyond the doubles
+        # here; the sweep's sigma_inf is steady-state's solve, so S, the verdict and E (no
+        # row is gated: u = 1/2 and 3/2) are its report at each point.  E is empty only
+        # where f = 0, at u = v = 1/2
+        cfg = sweep_config(
+            axis1={"n": 2}, axis2={"coefficient": "D_xpy", "min": 0.5, "max": 1.0, "n": 3}
+        )
+        cfg["environment"] = {"lambda": lam}
+        assert main(["sweep", "--config", write_config(tmp_path, cfg), "--format", "json"]) == 0
+        payload = strict_json(capsys.readouterr().out)
+        rows = [dict(zip(payload["columns"], values)) for values in payload["rows"]]
+        assert len(rows) == 6
+        osc = twomode.OscillatorParams(1.0, 1.0)
+        for row in rows:
+            env = twomode.SymmetricEnvironmentParams(lam, row["D_xx"], 0.0, row["D_xx"], 0.0, row["D_xpy"])
+            y, d = twomode.build_drift_matrix(osc, env), twomode.build_diffusion_matrix(env)
+            report = twomode.analyze(twomode.steady_state_lyapunov(y, d), osc, env)
+            assert None not in (row["S_general"], row["verdict"]), row
+            assert row["S_general"] == report.s_general and row["verdict"] == report.verdict
+            assert row["E_general"] == report.e_general
+        assert [row["E_general"] is None for row in rows] == [True] + [False] * 5
 
     def test_requires_sweep_section(self, tmp_path, capsys):
         assert main(["sweep", "--config", write_config(tmp_path, REFERENCE_CONFIG)]) == 1

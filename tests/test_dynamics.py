@@ -701,16 +701,26 @@ class TestSteadyStateClosedForm:
     @given(
         osc=st.tuples(st.floats(1e-20, 1e20), st.floats(1e-20, 1e20)),
         lam=st.floats(1e-20, 1e20),
-        coefficients=st.lists(st.floats(-1e20, 1e20), min_size=6, max_size=6),
+        stack=st.lists(
+            st.lists(st.floats(-1e20, 1e20), min_size=10, max_size=10), min_size=1, max_size=3
+        ),
     )
-    def test_entries_are_the_matrix_upper_entries(self, osc, lam, coefficients):
-        osc, env = OscillatorParams(*osc), SymmetricEnvironmentParams(lam, *coefficients)
+    def test_entries_are_the_matrix_upper_entries(self, osc, lam, stack):
+        # steady_entries is steady_state_lyapunov's upper triangle bit for bit: on each
+        # environment's floats, and elementwise on their Coefficients stack, as the sweep runs it
+        osc, envs = OscillatorParams(*osc), [EnvironmentParams(lam, *row) for row in stack]
         try:
-            sigma = steady_state_closed_form(osc, env)
+            sigmas = [
+                steady_state_lyapunov(build_drift_matrix(osc, env), build_diffusion_matrix(env))
+                for env in envs
+            ]
         except NonFiniteResultError:
             assume(False)
-        entries = dynamics.closed_form_entries(osc, env)
-        assert [float(v).hex() for v in entries] == [v.hex() for v in sigma[UPPER].tolist()]
+        stacked = np.array(dynamics.steady_entries(osc, model.Coefficients(lam, *np.array(stack).T)))
+        for env, sigma, column in zip(envs, sigmas, stacked.T, strict=True):
+            want = [v.hex() for v in sigma[UPPER].tolist()]
+            assert [v.hex() for v in dynamics.steady_entries(osc, env)] == want
+            assert [v.hex() for v in column.tolist()] == want
 
     def test_silent_when_barely_damped(self, osc):
         env = SymmetricEnvironmentParams(lam=1e-8, d_xx=1.0, d_pxpx=1.0)
@@ -733,6 +743,41 @@ class TestSteadyStateClosedForm:
             env = random_valid_symmetric_env(rng, mode="strict")
             sigma = steady_state_closed_form(osc, env)
             assert np.linalg.eigvalsh(sigma + 0.5j * omega4).min() >= -1e-10
+
+
+class TestSteadyEntries:
+    """`steady_entries` on coefficient stacks, against the exact solve over the double range."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        exponents=st.lists(st.floats(-150.0, 150.0), min_size=3, max_size=3),
+        stack=st.lists(
+            st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10), min_size=1, max_size=3
+        ),
+    )
+    def test_stacks_against_the_exact_solve(self, exponents, stack):
+        # m, omega and lam log-uniform over 1e+-150, and each environment's ten coefficients
+        # in canonical units, as in test_range_against_the_exact_solve; a stack keeps the
+        # environments whose exact sigma_inf and D are normal doubles or zeros
+        m, omega, lam = (10.0**e for e in exponents)
+        osc, mw = OscillatorParams(m, omega), Fraction(m) * Fraction(omega)
+        try:
+            y = build_drift_matrix(osc, EnvironmentParams(lam))
+        except NonFiniteResultError:
+            assume(False)
+        rows, exacts = [], []
+        for values in stack:
+            row = [v * lam * (m * omega) ** -kind for v, kind in zip(values, _COEFFICIENT_TYPES)]
+            if not all(map(_normal_or_zero, row)):
+                continue
+            exact = exact_steady_state(y, build_diffusion_matrix(EnvironmentParams(lam, *row)))
+            if all(_normal_or_zero(v) for line in exact for v in line) and any(map(any, exact)):
+                rows.append(row)
+                exacts.append(exact)
+        assume(rows)
+        entries = np.array(dynamics.steady_entries(osc, model.Coefficients(lam, *np.array(rows).T)))
+        for column, exact in zip(entries.T, exacts, strict=True):
+            assert _canonical_error(model._symmetric(column.tolist()), exact, mw) <= 1e-13
 
 
 class TestPropagate:
@@ -758,6 +803,22 @@ class TestPropagate:
         np.testing.assert_array_equal(
             propagate(sigma0, reference_sigma_inf, y, 0.0), sigma0
         )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 17: propagate's M (sigma0 - sigma_inf) M^T + sigma_inf cancels "
+        "entries of size 1 / lambda; propagated_entries, fed D, is the accurate route",
+    )
+    def test_tiny_lambda_keeps_sigma(self):
+        # lambda = 1e-80 at m = omega = 1 from the vacuum: sigma_xx(0.5) is 1.1, which
+        # propagated_entries gives, and propagate gives -1.3e64
+        osc = OscillatorParams(1.0, 1.0)
+        env = SymmetricEnvironmentParams(lam=1e-80, d_xx=0.6, d_pxpx=0.6, d_xpy=0.3)
+        y, d = build_drift_matrix(osc, env), build_diffusion_matrix(env)
+        sigma0 = make_vacuum_covariance(osc)
+        assert dynamics.propagated_entries(sigma0, y, d, 0.5)[0] == pytest.approx(1.1, rel=1e-12)
+        got = propagate(sigma0, steady_state_lyapunov(y, d), y, 0.5)[0, 0]
+        assert got == pytest.approx(1.1, rel=1e-12)
 
     def test_growing_propagator(self):
         # lambda < 0: M sigma0 M^T ~ e^706 is finite where the unused source integral

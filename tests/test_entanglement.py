@@ -53,7 +53,7 @@ from twomode.entanglement import (
     _XPX,
     report,
 )
-from twomode.dynamics import closed_form_entries
+from twomode.dynamics import steady_entries
 from twomode.model import UPPER, Coefficients, _validity
 
 from support import (
@@ -698,16 +698,25 @@ def _same_bits(ours, theirs):
     return ours.tobytes() == theirs.tobytes() or (np.isnan(ours) and np.isnan(theirs))
 
 
+# The reference environment's sigma_inf (m = omega = lambda = 1, D_xx = D_pxpx = 0.6,
+# D_xpy = 0.3) in UPPER order: a physical state, entangled.
+_PHYSICAL_ENTRIES = (0.6, 0.0, 0.15, 0.15, 0.6, 0.15, -0.15, 0.6, 0.0, 0.6)
+
+
 def _assert_closed_forms_match_stacked(osc, envs):
     """The report of each Python-float environment is its element of their stack's report.
 
-    The entries are sigma_inf's closed-form entries on the stack, as the sweep
-    passes them.  The kernel's fields, the verdict, both validity flags, the
+    The entries are sigma_inf's on the stack, `steady_entries` as the sweep passes
+    them; where lambda <= 0 leaves no steady state, they are _PHYSICAL_ENTRIES at
+    every point.  The kernel's fields, the verdict, both validity flags, the
     closed forms and their codes and the gate agree bit for bit, E too.
     """
     stack = _stacked(envs)
     with np.errstate(all="ignore"):  # arrays overflow silently, as the CLI runs the sweep
-        entries = np.array(closed_form_entries(osc, stack))
+        if stack.lam > 0.0:
+            entries = np.array(steady_entries(osc, stack))
+        else:
+            entries = np.repeat(np.array(_PHYSICAL_ENTRIES)[:, None], len(envs), axis=1)
         stacked = report(entries, osc, stack)
     reports = []
     for i, env in enumerate(envs):

@@ -1,9 +1,8 @@
 """Golden outputs of every subcommand, CSV and JSON.
 
-The files under tests/golden/ were written by the command-line front end
-before the stacked kernel replaced the per-point evaluation.  Header lines,
-categorical fields and empty cells must match exactly; numbers must match
-within GOLDEN_RTOL * max(1, |x|).
+The files under tests/golden/ hold the command-line front end's output for
+each case in CASES.  Header lines, categorical fields and empty cells must
+match exactly; numbers must match within GOLDEN_RTOL * max(1, |x|).
 
 Regenerate (only when an output change is intended and recorded in
 CHANGES.md) with:
@@ -27,7 +26,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twomode import OscillatorParams, SymmetricEnvironmentParams, analyze, steady_state_closed_form
+from twomode import (
+    OscillatorParams,
+    SymmetricEnvironmentParams,
+    analyze,
+    build_diffusion_matrix,
+    build_drift_matrix,
+    steady_state_lyapunov,
+)
 from twomode.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -265,7 +271,7 @@ def _point_environment(config: dict, row: dict) -> SymmetricEnvironmentParams:
 
 @pytest.mark.parametrize("name", [name for name, case in CASES.items() if case[0] == "sweep"])
 def test_sweep_rows_are_analyze_at_each_point(tmp_path, name):
-    """Each sweep row holds analyze's fields on the closed-form sigma_inf at its point.
+    """Each sweep row holds analyze's fields on steady-state's sigma_inf at its point, bit for bit.
 
     The one rule of the sweep's own: below the uncertainty bound (the window is
     absent for that reason) the negativity cells E_general and E_closed are empty.
@@ -278,7 +284,8 @@ def test_sweep_rows_are_analyze_at_each_point(tmp_path, name):
     for values in document["rows"]:
         row = dict(zip(document["columns"], values))
         env = _point_environment(config, row)
-        report = analyze(steady_state_closed_form(osc, env), osc, env)
+        sigma = steady_state_lyapunov(build_drift_matrix(osc, env), build_diffusion_matrix(env))
+        report = analyze(sigma, osc, env)
         below_bound = any(
             note.startswith("window: ") and "uncertainty bound" in note for note in report.notes
         )
@@ -293,10 +300,7 @@ def test_sweep_rows_are_analyze_at_each_point(tmp_path, name):
         }
         for column, want in expected.items():
             got = row[column]
-            if isinstance(want, float) and isinstance(got, float):
-                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (column, row)
-            else:
-                assert got == want and type(got) is type(want), (column, row)
+            assert got == want and type(got) is type(want), (column, row)
 
 
 def test_sweep_jobs_starts_no_worker(tmp_path, monkeypatch):
