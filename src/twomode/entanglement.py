@@ -227,8 +227,8 @@ def _divide(x, scalar: float):
 
 def _scaled_coordinates(osc: OscillatorParams, env: EnvironmentParams) -> tuple:
     """(u, v, sqrt(lam^2 + w^2)) with u = m w D_xx / lam, v = D_xpy / sqrt(lam^2 + w^2)."""
-    lam = env.lam  # one float, so math.sqrt serves floats and arrays alike
-    root = math.sqrt(lam * lam + osc.omega * osc.omega)
+    lam = env.lam  # one float, so math.hypot serves floats and arrays alike
+    root = math.hypot(lam, osc.omega)
     return _divide(osc.m * osc.omega * env.d_xx, lam), _divide(env.d_xpy, root), root
 
 

@@ -184,6 +184,41 @@ class TestSteadyStateCommand:
         assert payload["report"]["verdict"] == "separable"
         assert abs(payload["sigma_infinity"][0][0] - 1e-155) <= 1e-13 * 1e-155
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "environment",
+        [
+            {**REFERENCE_CONFIG["environment"], "lambda": 1e300},
+            {"lambda": 1e155, "D_xx": 1e155, "D_pxpx": 1e155, "D_xpy": 3e154},
+        ],
+        ids=["reference_at_1e300", "matched_at_1e155"],
+    )
+    def test_overflowing_closed_form_leaves_the_cross_check_empty(
+        self, tmp_path, capsys, environment, fmt
+    ):
+        # the solve and its report are finite, but the paper's raw-unit sigma_inf overflows:
+        # its ten cf_* cells and closed_form_max_diff are empty, as outside the mirrored class
+        path = write_config(tmp_path, dict(REFERENCE_CONFIG, environment=environment))
+        assert main(["steady-state", "--config", path, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        cfg = load_config(path)
+        y = twomode.build_drift_matrix(cfg.oscillator, cfg.environment)
+        sigma = twomode.steady_state_lyapunov(y, twomode.build_diffusion_matrix(cfg.environment))
+        if fmt == "json":
+            payload = strict_json(out)
+            assert payload["sigma_infinity_closed_form"] is payload["closed_form_max_diff"] is None
+            assert payload["sigma_infinity"] == sigma.tolist()
+            e_general, e_closed = payload["report"]["e_general"], payload["report"]["e_closed"]
+        else:
+            (row,) = parse_csv(out)
+            cross_check = [key for key in row if key.startswith("cf_") or key == "closed_form_max_diff"]
+            assert len(cross_check) == 11 and all(row[key] == "" for key in cross_check)
+            cells = [float(value) for key, value in row.items() if key.startswith("sigma_")]
+            assert cells == sigma[twomode.model.UPPER].tolist()
+            e_general, e_closed = (float(row[key] or "nan") for key in ("E_general", "E_closed"))
+        if environment["lambda"] == 1e155:  # u = 1, v = 0.3: the closed form's E is the solve's
+            assert abs(e_closed - e_general) <= 1e-13
+
     def test_uncorrelated_point(self, tmp_path, capsys):
         payload_cfg = dict(REFERENCE_CONFIG)
         payload_cfg["environment"] = {"lambda": 1.0, "D_xx": 0.6, "D_pxpx": 0.6}
@@ -578,8 +613,8 @@ class TestSweepCommand:
     def test_huge_lambda_rows_are_steady_state_at_each_point(self, tmp_path, capsys, lam):
         # the paper's closed forms divide by 2 m^2 lam (lam^2 + w^2), beyond the doubles
         # here; the sweep's sigma_inf is steady-state's solve, so S, the verdict and E (no
-        # row is gated: u = 1/2 and 3/2) are its report at each point.  E is empty only
-        # where f = 0, at u = v = 1/2
+        # row is gated: u = 1/2 and 3/2) are that command's cells at each point.  E is empty
+        # only where f = 0, at u = v = 1/2
         cfg = sweep_config(
             axis1={"n": 2}, axis2={"coefficient": "D_xpy", "min": 0.5, "max": 1.0, "n": 3}
         )
@@ -588,14 +623,14 @@ class TestSweepCommand:
         payload = strict_json(capsys.readouterr().out)
         rows = [dict(zip(payload["columns"], values)) for values in payload["rows"]]
         assert len(rows) == 6
-        osc = twomode.OscillatorParams(1.0, 1.0)
         for row in rows:
-            env = twomode.SymmetricEnvironmentParams(lam, row["D_xx"], 0.0, row["D_xx"], 0.0, row["D_xpy"])
-            y, d = twomode.build_drift_matrix(osc, env), twomode.build_diffusion_matrix(env)
-            report = twomode.analyze(twomode.steady_state_lyapunov(y, d), osc, env)
+            environment = {"lambda": lam, "D_xx": row["D_xx"], "D_pxpx": row["D_xx"], "D_xpy": row["D_xpy"]}
+            point = write_config(tmp_path, dict(REFERENCE_CONFIG, environment=environment))
+            assert main(["steady-state", "--config", point, "--format", "json"]) == 0
+            report = strict_json(capsys.readouterr().out)["report"]
             assert None not in (row["S_general"], row["verdict"]), row
-            assert row["S_general"] == report.s_general and row["verdict"] == report.verdict
-            assert row["E_general"] == report.e_general
+            assert (row["S_general"], row["verdict"]) == (report["s_general"], report["verdict"])
+            assert row["E_general"] == report["e_general"]
         assert [row["E_general"] is None for row in rows] == [True] + [False] * 5
 
     def test_requires_sweep_section(self, tmp_path, capsys):
@@ -795,6 +830,19 @@ class TestUsageErrors:
         assert main(["validate", "--config", str(path)]) == 1
         assert "D_\u00e9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "steady-state", "evolve"])
+    def test_jobs_is_an_option_of_sweep_alone(self, tmp_path, capsys, command):
+        # sweep accepts --jobs and ignores it; the other commands do not know it
+        sweep = sweep_config(axis1={"n": 2}, axis2={"n": 2})["sweep"]
+        time_grid = {"t_start": 0.0, "t_end": 1.0, "n_points": 3}
+        path = write_config(tmp_path, dict(REFERENCE_CONFIG, sweep=sweep, time_grid=time_grid))
+        assert main([command, "--config", path]) == 0
+        assert main(["sweep", "--config", path, "--jobs", "1"]) == 0
+        capsys.readouterr()
+        assert main([command, "--config", path, "--jobs", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --jobs 1" in captured.err
+
 
 class TestErrorContract:
     """Inputs that used to escape as a raw exception: one `error:` line, no traceback."""
@@ -864,10 +912,9 @@ class TestErrorContract:
                 {"lambda": 1.0, "D_xx": 1e160, "D_pxpx": 1e160, "D_xpy": 1e150},
             ),
             ({"m": 1.0, "omega": 1e200}, REFERENCE_CONFIG["environment"]),
-            ({"m": 1.0, "omega": 1.0}, {**REFERENCE_CONFIG["environment"], "lambda": 1e300}),
             ({"m": 1.0, "omega": 1e-160}, REFERENCE_CONFIG["environment"]),
         ],
-        ids=["huge_diffusion", "omega_squared_overflows", "huge_lambda", "subnormal_spring"],
+        ids=["huge_diffusion", "omega_squared_overflows", "subnormal_spring"],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_steady_state_non_finite_report(
@@ -1477,7 +1524,7 @@ def test_overflow_writes_nothing(tmp_path, command, fmt):
         code, written, err = run_to(command, path, fmt, target)
         assert code == 2 and written in ("", None)
         assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert "double precision" in err or "strict JSON" in err
+        assert "double precision" in err
         assert err == csv_error  # the same line in either format
 
 

@@ -439,7 +439,7 @@ class TestCriterionConsistency:
                 assert (e, math.copysign(1.0, e)) == (0.0, 1.0), (m, omega, lam, u, v)
             env = matched_env(m, omega, lam, u, float(rng.uniform(0.0, 4.0)))
             u_env = m * omega * env.d_xx / lam
-            v_env = env.d_xpy / math.sqrt(lam * lam + omega * omega)
+            v_env = env.d_xpy / math.hypot(lam, omega)
             if abs(2.0 * abs(u_env - v_env) - 1.0) > 1e-12:
                 want = float(-np.log2(2.0 * abs(u_env - v_env)))
                 assert log_negativity_closed_form(osc, env) == want
