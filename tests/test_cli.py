@@ -912,9 +912,14 @@ class TestErrorContract:
                 {"lambda": 1.0, "D_xx": 1e160, "D_pxpx": 1e160, "D_xpy": 1e150},
             ),
             ({"m": 1.0, "omega": 1e200}, REFERENCE_CONFIG["environment"]),
+            # sigma_inf ~ 6e99 is finite, det sigma ~ 7e398 is not
+            (
+                {"m": 1.0, "omega": 1.0},
+                {"lambda": 1e200, "D_xx": 6e299, "D_pxpx": 6e299, "D_xpy": 3e299},
+            ),
             ({"m": 1.0, "omega": 1e-160}, REFERENCE_CONFIG["environment"]),
         ],
-        ids=["huge_diffusion", "omega_squared_overflows", "subnormal_spring"],
+        ids=["huge_diffusion", "omega_squared_overflows", "huge_lambda", "subnormal_spring"],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_steady_state_non_finite_report(
