@@ -34,7 +34,6 @@ from .errors import (
     NonFiniteResultError,
     NonPositiveFError,
     NonPositiveLambdaError,
-    TwoModeError,
     UncertaintyViolationError,
 )
 from .model import (
@@ -127,10 +126,12 @@ def _kernel(s00, s01, s02, s03, s11, s12, s13, s22, s23, s33, det_sigma=None) ->
         divisor = where(pivot, det_a, 1.0)
         u0, u1 = (s11 * s02 - s01 * s12) / divisor, (s00 * s12 - s01 * s02) / divisor
         w0, w1 = (s11 * s03 - s01 * s13) / divisor, (s00 * s13 - s01 * s03) / divisor
-        pairs = (s22, s02 * u0 + s12 * u1), (s23, s03 * u0 + s13 * u1), (s33, s03 * w0 + s13 * w1)
-        # the Schur complement B - C^T A^-1 C, with A^-1 C = (u, w): entries 00, 01, 11
-        schur = [_denoised(b - x, abs(b) + abs(x)) for b, x in pairs]
-        minor, skew = schur[0] * schur[2], schur[1] * schur[1]
+        x00, x01, x11 = s02 * u0 + s12 * u1, s03 * u0 + s13 * u1, s03 * w0 + s13 * w1
+        # the Schur complement B - C^T A^-1 C, with A^-1 C = (u, w) and C^T A^-1 C = x
+        schur00 = _denoised(s22 - x00, abs(s22) + abs(x00))
+        schur01 = _denoised(s23 - x01, abs(s23) + abs(x01))
+        schur11 = _denoised(s33 - x11, abs(s33) + abs(x11))
+        minor, skew = schur00 * schur11, schur01 * schur01
         det_schur = _denoised(minor - skew, abs(minor) + skew)
         det_sigma = where(pivot, det_a * det_schur, det_a * det_b + det_c * det_c - cross)
         split = pivot & (abs(det_sigma) < _TINY)
@@ -153,7 +154,8 @@ def _kernel(s00, s01, s02, s03, s11, s12, s13, s22, s23, s33, det_sigma=None) ->
 
 def _check_invariants(inv: _Invariants) -> None:
     """NonFiniteResultError where an invariant overflows, then NegativeRadicandError."""
-    if not all(map(math.isfinite, inv[:6])):  # det_a to f; e is NaN wherever it is undefined
+    # det_a to f, e being NaN wherever it is undefined; a finite sum has finite terms
+    if not (math.isfinite(sum(inv[:6])) or all(map(math.isfinite, inv[:6]))):
         raise NonFiniteResultError("covariance invariants overflow double precision")
     if inv.radicand < 0.0:
         raise NegativeRadicandError(
@@ -300,6 +302,7 @@ def _first_failure(code, *checks):
 
 
 _ClosedForms = namedtuple("_ClosedForms", "s_special e_closed window s_code e_code window_code")
+_CLOSED_FIELDS = _ClosedForms._fields[:3]
 
 
 def _closed_forms(osc: OscillatorParams, env: EnvironmentParams) -> _ClosedForms:
@@ -348,22 +351,20 @@ def _closed_forms(osc: OscillatorParams, env: EnvironmentParams) -> _ClosedForms
     return _ClosedForms(s_special * _SHOWN[s_code], e_closed, window, s_code, e_code, window_code)
 
 
-def _closed_form_fields(forms, osc: OscillatorParams, env: EnvironmentParams) -> dict:
-    """analyze's closed-form fields from one environment's `forms`: value or function's error."""
+def _closed_form_fields(forms: _ClosedForms) -> list:
+    """One environment's `_CLOSED_FIELDS` from its `forms`, as floats, each None where absent."""
     s_special, e_closed, (low, high), s_code, e_code, window_code = forms
-    error = {c: _ABSENCE_ERRORS[c](osc, env) for c in {s_code, e_code, window_code} if c}
-    return {
-        "s_special": error[s_code] if s_code else float(s_special),
-        "e_closed": error[e_code] if e_code else float(e_closed),
-        "window": error[window_code] if window_code else (float(low), float(high)),
-    }
+    return [None if s_code else float(s_special), None if e_code else float(e_closed),
+            None if window_code else (float(low), float(high))]
 
 
 def _closed_form_value(name: str, osc: OscillatorParams, env: EnvironmentParams):
-    value = _closed_form_fields(_closed_forms(osc, env), osc, env)[name]
-    if isinstance(value, TwoModeError):
-        raise value
-    return value
+    """The closed-form field `name`, or the `_ABSENCE_ERRORS` entry of its code raised."""
+    forms, index = _closed_forms(osc, env), _CLOSED_FIELDS.index(name)
+    code = forms[3 + index]
+    if code:
+        raise _ABSENCE_ERRORS[code](osc, env)
+    return _closed_form_fields(forms)[index]
 
 
 _Report = namedtuple(
@@ -463,15 +464,15 @@ def analyze(
     except NegativeRadicandError as exc:
         notes.append(f"f_sigma: {exc}")
 
-    context: dict = {}
+    closed, validity = [None] * 3, [None] * 2
     if env is not None:
-        context = {"valid_strict": bool(rep.valid_strict), "valid_lenient": bool(rep.valid_lenient)}
-        for name, value in _closed_form_fields(rep.forms, osc, env).items():
-            if isinstance(value, TwoModeError):
-                notes.append(f"{name}: {value}")
-            else:
-                context[name] = value
-    return EntanglementReport(
-        rep.det_a, rep.det_b, rep.det_c, rep.s, rep.verdict, f_value, e_general,
-        notes=tuple(notes), **context,
-    )
+        closed = _closed_form_fields(rep.forms)
+        validity = [bool(rep.valid_strict), bool(rep.valid_lenient)]
+        messages: dict = {}  # one per code: a class failure's three notes share one
+        for name, code in zip(_CLOSED_FIELDS, rep.forms[3:]):
+            if code:
+                if code not in messages:
+                    messages[code] = str(_ABSENCE_ERRORS[code](osc, env))
+                notes.append(f"{name}: {messages[code]}")
+    return EntanglementReport(rep.det_a, rep.det_b, rep.det_c, rep.s, rep.verdict, f_value,
+                              e_general, *closed, *validity, tuple(notes))

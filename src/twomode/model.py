@@ -12,7 +12,8 @@ Mirrored means exactly equal: `is_symmetric_environment` is the one rule, which
 a `SymmetricEnvironmentParams` passes by construction.  Strict validation's Gram
 spectrum is a closed form for a mirrored environment and one power-of-two-scaled
 `eigvalsh` otherwise, scaled on floats or arrays.  The package's one rounding rule,
-`_denoised`, decides the Cauchy-Schwarz constraints and every boundary of `entanglement`.
+`_denoised`, decides the Cauchy-Schwarz constraints (its test, without the call) and
+every boundary of `entanglement`.
 """
 
 from __future__ import annotations
@@ -57,10 +58,11 @@ class OscillatorParams:
     omega: float
 
     def __post_init__(self) -> None:
-        for name in ("m", "omega"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        m, omega = self.m, self.omega
+        if not (m > 0.0 and omega > 0.0 and math.isfinite(m + omega)):  # else name the field
+            for name, value in (("m", m), ("omega", omega)):
+                if not (math.isfinite(value) and value > 0.0):
+                    raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -198,14 +200,14 @@ def _read_covariance(sigma, atol: float | None = None, name: str = "covariance m
     """sigma as a real 4x4 float array (`_as_real`) and its 16 entries as Python floats, row-major.
 
     The entries are read once, with one `tolist()`, and checked on floats:
-    finite, and given atol, symmetric to atol * max |entry|, with no floor.
+    finite, and given atol >= 0, symmetric to atol * max |entry|, with no floor.
     """
     sig = _as_real(sigma, name)
     flat = sig.ravel().tolist()
     # a finite sum has finite terms; an infinite one may have overflowed
     if not (math.isfinite(sum(flat)) or all(map(math.isfinite, flat))):
         raise ValueError(f"{name} entries must be finite")
-    if atol is not None:
+    if atol is not None and _ABOVE(flat) != _BELOW(flat):  # no skew where exactly symmetric
         skew = max(map(abs, map(operator.sub, _ABOVE(flat), _BELOW(flat))))
         if skew > atol * max(map(abs, flat)):
             raise ValueError("covariance matrix must be symmetric")
@@ -225,9 +227,14 @@ _ROW_MAJOR = operator.itemgetter(
 
 def _symmetric(upper) -> NDArray[np.float64]:
     """The symmetric 4x4 matrix of ten upper entries in `UPPER` order, owning its data."""
-    sigma = np.empty((4, 4))
-    sigma.flat = _ROW_MAJOR(upper)
-    return sigma
+    return _square(_ROW_MAJOR(upper))
+
+
+def _square(entries) -> NDArray[np.float64]:
+    """The 4x4 matrix of 16 row-major entries, owning its data: reshaped in place."""
+    out = np.array(entries)
+    out.shape = (4, 4)
+    return out
 
 
 def _stack(rows, dtype=float) -> NDArray:
@@ -268,8 +275,8 @@ def build_drift_matrix(
             f"omega = {osc.omega!r}: 1/m, omega^2 and m omega^2 must lie in [{_TINY!r}, 1.8e308)"
         )
     a = -env.lam
-    return np.array([[a, inverse_mass, 0.0, 0.0], [spring, a, 0.0, 0.0],
-                     [0.0, 0.0, a, inverse_mass], [0.0, 0.0, spring, a]])
+    return _square((a, inverse_mass, 0.0, 0.0, spring, a, 0.0, 0.0,
+                    0.0, 0.0, a, inverse_mass, 0.0, 0.0, spring, a))
 
 
 def _drift_block(y) -> tuple[float, float, float]:
@@ -288,14 +295,7 @@ def _drift_block(y) -> tuple[float, float, float]:
 
 def build_diffusion_matrix(env: EnvironmentParams) -> NDArray[np.float64]:
     """Symmetric diffusion matrix D in the (x, p_x, y, p_y) ordering."""
-    return np.array(
-        [
-            [env.d_xx, env.d_xpx, env.d_xy, env.d_xpy],
-            [env.d_xpx, env.d_pxpx, env.d_ypx, env.d_pxpy],
-            [env.d_xy, env.d_ypx, env.d_yy, env.d_ypy],
-            [env.d_xpy, env.d_pxpy, env.d_ypy, env.d_pypy],
-        ]
-    )
+    return _square(_diffusion_entries(env))
 
 
 def build_gram_matrix(env: EnvironmentParams) -> NDArray[np.complex128]:
@@ -363,7 +363,9 @@ def _min_gram_eigenvalue(env: EnvironmentParams):
     overflows; an eigenvalue beyond the double range is +-inf.  Unscaled,
     eigvalsh lost digits on entries of extreme magnitude (-6.2323e135 for
     -6.2348e135).  Like hypot, frexp and ldexp come from math for one
-    environment and from numpy for a stack, whose overflow is not warned of.
+    environment and from numpy for a stack, whose overflow is not warned of;
+    one environment's values are scaled by one multiplication each, by 2**-exponent
+    where that is a normal double, which gives ldexp's bits.
     """
     mirrored = is_symmetric_environment(env)
     if not isinstance(mirrored, np.ndarray):
@@ -375,11 +377,15 @@ def _min_gram_eigenvalue(env: EnvironmentParams):
 def _gram_floor(env: EnvironmentParams, mirrored: bool, lib):
     """`_min_gram_eigenvalue` with hypot, frexp and ldexp from lib: math or numpy."""
     if not mirrored:
-        values = [*_field_values(env)[1:], 0.5 * env.lam]
+        values = (*_field_values(env)[1:], 0.5 * env.lam)
         magnitudes = map(abs, values)
         peak = functools.reduce(np.maximum, magnitudes) if lib is np else max(magnitudes)
         exponent = lib.frexp(peak)[1]
-        gram = _gram(*[lib.ldexp(v, -exponent) for v in values])
+        if lib is math and -1023 <= exponent <= 1022:  # 2**-exponent is a normal double
+            factor = math.ldexp(1.0, -exponent)
+            gram = _gram(*[v * factor for v in values])
+        else:
+            gram = _gram(*[lib.ldexp(v, -exponent) for v in values])
         low = np.linalg.eigvalsh(gram)[..., 0]
         try:
             return lib.ldexp(low, exponent)
@@ -415,7 +421,8 @@ def _violations(env: EnvironmentParams, strict: bool) -> tuple[tuple, object]:
     if env is last_env and strict == last_strict:
         return result
     # (a, b) of the Cauchy-Schwarz constraints a >= b in _CHECK_NAMES' order, squares as
-    # products (inf, not an error); each holds where a - b is 0 to rounding, not where NaN
+    # products (inf, not an error); each holds where a - b >= 0 or is `_denoised` to 0, not
+    # where NaN
     e, quarter = env, env.lam * env.lam / 4.0
     sides = (
         (e.d_xx * e.d_yy, e.d_xy * e.d_xy),
@@ -425,7 +432,8 @@ def _violations(env: EnvironmentParams, strict: bool) -> tuple[tuple, object]:
         (e.d_yy * e.d_pypy, e.d_ypy * e.d_ypy + quarter),
         (e.d_pxpx * e.d_pypy, e.d_pxpy * e.d_pxpy),
     )
-    violated = [env.lam <= 0.0] + [(_denoised(a - b, abs(a) + b) >= 0.0) ^ True for a, b in sides]
+    violated = [env.lam <= 0.0] + [
+        (((d := a - b) >= 0.0) | (abs(d) < _NOISE * (abs(a) + b))) ^ True for a, b in sides]
     min_eig = None
     if strict:
         min_eig = _min_gram_eigenvalue(env)
