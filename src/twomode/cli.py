@@ -587,7 +587,7 @@ def _sweep_grid(cfg: RunConfig) -> dict:
     values = {_ENV_KEYS[k]: zero + getattr(env, _ENV_KEYS[k]) for k in _REDUCED_KEYS}
     if sweep.scaling == "scaled":  # on a base whose d_xpx, d_xy and d_pxpy are 0 (cmd_sweep)
         d_xx = a1 * lam / (m * w)
-        d_xpy = a2 * math.sqrt(lam * lam + w * w)
+        d_xpy = a2 * math.hypot(lam, w)
         values.update(d_xx=d_xx, d_pxpx=(m * w) * (m * w) * d_xx, d_xpy=d_xpy)
     else:
         values[_ENV_KEYS[sweep.axis1.coefficient]] = a1

@@ -6,6 +6,9 @@ E > 0.  Closed forms are provided for the matched-noise coefficient class
 m^2 w^2 D_xx = D_pxpx, D_xpx = 0, m^2 w^2 D_xy = D_pxpy of mirrored environments:
 mirrored and the zeros exact, the two equalities to `model._denoised`'s rounding rule,
 which also decides S = 0, the radicand's sign, u = 1/2 and the window's edges (E_closed).
+Those closed forms and det C are evaluated on the scaled coordinates u = m w D_xx / lam,
+v = D_xpy / sqrt(lam^2 + w^2), x = m w D_xy / lam and y = D_pxpy / (m w lam), so no power of
+lambda forms; `dynamics.steady_state_closed_form`, the solve's independent check, stays raw.
 
 One kernel, `_kernel`, evaluates S, f, E and Simon's verdict from the ten
 upper entries of sigma in `model.UPPER` order, Python floats for one matrix or arrays for a stack.
@@ -203,35 +206,23 @@ def log_negativity(sigma: NDArray[np.float64]) -> float:
     return float(inv.e)
 
 
-def _det_c(osc: OscillatorParams, env: EnvironmentParams):
-    m, w, lam = osc.m, osc.omega, env.lam
-    cross = m * w * w * env.d_xy + env.d_pxpy / m
-    return (
-        cross * cross + 4 * lam * lam * (env.d_xy * env.d_pxpy - env.d_xpy * env.d_xpy)
-    ) / (4 * lam * lam * (lam * lam + w * w))
-
-
-def _s_special(osc: OscillatorParams, env: EnvironmentParams):
-    m, w, lam = osc.m, osc.omega, env.lam
-    s2 = lam * lam + w * w
-    d_xx2, d_xpy2 = env.d_xx * env.d_xx, env.d_xpy * env.d_xpy
-    head = m * m * w * w * (d_xx2 - env.d_xy * env.d_xy) / (lam * lam) + d_xpy2 / s2 - 0.25
-    det_c = _det_c(osc, env)
-    # max(det C, 0), written so it stays exact and cheap for floats and arrays
-    positive_det_c = 0.5 * (det_c + abs(det_c))
-    return head * head - 4 * m * m * w * w * d_xx2 * d_xpy2 / (lam * lam * s2) - positive_det_c
-
-
 def _divide(x, scalar: float):
     """x / scalar, giving numpy's inf or NaN for a zero scalar on Python floats too."""
     return x / scalar if scalar else x * math.inf
 
 
 def _scaled_coordinates(osc: OscillatorParams, env: EnvironmentParams) -> tuple:
-    """(u, v, sqrt(lam^2 + w^2)) with u = m w D_xx / lam, v = D_xpy / sqrt(lam^2 + w^2)."""
-    lam = env.lam  # one float, so math.hypot serves floats and arrays alike
-    root = math.hypot(lam, osc.omega)
-    return _divide(osc.m * osc.omega * env.d_xx, lam), _divide(env.d_xpy, root), root
+    """The module docstring's scaled coordinates (u, v, x, y), then root = sqrt(lam^2 + w^2)."""
+    lam, mw = env.lam, osc.m * osc.omega
+    root = math.hypot(lam, osc.omega)  # lam is one float, so math.hypot serves arrays too
+    return (_divide(mw * env.d_xx, lam), _divide(env.d_xpy, root), _divide(mw * env.d_xy, lam),
+            _divide(env.d_pxpy / mw, lam), root)
+
+
+def _det_c(osc: OscillatorParams, env: EnvironmentParams, u, v, x, y, root: float):
+    """det C on `_scaled_coordinates`: (s (x + y)/2)^2 + (c x)(c y) - v^2, c, s = lam, w / root."""
+    c, half = env.lam / root, 0.5 * (osc.omega / root) * (x + y)
+    return half * half + (c * x) * (c * y) - v * v
 
 
 def _mw2(osc: OscillatorParams) -> float:
@@ -328,9 +319,11 @@ def _closed_forms(osc: OscillatorParams, env: EnvironmentParams) -> _ClosedForms
         return _ClosedForms(math.nan, math.nan, (math.nan, math.nan), matched, matched, matched)
     positive = (_LAMBDA, (env.lam > 0.0) ^ True)
     zero_cross = _first_failure(matched, (_CROSS, env.d_xy != 0.0), positive)
-    lam2 = env.lam * env.lam  # S_special divides by lam^2 (lam^2 + w^2): NaN where that is 0
-    s_special = _s_special(osc, env) if lam2 * (lam2 + osc.omega * osc.omega) > 0.0 else math.nan
-    u, v, root = _scaled_coordinates(osc, env)
+    u, v, x, y, root = _scaled_coordinates(osc, env)
+    det_c = _det_c(osc, env, u, v, x, y, root)
+    # S_special factored; 0.5 (det C + |det C|) is max(det C, 0), and + 0.0 makes -0.0 0
+    s_special = ((u - v) * (u - v) - x * x - 0.25) * ((u + v) * (u + v) - x * x - 0.25)
+    s_special = s_special - 0.5 * (det_c + abs(det_c)) + 0.0
     gap = abs(u - v)
     diverges = gap < _DIVERGENCE_TOLERANCE
     # E = -log2(2 gap), kept off log2(0); past the divergence E is finite where 2 gap is
@@ -392,11 +385,13 @@ def det_c_closed_form(osc: OscillatorParams, env: EnvironmentParams) -> float:
     """Determinant of the asymptotic cross-correlation block C of a mirrored environment.
 
     det C = [(m w^2 D_xy + D_pxpy/m)^2 + 4 lam^2 (D_xy D_pxpy - D_xpy^2)]
-            / [4 lam^2 (lam^2 + w^2)].
+            / [4 lam^2 (lam^2 + w^2)],
 
+    evaluated divided through, as (s (x + y)/2)^2 + c^2 x y - v^2 on the scaled coordinates
+    (see the module docstring) with c = lam / sqrt(lam^2 + w^2) and s = w / sqrt(lam^2 + w^2).
     det C >= 0 guarantees a separable asymptotic state.  Errors: see the module docstring.
     """
-    return _mirrored_closed_form(_det_c, osc, env)
+    return _mirrored_closed_form(lambda o, e: _det_c(o, e, *_scaled_coordinates(o, e)), osc, env)
 
 
 def simon_s_special(osc: OscillatorParams, env: EnvironmentParams) -> float:
@@ -406,7 +401,8 @@ def simon_s_special(osc: OscillatorParams, env: EnvironmentParams) -> float:
         - 4 m^2 w^2 D_xx^2 D_xpy^2 / [lam^2 (lam^2 + w^2)] - max(det C, 0).
 
     The square carries (1/4 + det C)^2 where Simon's S has (1/4 - |det C|)^2;
-    the last term corrects that for det C > 0, which needs D_xy != 0.
+    the last term corrects that for det C > 0, which needs D_xy != 0.  It is evaluated factored
+    on the scaled coordinates: ((u - v)^2 - x^2 - 1/4)((u + v)^2 - x^2 - 1/4) - max(det C, 0).
     """
     return _closed_form_value("s_special", osc, env)
 

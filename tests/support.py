@@ -209,3 +209,24 @@ def exact_steady_state(y, d):
             sy = sum(sigma[i][k] * ym[j][k] for k in range(4))
             assert ys + sy + dm[i][j] + dm[j][i] == 0, (i, j)
     return sigma
+
+
+def exact_closed_forms(osc, env):
+    """(S_special, det C) of a mirrored environment in exact rational arithmetic.
+
+    The paper's raw-unit formulas on the doubles of osc and env, read as the
+    rationals they are:
+    det C = [(m w^2 D_xy + D_pxpy/m)^2 + 4 lam^2 (D_xy D_pxpy - D_xpy^2)] / [4 lam^2 (lam^2 + w^2)],
+    S_special = [m^2 w^2 (D_xx^2 - D_xy^2)/lam^2 + D_xpy^2/(lam^2 + w^2) - 1/4]^2
+                - 4 m^2 w^2 D_xx^2 D_xpy^2 / [lam^2 (lam^2 + w^2)] - max(det C, 0).
+    Returns both as Fractions; lam must be nonzero.
+    """
+    m, w = Fraction(osc.m), Fraction(osc.omega)
+    lam, d_xx, d_xy = Fraction(env.lam), Fraction(env.d_xx), Fraction(env.d_xy)
+    d_xpy, d_pxpy = Fraction(env.d_xpy), Fraction(env.d_pxpy)
+    lam2, mw2, root2 = lam * lam, m * m * w * w, lam * lam + w * w
+    cross = m * w * w * d_xy + d_pxpy / m
+    det_c = (cross * cross + 4 * lam2 * (d_xy * d_pxpy - d_xpy * d_xpy)) / (4 * lam2 * root2)
+    head = mw2 * (d_xx * d_xx - d_xy * d_xy) / lam2 + d_xpy * d_xpy / root2 - Fraction(1, 4)
+    s_special = head * head - 4 * mw2 * d_xx * d_xx * d_xpy * d_xpy / (lam2 * root2) - max(det_c, 0)
+    return s_special, det_c

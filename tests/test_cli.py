@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import twomode
 from twomode.cli import MAX_GRID_POINTS, config_to_dict, load_config, main, parse_config
 
-from support import mp_sigma_t
+from support import exact_closed_forms, mp_sigma_t
 
 REFERENCE_CONFIG = {
     "oscillator": {"m": 1.0, "omega": 1.0},
@@ -218,6 +219,24 @@ class TestSteadyStateCommand:
             e_general, e_closed = (float(row[key] or "nan") for key in ("E_general", "E_closed"))
         if environment["lambda"] == 1e155:  # u = 1, v = 0.3: the closed form's E is the solve's
             assert abs(e_closed - e_general) <= 1e-13
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_tiny_lambda_s_special_is_exact(self, tmp_path, capsys, fmt):
+        # u = 1 and v = 0.3 at lambda = 1e-160, where lambda^2 underflows: S_special is the
+        # paper's 0.3456, computed in exact rationals from the config's doubles
+        environment = {"lambda": 1e-160, "D_xx": 1e-160, "D_pxpx": 1e-160, "D_xpy": 0.3}
+        path = write_config(tmp_path, dict(REFERENCE_CONFIG, environment=environment))
+        assert main(["steady-state", "--config", path, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            s_special = strict_json(out)["report"]["s_special"]
+        else:
+            (row,) = parse_csv(out)
+            s_special = float(row["S_special"])
+        cfg = load_config(path)
+        exact = exact_closed_forms(cfg.oscillator, cfg.environment)[0]
+        assert abs(exact - Fraction(3456, 10000)) <= 1e-16
+        assert abs(Fraction(s_special) - exact) <= 1e-14 * max(1, abs(exact))
 
     def test_uncorrelated_point(self, tmp_path, capsys):
         payload_cfg = dict(REFERENCE_CONFIG)
@@ -609,12 +628,13 @@ class TestSweepCommand:
         for target in (None, tmp_path / "out"):
             assert run_to("sweep", path, fmt, target) == (2, "" if target is None else None, steady[2])
 
-    @pytest.mark.parametrize("lam", [1e104, 1e150])
+    @pytest.mark.parametrize("lam", [1e104, 1e150, 1e155, 1e200])
     def test_huge_lambda_rows_are_steady_state_at_each_point(self, tmp_path, capsys, lam):
-        # the paper's closed forms divide by 2 m^2 lam (lam^2 + w^2), beyond the doubles
-        # here; the sweep's sigma_inf is steady-state's solve, so S, the verdict and E (no
-        # row is gated: u = 1/2 and 3/2) are that command's cells at each point.  E is empty
-        # only where f = 0, at u = v = 1/2
+        # the paper's raw-unit sigma_inf divides by 2 m^2 lam (lam^2 + w^2), beyond the
+        # doubles here; the sweep's sigma_inf is steady-state's solve, so S, the verdict and
+        # E (no row is gated: u = 1/2 and 3/2) are that command's cells at each point.  E is
+        # empty only where f = 0, at u = v = 1/2.  S_special, on the scaled coordinates, is
+        # written in every row
         cfg = sweep_config(
             axis1={"n": 2}, axis2={"coefficient": "D_xpy", "min": 0.5, "max": 1.0, "n": 3}
         )
@@ -631,6 +651,7 @@ class TestSweepCommand:
             assert None not in (row["S_general"], row["verdict"]), row
             assert (row["S_general"], row["verdict"]) == (report["s_general"], report["verdict"])
             assert row["E_general"] == report["e_general"]
+            assert row["S_special"] is not None and row["S_special"] == report["s_special"]
         assert [row["E_general"] is None for row in rows] == [True] + [False] * 5
 
     def test_requires_sweep_section(self, tmp_path, capsys):
@@ -945,7 +966,7 @@ class TestErrorContract:
         assert captured.err == "error: covariance invariants overflow double precision\n"
 
     def test_steady_state_tiny_lambda(self, tmp_path, capsys):
-        # lambda^2 underflows to zero inside the closed forms
+        # sigma_inf ~ 0.6 / lambda = 6e169: its invariants overflow
         environment = {"lambda": 1e-170, "D_xx": 0.6, "D_pxpx": 0.6, "D_xpy": 0.3}
         path = write_config(tmp_path, dict(REFERENCE_CONFIG, environment=environment))
         for fmt in ("csv", "json"):
@@ -1513,8 +1534,10 @@ _OVERFLOWS = {
         initial_state=[[1e307 * (i == j) for j in range(4)] for i in range(4)],
         time_grid={"t_start": 0.0, "t_end": 1.0, "n_points": 8193},  # over two row blocks
     ),
+    # D_xpy = axis2 sqrt(lambda^2 + omega^2) reaches 1e308 x 1e300
     "sweep": sweep_config(
         axis1={"coefficient": "D_xx", "min": 0.5, "max": 1.5, "n": 3},
+        axis2={"coefficient": "D_xpy", "min": 0.0, "max": 1e308, "n": 3},
         environment={"lambda": 1e300},
     ),
 }

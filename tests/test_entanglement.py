@@ -4,11 +4,12 @@ import sys
 import threading
 import warnings
 from dataclasses import asdict, replace
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twomode import (
@@ -57,6 +58,7 @@ from twomode.dynamics import steady_entries
 from twomode.model import UPPER, Coefficients, _validity
 
 from support import (
+    exact_closed_forms,
     matched_env,
     pt_log_negativity,
     random_physical_covariance,
@@ -115,7 +117,12 @@ class TestDetCClosedForm:
 
     @pytest.mark.parametrize("closed_form", [det_c_closed_form, simon_s_special])
     def test_lambda_squared_underflow(self, osc, closed_form):
+        # on the scaled coordinates no power of lambda forms: det C is -v^2 = -0.09
+        # exactly, while S_special's u = 6e169 overflows in u^2
         env = SymmetricEnvironmentParams(lam=1e-170, d_xx=0.6, d_pxpx=0.6, d_xpy=0.3)
+        if closed_form is det_c_closed_form:
+            assert closed_form(osc, env) == -0.09
+            return
         message = "^closed form is not finite in double precision$"
         with pytest.raises(NonFiniteResultError, match=message):
             closed_form(osc, env)
@@ -215,6 +222,32 @@ class TestSimonSSpecial:
             general = simon_s(block_decompose(steady_state_closed_form(osc, env)))
             assert abs(special - general) <= 1e-9 * max(1.0, abs(general))
         assert signs == {True, False}
+
+
+class TestClosedFormsAgainstExactRationals:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scales=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+        u=st.floats(0.0, 2.0),
+        v=st.floats(0.0, 2.0),
+        x=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+    )
+    def test_matched_class_across_scales(self, scales, u, v, x):
+        # m, omega and lambda log-uniform in [1e-100, 1e100], at O(1) scaled coordinates
+        # u, v and x; (m omega)^2, which the class test forms, stays a normal double
+        m, omega, lam = (10.0**e for e in scales)
+        mw = m * omega
+        assume(1e-150 < mw < 1e150)
+        d_xx, d_xy = u * lam / mw, x * lam / mw
+        env = SymmetricEnvironmentParams(
+            lam=lam, d_xx=d_xx, d_pxpx=mw * mw * d_xx, d_xy=d_xy, d_pxpy=mw * mw * d_xy,
+            d_xpy=v * math.hypot(lam, omega),
+        )
+        osc = OscillatorParams(m, omega)
+        for value, exact in zip((simon_s_special(osc, env), det_c_closed_form(osc, env)),
+                                exact_closed_forms(osc, env)):
+            assert math.isfinite(value)
+            assert abs(Fraction(value) - exact) <= 1e-14 * max(1, abs(exact)), (value, float(exact))
 
 
 class TestEntanglementWindow:
