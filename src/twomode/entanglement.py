@@ -220,7 +220,7 @@ def _scaled_coordinates(osc: OscillatorParams, env: EnvironmentParams) -> tuple:
 
 
 def _det_c(osc: OscillatorParams, env: EnvironmentParams, u, v, x, y, root: float):
-    """det C on `_scaled_coordinates`: (s (x + y)/2)^2 + (c x)(c y) - v^2, c, s = lam, w / root."""
+    """det C = (s (x + y)/2)^2 + (c x)(c y) - v^2 with c = lam / root and s = w / root."""
     c, half = env.lam / root, 0.5 * (osc.omega / root) * (x + y)
     return half * half + (c * x) * (c * y) - v * v
 
@@ -385,9 +385,9 @@ def det_c_closed_form(osc: OscillatorParams, env: EnvironmentParams) -> float:
     """Determinant of the asymptotic cross-correlation block C of a mirrored environment.
 
     det C = [(m w^2 D_xy + D_pxpy/m)^2 + 4 lam^2 (D_xy D_pxpy - D_xpy^2)]
-            / [4 lam^2 (lam^2 + w^2)],
+            / [4 lam^2 (lam^2 + w^2)].
 
-    evaluated divided through, as (s (x + y)/2)^2 + c^2 x y - v^2 on the scaled coordinates
+    It is evaluated divided through, as (s (x + y)/2)^2 + c^2 x y - v^2 on the scaled coordinates
     (see the module docstring) with c = lam / sqrt(lam^2 + w^2) and s = w / sqrt(lam^2 + w^2).
     det C >= 0 guarantees a separable asymptotic state.  Errors: see the module docstring.
     """
